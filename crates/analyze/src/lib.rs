@@ -172,8 +172,9 @@ pub fn analyze(spec: &KernelSpec, opts: &AnalyzeOptions) -> Report {
     let mut report = Report::default();
     lints::check_bounds(spec, &deps, &mut report);
     lints::check_deadlock(spec, &deps, opts, &mut report);
-    lints::check_depth(spec, &deps, opts, &mut report);
-    lints::check_disjoint(spec, &deps, &mut report);
+    let refinement = depend::refine_pairs(spec, &deps);
+    lints::check_depth(spec, &deps, &refinement, opts, &mut report);
+    lints::check_disjoint(spec, &deps, &refinement, &mut report);
     lints::check_dead_stores(spec, &deps, &mut report);
     lints::check_pair_reduction(spec, &deps, opts, &mut report);
     seplog::check_separation(spec, &deps, &mut report);

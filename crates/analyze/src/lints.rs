@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use prevv_core::sizing::{expr_latency, recommend_depth, PairTiming};
 use prevv_dataflow::Value;
-use prevv_ir::depend::{pair_distances, refine_pairs, Dependences, StaticMemOp, ENUM_LIMIT};
+use prevv_ir::depend::{pair_distances, Dependences, Refinement, StaticMemOp, ENUM_LIMIT};
 use prevv_ir::symdep::{rect_bounds, AffineForm};
 use prevv_ir::{Expr, KernelSpec, MemOpKind, Span};
 
@@ -208,6 +208,7 @@ pub(crate) fn check_deadlock(
 pub(crate) fn check_depth(
     spec: &KernelSpec,
     deps: &Dependences,
+    refinement: &Refinement,
     opts: &AnalyzeOptions,
     report: &mut Report,
 ) {
@@ -235,7 +236,6 @@ pub(crate) fn check_depth(
         .iter()
         .map(|s| expr_latency(&s.index, read_latency) + expr_latency(&s.value, read_latency) + 1.0)
         .sum();
-    let refinement = refine_pairs(spec, deps);
     let distances = pair_distances(spec, deps);
     let timings: Vec<PairTiming> = refinement
         .pairs
@@ -283,9 +283,14 @@ pub(crate) fn check_depth(
 /// [`prevv_ir::depend::refine_pairs`] bypasses: all address collisions are
 /// same-iteration load-before-store, which the in-order store commit already
 /// serializes, so synthesis drops the pair from the arbiter's validated set.
-pub(crate) fn check_disjoint(spec: &KernelSpec, deps: &Dependences, report: &mut Report) {
+pub(crate) fn check_disjoint(
+    spec: &KernelSpec,
+    deps: &Dependences,
+    refinement: &Refinement,
+    report: &mut Report,
+) {
     let spans = op_spans(spec, &deps.ops);
-    for pair in refine_pairs(spec, deps).bypassed {
+    for pair in &refinement.bypassed {
         let load = &deps.ops[pair.load];
         let name = array_name(spec, load.array);
         report.push(

@@ -307,6 +307,9 @@ pub struct ReplayOutcome {
     /// Livelock traces only: the state at `cycle_from` recurred exactly at
     /// the end of the trace (the cycle closes).
     pub cycle_closed: bool,
+    /// The trace's last step is a §V-B-eliminated op whose full-set verdict
+    /// is a squash (the PV204 witness).
+    pub reduction_escape: bool,
 }
 
 /// Model-checks the PreVV protocol for `spec` under `opts`.
@@ -338,12 +341,17 @@ pub fn replay(
     let mut st = model.initial();
     let mut scratch = McState::hollow();
     let mut cycle_key = None;
+    let mut last_escape = false;
     for (k, ev) in cex.events.iter().enumerate() {
         if Some(k) == cex.cycle_from {
             cycle_key = Some(st.key());
         }
         match model.try_step(&st, ev.op, &mut scratch) {
-            StepOutcome::Stepped { event, .. } => {
+            StepOutcome::Stepped {
+                event,
+                reduction_escape,
+                ..
+            } => {
                 if event.kind != ev.kind || event.iter != ev.iter {
                     return Err(format!(
                         "event {}: expected {:?} of iteration {}, got {:?} of iteration {}",
@@ -354,6 +362,7 @@ pub fn replay(
                         event.iter
                     ));
                 }
+                last_escape = reduction_escape;
                 std::mem::swap(&mut st, &mut scratch);
             }
             blocked => {
@@ -379,6 +388,7 @@ pub fn replay(
         deadlock: !any && !model.is_success(&st),
         admission_blocked: adm,
         cycle_closed: cycle_key.is_some_and(|k| k == st.key()),
+        reduction_escape: last_escape,
     })
 }
 
@@ -1992,6 +2002,9 @@ mod tests {
             .find(|c| c.code == Code::ReductionUnsound)
             .expect("PV204 counterexample");
         assert!(matches!(cex.events.last(), Some(e) if e.kind == EventKind::Squash));
+        let outcome = replay(&spec, &ProtocolOptions::default(), cex).expect("replays");
+        assert!(outcome.reduction_escape);
+        assert!(!(outcome.deadlock || outcome.admission_blocked || outcome.cycle_closed));
         // With pair reduction disabled the finding disappears.
         let mut opts = ProtocolOptions::default();
         opts.config.pair_reduction = false;

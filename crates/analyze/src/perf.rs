@@ -726,7 +726,11 @@ struct Term {
 /// arrivals, retirements). Guarded operations are weighted by their exact
 /// enumerated density, or by 0 when the space is too large to enumerate —
 /// under-approximating keeps the bound sound.
-fn sound_terms(synth: &SynthesizedKernel, cfg: &PrevvConfig) -> Vec<Term> {
+fn sound_terms(
+    synth: &SynthesizedKernel,
+    distances: &[PairDistance],
+    cfg: &PrevvConfig,
+) -> Vec<Term> {
     let spec = &synth.spec;
     let densities = guard_densities(spec);
     let density = |stmt: usize| -> f64 {
@@ -741,14 +745,13 @@ fn sound_terms(synth: &SynthesizedKernel, cfg: &PrevvConfig) -> Vec<Term> {
             }
         }
     };
-    let distances = pair_distances(spec, &synth.deps);
     let ram_reads: f64 = synth
         .deps
         .ops
         .iter()
         .enumerate()
         .filter(|(_, o)| o.kind == MemOpKind::Load)
-        .filter(|(i, _)| provably_ram_bound(synth, &distances, *i, cfg.depth))
+        .filter(|(i, _)| provably_ram_bound(synth, distances, *i, cfg.depth))
         .map(|(_, o)| density(o.stmt))
         .sum();
     let stores: f64 = spec
@@ -804,10 +807,13 @@ fn sound_terms(synth: &SynthesizedKernel, cfg: &PrevvConfig) -> Vec<Term> {
 /// individual iterations, not the steady state. Guarded accumulators
 /// collide only on taken iterations, so the distance is scaled by the
 /// guard's execution density.
-fn raw_recurrence_ii(synth: &SynthesizedKernel, cfg: &PrevvConfig) -> f64 {
+fn raw_recurrence_ii(
+    synth: &SynthesizedKernel,
+    distances: &[PairDistance],
+    cfg: &PrevvConfig,
+) -> f64 {
     let spec = &synth.spec;
     let ops_per_iter = spec.mem_ops_per_iter().max(1);
-    let distances = pair_distances(spec, &synth.deps);
     let classes = crate::seplog::classify_pairs(spec, &synth.deps);
     let densities = guard_densities(spec);
     distances
@@ -882,7 +888,8 @@ pub fn lint_perf(
             format!("critical cycle: {}", cycle_labels.join(" -> "))
         },
     }];
-    terms.extend(sound_terms(synth, cfg));
+    let distances = pair_distances(spec, &synth.deps);
+    terms.extend(sound_terms(synth, &distances, cfg));
     let binding = terms
         .iter()
         .max_by(|a, b| a.ii.partial_cmp(&b.ii).unwrap_or(std::cmp::Ordering::Equal))
@@ -894,7 +901,7 @@ pub fn lint_perf(
     // first: when it (or a sound term) already throttles the steady state,
     // racing stores arrive before the next load issues and the arrival
     // skew — the squash driver — vanishes.
-    let ii_raw = raw_recurrence_ii(synth, cfg);
+    let ii_raw = raw_recurrence_ii(synth, &distances, cfg);
     let skew = if ii_bound.max(ii_raw) >= SQUASH_II_CUTOFF {
         0
     } else {

@@ -19,8 +19,10 @@ use crate::symdep::{self, PairClass};
 
 /// Largest iteration-space size the exact (enumerating) analyses run on.
 ///
-/// Below this, address sets and collision distances are enumerated exactly,
-/// as in PR 1. Above it, only the symbolic tests in [`crate::symdep`] apply;
+/// Up to this size, address sets and collision distances are enumerated
+/// exactly: a pair's minimum collision distance takes one sort of the store
+/// stream and one binary search per load iteration, `O(N log N)` for `N`
+/// iterations. Above it, only the symbolic tests in [`crate::symdep`] apply;
 /// whatever they cannot prove stays conservatively ambiguous/validated.
 pub const ENUM_LIMIT: usize = 4096;
 
@@ -209,38 +211,51 @@ pub struct PairDistance {
     pub min_distance: Option<u64>,
 }
 
-/// Minimum unprotected collision distance of one affine pair, by exact
-/// enumeration over the materialized space.
+/// Minimum unprotected collision distance of one affine pair, exact over
+/// the materialized space.
+///
+/// The store stream's `(address, iteration)` pairs are sorted once; each
+/// load iteration then binary-searches its own address for the nearest
+/// earlier and nearest later store iteration. A store in the load's own
+/// iteration counts (at distance 0) only when it precedes the load in the
+/// order ROM — a load sequenced first is protected by program order, so
+/// the search steps past it to the next later store. With `N` iterations
+/// this costs `O(N log N)` instead of the `N²` of comparing every load
+/// iteration with every store iteration, and returns the same minimum.
 fn enumerated_min_distance(
     spec: &KernelSpec,
     load: &StaticMemOp,
     store: &StaticMemOp,
     space: &[Vec<Value>],
 ) -> Option<u64> {
-    let laddrs: Vec<usize> = space
+    let addr_of =
+        |op: &StaticMemOp, row: &[Value]| spec.resolve_index(op.array, eval_affine(&op.index, row));
+    let mut stores: Vec<(usize, usize)> = space
         .iter()
-        .map(|row| spec.resolve_index(load.array, eval_affine(&load.index, row)))
+        .enumerate()
+        .map(|(i, row)| (addr_of(store, row), i))
         .collect();
-    let saddrs: Vec<usize> = space
-        .iter()
-        .map(|row| spec.resolve_index(store.array, eval_affine(&store.index, row)))
-        .collect();
+    stores.sort_unstable();
+    let protected = load.seq < store.seq;
     let mut best: Option<u64> = None;
-    for (i1, &la) in laddrs.iter().enumerate() {
-        for (i2, &sa) in saddrs.iter().enumerate() {
-            if la != sa {
-                continue;
-            }
-            if i1 == i2 && load.seq < store.seq {
-                // The load precedes the store in the same iteration:
-                // program order already protects it.
-                continue;
-            }
-            let d = i1.abs_diff(i2) as u64;
+    for (i, row) in space.iter().enumerate() {
+        let addr = addr_of(load, row);
+        // First store at this address in an iteration >= i.
+        let at = stores.partition_point(|&s| s < (addr, i));
+        let earlier = at
+            .checked_sub(1)
+            .map(|k| stores[k])
+            .filter(|&(a, _)| a == addr);
+        let mut later = stores.get(at).copied().filter(|&(a, _)| a == addr);
+        if protected && later.is_some_and(|(_, j)| j == i) {
+            later = stores.get(at + 1).copied().filter(|&(a, _)| a == addr);
+        }
+        for (_, j) in earlier.into_iter().chain(later) {
+            let d = i.abs_diff(j) as u64;
             best = Some(best.map_or(d, |b| b.min(d)));
-            if best == Some(0) {
-                break;
-            }
+        }
+        if best == Some(0) {
+            break;
         }
     }
     best
@@ -253,8 +268,9 @@ fn enumerated_min_distance(
 /// model and the dependence predictor both care about this profile. The
 /// symbolic tests serve as a fast path where their verdict is exact (a
 /// disjoint proof, or a same-iteration-only proof on a program-order
-/// protected pair, both meaning "no unprotected collision"); enumeration
-/// covers the rest up to [`ENUM_LIMIT`] iterations.
+/// protected pair, both meaning "no unprotected collision"); the exact
+/// sorted nearest-store search covers the rest up to [`ENUM_LIMIT`]
+/// iterations.
 pub fn pair_distances(spec: &KernelSpec, deps: &Dependences) -> Vec<PairDistance> {
     let small = spec.iteration_count() <= ENUM_LIMIT;
     let space = if small {
@@ -326,11 +342,12 @@ pub struct Refinement {
 /// proof comes from the symbolic tests first (a [`PairClass::Disjoint`]
 /// verdict, or [`PairClass::SameIterationOnly`] with the load sequenced
 /// before the store — both scale to arbitrarily large spaces), falling back
-/// to exact enumeration for spaces up to [`ENUM_LIMIT`]; anything unproved
-/// stays conservatively validated. Removing a safe pair from the validated
-/// set skips the arbiter's head-to-tail search for its ops without weakening
-/// validation of any remaining pair — arriving validated ops are still
-/// compared against *all* resident queue records.
+/// to the exact sorted nearest-store search for spaces up to
+/// [`ENUM_LIMIT`]; anything unproved stays conservatively validated.
+/// Removing a safe pair from the validated set skips the arbiter's
+/// head-to-tail search for its ops without weakening validation of any
+/// remaining pair — arriving validated ops are still compared against
+/// *all* resident queue records.
 pub fn refine_pairs(spec: &KernelSpec, deps: &Dependences) -> Refinement {
     let small = spec.iteration_count() <= ENUM_LIMIT;
     let space = if small {

@@ -12,8 +12,10 @@
 //! 2. A kernel the PV2xx checker proves clean (complete exploration, no
 //!    counterexamples) must complete on PreVV — no deadlock, no timeout.
 //! 3. An emitted counterexample must replay against the transition system
-//!    (a trace that does not replay means the checker fabricated it); only
-//!    then is a PreVV deadlock/timeout tolerated.
+//!    (a trace that does not replay means the checker fabricated it) and
+//!    end on its witness — a deadlock, an admission wedge, a closed livelock
+//!    cycle, or for PV204 an eliminated op's escaped squash; only then is a
+//!    PreVV deadlock/timeout tolerated.
 //! 4. Direct memory is exempt from golden comparison (it mis-executes on
 //!    hazards by design) but must still be scheduler-deterministic.
 //! 5. `pretty::render` → `parse` must reproduce the spec (modulo spans).
@@ -30,7 +32,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use prevv_analyze::{
-    check_protocol, replay_counterexample, AnalyzeOptions, ProtocolOptions, Severity,
+    check_protocol, replay_counterexample, AnalyzeOptions, Code, ProtocolOptions, Severity,
 };
 use prevv_core::PrevvConfig;
 use prevv_dataflow::{Scheduler, SimConfig, SimError, Value};
@@ -237,9 +239,12 @@ pub fn check_kernel(spec: &KernelSpec, opts: &DiffOptions) -> KernelVerdict {
                 for cex in &result.counterexamples {
                     match replay_counterexample(spec, &mc_opts, cex) {
                         Ok(outcome) => {
+                            let escaped =
+                                cex.code == Code::ReductionUnsound && outcome.reduction_escape;
                             if !(outcome.deadlock
                                 || outcome.admission_blocked
-                                || outcome.cycle_closed)
+                                || outcome.cycle_closed
+                                || escaped)
                             {
                                 verdict.failures.push(Failure {
                                     kind: FailureKind::ReplayFailed,

@@ -93,3 +93,33 @@ fn pinned_opaque_rmw_collision_pair() {
     .expect("pinned spec validates");
     oracle_must_pass(&spec);
 }
+
+/// A generated kernel whose bounded model check emits a PV204 trace: the
+/// §V-B pair reduction exempts an op from validation, and the trace ends on
+/// that op's arrival, which the full validated set would have squashed.
+/// The trace witnesses the escape itself, not a deadlock or a closed
+/// livelock cycle, so the oracle must accept it on that witness. The kernel
+/// is regenerated from its seed (`runkernel --fuzz 200 --seed 1`) rather
+/// than pinned in the replay corpus.
+#[test]
+fn pinned_pv204_reduction_escape_replays() {
+    use prevv::kernels::gen::{generate, GenConfig};
+
+    let spec = generate(0xe028_5292_5a4d_c852, &GenConfig::default());
+    assert_eq!(spec.name, "fuzz_0xe02852925a4dc852");
+    let verdict = check_kernel(&spec, &DiffOptions::default());
+    assert!(
+        verdict.counterexamples > 0,
+        "the pinned kernel must still produce a counterexample"
+    );
+    assert!(
+        verdict.passed(),
+        "{}: {:?}",
+        spec.name,
+        verdict
+            .failures
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+    );
+}
