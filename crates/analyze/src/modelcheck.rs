@@ -95,7 +95,8 @@ pub const DEFAULT_MAX_STATES: usize = 10_000_000;
 /// Cap on squash-cycle candidates examined for PV202 per run.
 const SQUASH_CANDIDATE_CAP: usize = 64;
 
-/// Cap on states explored by one plane-confined PV202 cycle search.
+/// Cap on first-time state expansions of the PV202 plane graph, over all
+/// squash candidates of one exploration.
 const CONFINED_SEARCH_CAP: usize = 1 << 18;
 
 /// Configuration of the protocol model checker.
@@ -632,6 +633,176 @@ struct Succ {
     state: McState,
 }
 
+/// A dead end short of success: its fingerprint, the state, and the ops
+/// blocked on admission there.
+struct Deadlock(u64, McState, Vec<(usize, u64)>);
+
+/// A squash edge `u -> v` that stayed in its (frontier, next_commit) plane
+/// — a PV202 cycle candidate. `squash` is the edge's (undescribed) event.
+struct SquashCand {
+    u_fp: u64,
+    u: McState,
+    v: McState,
+    squash: TraceEvent,
+}
+
+/// What one exhaustive exploration found, before any trace is rebuilt.
+struct Exploration {
+    init: McState,
+    visited: FpTable,
+    transitions: u64,
+    enabled: u64,
+    truncated_by_budget: bool,
+    audit_collisions: Option<u64>,
+    /// The first dead end, in BFS order.
+    deadlock: Option<Deadlock>,
+    /// The first PV204 escape: the source state's fingerprint and event.
+    escape: Option<(u64, TraceEvent)>,
+    /// PV202 candidates in discovery order, at most
+    /// [`SQUASH_CANDIDATE_CAP`].
+    squash_cands: Vec<SquashCand>,
+}
+
+/// A [`PlaneGraph`] node's payload: its state until the first query
+/// expands it, then its in-plane successors `(op, node)` in op order.
+enum PlaneBody {
+    Unexpanded(McState),
+    Expanded(Vec<(usize, usize)>),
+}
+
+struct PlaneNode {
+    key: StateKey,
+    /// The next-older node with the same fingerprint.
+    next: Option<usize>,
+    body: PlaneBody,
+}
+
+/// Per-node BFS bookkeeping of a [`PlaneGraph`] query.
+#[derive(Clone, Copy, Default)]
+struct Mark {
+    /// The query that last reached the node (queries count from 1).
+    query: u32,
+    /// The `(node, op)` edge that query reached it by (`None` at the
+    /// query's start).
+    pred: Option<(usize, usize)>,
+}
+
+/// The PV202 cycle search's memo: every state a cycle query has reached,
+/// each expanded at most once per exploration. Nodes are interned exactly
+/// — the fingerprint picks a chain, a full [`StateKey`] comparison decides
+/// — so the memo adds no collision exposure. A node's edges stay in its
+/// own (frontier, next_commit) plane; both quantities are monotone, so a
+/// path between two states of one plane never leaves it.
+#[derive(Default)]
+struct PlaneGraph {
+    nodes: Vec<PlaneNode>,
+    marks: Vec<Mark>,
+    /// Fingerprint → newest node carrying it.
+    buckets: HashMap<u64, usize>,
+    queries: u32,
+    /// Record-projection arena for [`Model::fingerprint`].
+    keys: Vec<RecordKey>,
+}
+
+impl PlaneGraph {
+    /// The node of `st`'s key, created (unexpanded) if new.
+    fn intern(&mut self, model: &Model, st: &McState) -> usize {
+        let fp = model.fingerprint(st, &mut self.keys);
+        let key = st.key();
+        let mut at = self.buckets.get(&fp).copied();
+        while let Some(n) = at {
+            if self.nodes[n].key == key {
+                return n;
+            }
+            at = self.nodes[n].next;
+        }
+        let id = self.nodes.len();
+        self.nodes.push(PlaneNode {
+            key,
+            next: self.buckets.insert(fp, id),
+            body: PlaneBody::Unexpanded(st.clone()),
+        });
+        self.marks.push(Mark::default());
+        id
+    }
+
+    /// Steps every op from node `n`'s state and keeps the in-plane
+    /// successors; the state itself is dropped.
+    fn expand(&mut self, model: &Model, n: usize, scratch: &mut McState) {
+        let body = std::mem::replace(&mut self.nodes[n].body, PlaneBody::Expanded(Vec::new()));
+        let PlaneBody::Unexpanded(st) = body else {
+            self.nodes[n].body = body;
+            return;
+        };
+        let plane = (st.proto.frontier, st.proto.next_commit);
+        let mut succs = Vec::new();
+        for op in 0..model.ops.len() {
+            if let StepOutcome::Stepped { .. } = model.try_step(&st, op, scratch) {
+                if (scratch.proto.frontier, scratch.proto.next_commit) == plane {
+                    succs.push((op, self.intern(model, scratch)));
+                }
+            }
+        }
+        self.nodes[n].body = PlaneBody::Expanded(succs);
+    }
+
+    /// The ops of a shortest path `v -> … -> u` (empty when `v == u`), by
+    /// BFS in op order with the target tested before the seen set, so the
+    /// path is the one a fresh search from `v` would find. Nodes are
+    /// expanded on first reach; each expansion spends one unit of
+    /// `budget`, and `None` means no path or an exhausted budget.
+    fn path(
+        &mut self,
+        model: &Model,
+        u: &McState,
+        v: &McState,
+        budget: &mut usize,
+    ) -> Option<Vec<usize>> {
+        let target = self.intern(model, u);
+        let start = self.intern(model, v);
+        if start == target {
+            return Some(Vec::new());
+        }
+        self.queries += 1;
+        let query = self.queries;
+        self.marks[start] = Mark { query, pred: None };
+        let mut queue = VecDeque::from([start]);
+        let mut scratch = McState::hollow();
+        while let Some(n) = queue.pop_front() {
+            if matches!(self.nodes[n].body, PlaneBody::Unexpanded(_)) {
+                if *budget == 0 {
+                    return None;
+                }
+                *budget -= 1;
+                self.expand(model, n, &mut scratch);
+            }
+            let PlaneBody::Expanded(succs) = &self.nodes[n].body else {
+                unreachable!("expanded above");
+            };
+            for &(op, m) in succs {
+                if m == target {
+                    let mut ops = vec![op];
+                    let mut at = n;
+                    while let Some((p, op)) = self.marks[at].pred {
+                        ops.push(op);
+                        at = p;
+                    }
+                    ops.reverse();
+                    return Some(ops);
+                }
+                if self.marks[m].query != query {
+                    self.marks[m] = Mark {
+                        query,
+                        pred: Some((n, op)),
+                    };
+                    queue.push_back(m);
+                }
+            }
+        }
+        None
+    }
+}
+
 struct Model<'a> {
     spec: &'a KernelSpec,
     cfg: PrevvConfig,
@@ -1019,21 +1190,25 @@ impl<'a> Model<'a> {
         }
     }
 
-    fn describe(
-        &self,
-        op: usize,
-        iter: u64,
-        kind: EventKind,
-        addr: Option<usize>,
-        value: Value,
-        from: Option<u64>,
-    ) -> String {
+    /// Fills in `ev.desc`. Transitions leave it empty: only the events of an
+    /// emitted counterexample are ever read, so each one is described once,
+    /// on its way out of the checker.
+    fn describe(&self, mut ev: TraceEvent) -> TraceEvent {
+        let TraceEvent {
+            op,
+            iter,
+            kind,
+            addr,
+            value,
+            squash_from,
+            ..
+        } = ev;
         let label = &self.labels[op];
         let place = addr.map(|a| {
             let ai = self.array_of_addr[a];
             format!("{}[{}]", self.spec.arrays[ai].name, a - self.bases[ai])
         });
-        match kind {
+        ev.desc = match kind {
             EventKind::Arrive => format!(
                 "arrive {label}#{op} iter {iter}: {} = {value}",
                 place.unwrap_or_default()
@@ -1049,11 +1224,13 @@ impl<'a> Model<'a> {
             EventKind::Squash => format!(
                 "arrive {label}#{op} iter {iter}: {} = {value} — violation, squash from iter {}",
                 place.unwrap_or_default(),
-                from.unwrap_or(iter)
+                squash_from.unwrap_or(iter)
             ),
-        }
+        };
+        ev
     }
 
+    /// An undescribed event (see [`Self::describe`]).
     fn event(
         &self,
         op: usize,
@@ -1071,7 +1248,7 @@ impl<'a> Model<'a> {
             value,
             squash_from: from,
             span: self.spans[op],
-            desc: self.describe(op, iter, kind, addr, value, from),
+            desc: String::new(),
         }
     }
 
@@ -1449,18 +1626,22 @@ impl<'a> Model<'a> {
     }
 
     /// Rebuilds the event trace to the state fingerprinted `fp` by
-    /// re-executing its port sequence from the initial state (transitions
-    /// are deterministic per port, so the replay regenerates the exact
-    /// events the exploration saw without storing any of them).
+    /// re-executing its port sequence from the initial state.
     fn trace_to(&self, visited: &FpTable, init: &McState, fp: u64) -> Vec<TraceEvent> {
-        let ops = self.ops_to(visited, fp);
-        let mut st = init.clone();
+        self.events_along(init, &self.ops_to(visited, fp))
+    }
+
+    /// Re-executes `ops` from `from` and returns their described events.
+    /// Transitions are deterministic per port, so this regenerates exactly
+    /// the events the search saw without storing any of them.
+    fn events_along(&self, from: &McState, ops: &[usize]) -> Vec<TraceEvent> {
+        let mut st = from.clone();
         let mut scratch = McState::hollow();
         let mut events = Vec::with_capacity(ops.len());
-        for op in ops {
+        for &op in ops {
             match self.try_step(&st, op, &mut scratch) {
                 StepOutcome::Stepped { event, .. } => {
-                    events.push(event);
+                    events.push(self.describe(event));
                     std::mem::swap(&mut st, &mut scratch);
                 }
                 // Unreachable short of a fingerprint collision; truncate
@@ -1471,65 +1652,29 @@ impl<'a> Model<'a> {
         events
     }
 
-    /// Searches for a path `v -> … -> u` confined to the shared
-    /// (frontier, next_commit) plane — which is exact, not heuristic: both
-    /// quantities are monotone, so any path between two states of the same
-    /// plane can never leave it. Returns the path's events (empty when
-    /// `v == u`: the squash was a self-loop).
+    /// PV202: a squash edge u -> v that stayed in its (frontier,
+    /// next_commit) plane closes a livelock cycle iff v reaches u again —
+    /// searched within the plane, which is exact (both quantities are
+    /// monotone, so a cycle holds them constant). Candidates are examined
+    /// in BFS discovery order, so the first one that closes has the
+    /// shortest prefix. Returns its index and the cycle's events after the
+    /// squash (none when the squash was a self-loop).
     ///
-    /// `budget` is the number of state expansions this call may still
-    /// spend; it is shared across every candidate of one exploration so
-    /// a run with many deep planes pays [`CONFINED_SEARCH_CAP`] *total*,
-    /// not per candidate. Self-loop candidates cost nothing.
-    fn close_cycle(&self, u: &McState, v: &McState, budget: &mut usize) -> Option<Vec<TraceEvent>> {
-        let target = u.key();
-        if v.key() == target {
-            return Some(Vec::new());
-        }
-        let plane = (u.proto.frontier, u.proto.next_commit);
-        let mut states = vec![v.clone()];
-        let mut seen: HashSet<StateKey> = HashSet::from([v.key()]);
-        let mut parent: Vec<Option<(usize, TraceEvent)>> = vec![None];
-        let mut queue = VecDeque::from([0usize]);
-        let mut scratch = McState::hollow();
-        while let Some(i) = queue.pop_front() {
-            if *budget == 0 {
-                return None;
-            }
-            *budget -= 1;
-            let st = states[i].clone();
-            for op in 0..self.ops.len() {
-                let StepOutcome::Stepped { event, .. } = self.try_step(&st, op, &mut scratch)
-                else {
-                    continue;
-                };
-                if (scratch.proto.frontier, scratch.proto.next_commit) != plane {
-                    continue;
-                }
-                let key = scratch.key();
-                if key == target {
-                    let mut events = Vec::new();
-                    let mut j = i;
-                    while let Some((p, ev)) = &parent[j] {
-                        events.push(ev.clone());
-                        j = *p;
-                    }
-                    events.reverse();
-                    events.push(event);
-                    return Some(events);
-                }
-                if seen.insert(key) {
-                    states.push(std::mem::replace(&mut scratch, McState::hollow()));
-                    parent.push(Some((i, event)));
-                    queue.push_back(states.len() - 1);
-                }
-            }
-        }
-        None
+    /// Every query runs over one shared [`PlaneGraph`], so a plane state
+    /// is expanded at most once per exploration, and
+    /// [`CONFINED_SEARCH_CAP`] bounds those first-time expansions in total.
+    fn find_livelock(&self, cands: &[SquashCand]) -> Option<(usize, Vec<TraceEvent>)> {
+        let mut graph = PlaneGraph::default();
+        let mut budget = CONFINED_SEARCH_CAP;
+        cands.iter().enumerate().find_map(|(c, cand)| {
+            let ops = graph.path(self, &cand.u, &cand.v, &mut budget)?;
+            Some((c, self.events_along(&cand.v, &ops)))
+        })
     }
 
-    fn explore(&self) -> CheckResult {
-        let start = Instant::now();
+    /// The exhaustive level-synchronous exploration: the visited set, the
+    /// counters and the raw verdict evidence, before any trace is rebuilt.
+    fn search(&self) -> Exploration {
         let mut init = self.initial();
         self.housekeeping(&mut init);
         // Retired states (duplicate successors, fully expanded parents) are
@@ -1551,10 +1696,9 @@ impl<'a> Model<'a> {
         let mut enabled_total = 0u64;
         let mut truncated_by_budget = false;
 
-        struct Deadlock(u64, McState, Vec<(usize, u64)>);
         let mut deadlock: Option<Deadlock> = None;
         let mut escape: Option<(u64, TraceEvent)> = None;
-        let mut squash_cands: Vec<(u64, McState, McState, TraceEvent)> = Vec::new();
+        let mut squash_cands: Vec<SquashCand> = Vec::new();
 
         let mut level: Vec<(u64, McState)> = vec![(init_fp, init.clone())];
         'levels: while !level.is_empty() {
@@ -1574,9 +1718,14 @@ impl<'a> Model<'a> {
                         escape = Some((*st_fp, ev));
                     }
                 }
-                for (v, ev) in res.squash_cands {
+                for (v, squash) in res.squash_cands {
                     if squash_cands.len() < SQUASH_CANDIDATE_CAP {
-                        squash_cands.push((*st_fp, st.clone(), v, ev));
+                        squash_cands.push(SquashCand {
+                            u_fp: *st_fp,
+                            u: st.clone(),
+                            v,
+                            squash,
+                        });
                     }
                 }
                 for succ in res.succs {
@@ -1603,7 +1752,23 @@ impl<'a> Model<'a> {
             level = next_level;
         }
 
-        let complete = !truncated_by_budget;
+        Exploration {
+            init,
+            visited,
+            transitions,
+            enabled: enabled_total,
+            truncated_by_budget,
+            audit_collisions: audit.map(|_| audit_collisions),
+            deadlock,
+            escape,
+            squash_cands,
+        }
+    }
+
+    fn explore(&self) -> CheckResult {
+        let start = Instant::now();
+        let ex = self.search();
+        let complete = !ex.truncated_by_budget;
         let mut report = Report::default();
         let mut counterexamples = Vec::new();
 
@@ -1649,8 +1814,8 @@ impl<'a> Model<'a> {
             );
         }
 
-        if let Some(Deadlock(fp, st, blocked)) = &deadlock {
-            let events = self.trace_to(&visited, &init, *fp);
+        if let Some(Deadlock(fp, st, blocked)) = &ex.deadlock {
+            let events = self.trace_to(&ex.visited, &ex.init, *fp);
             let resident = st.proto.queue.len();
             let (diag, code) = match self.classify(st, blocked) {
                 DeadCause::MissingToken { op, iter } => (
@@ -1704,26 +1869,13 @@ impl<'a> Model<'a> {
             });
         }
 
-        // PV202: a squash edge u -> v that stayed in its (frontier,
-        // next_commit) plane closes a livelock cycle iff v reaches u again
-        // — searched within the plane, which is exact (both quantities are
-        // monotone, so a cycle holds them constant). Candidates are
-        // examined in BFS discovery order; the first confirmed one has the
-        // shortest prefix.
-        let mut livelock = None;
-        let mut confined_budget = CONFINED_SEARCH_CAP;
-        for (u_fp, u, v, squash_ev) in &squash_cands {
-            if let Some(cycle_tail) = self.close_cycle(u, v, &mut confined_budget) {
-                let mut events = self.trace_to(&visited, &init, *u_fp);
-                let cycle_from = events.len();
-                let from = squash_ev.squash_from.unwrap_or(squash_ev.iter);
-                events.push(squash_ev.clone());
-                events.extend(cycle_tail);
-                livelock = Some((events, cycle_from, from));
-                break;
-            }
-        }
-        if let Some((events, cycle_from, from)) = livelock {
+        if let Some((c, cycle_tail)) = self.find_livelock(&ex.squash_cands) {
+            let SquashCand { u_fp, squash, .. } = &ex.squash_cands[c];
+            let mut events = self.trace_to(&ex.visited, &ex.init, *u_fp);
+            let cycle_from = events.len();
+            let from = squash.squash_from.unwrap_or(squash.iter);
+            events.push(self.describe(squash.clone()));
+            events.extend(cycle_tail);
             report.push(
                 Diagnostic::error(
                     Code::SquashLivelock,
@@ -1745,18 +1897,19 @@ impl<'a> Model<'a> {
             });
         }
 
-        if let Some((fp, ev)) = escape {
-            let mut events = self.trace_to(&visited, &init, fp);
-            events.push(ev.clone());
+        if let Some((fp, ev)) = ex.escape {
+            let mut events = self.trace_to(&ex.visited, &ex.init, fp);
+            let (op, span) = (ev.op, ev.span);
+            events.push(self.describe(ev));
             report.push(
                 Diagnostic::warning(
                     Code::ReductionUnsound,
                     format!(
-                        "§V-B pair reduction is unsound here: eliminated {}#{} reaches a squash verdict its run representative cannot observe",
-                        self.labels[ev.op], ev.op
+                        "§V-B pair reduction is unsound here: eliminated {}#{op} reaches a squash verdict its run representative cannot observe",
+                        self.labels[op]
                     ),
                 )
-                .with_span(ev.span)
+                .with_span(span)
                 .with_help(format!(
                     "{}\nkeep Eq. 11–12 reduction for area estimation only; the arbiter must validate the full ambiguous set for this kernel",
                     render_events(&events, None)
@@ -1770,12 +1923,12 @@ impl<'a> Model<'a> {
         }
 
         let stats = CheckStats {
-            states: visited.len(),
-            transitions,
-            enabled: enabled_total,
+            states: ex.visited.len(),
+            transitions: ex.transitions,
+            enabled: ex.enabled,
             duration: start.elapsed(),
-            truncated_by_budget,
-            audit_collisions: audit.map(|_| audit_collisions),
+            truncated_by_budget: ex.truncated_by_budget,
+            audit_collisions: ex.audit_collisions,
             pairs: self.pair_stats,
             validated: self.validated.len(),
             threads: self.threads,
@@ -2231,5 +2384,194 @@ mod tests {
         }
         assert_eq!(t.get(42), Some((0, ROOT_OP)));
         assert_eq!(t.get(0x0dd0_0000_0000_0001), None);
+    }
+
+    // --- the memoized PV202 search against the per-candidate reference -----
+
+    /// The PV202 search the plane graph replaced: a fresh plane-confined
+    /// BFS per candidate over freshly built [`StateKey`]s, one budget for
+    /// the whole exploration charged per popped state. Kept only as the
+    /// differential reference for [`Model::find_livelock`].
+    fn reference_livelock(model: &Model, cands: &[SquashCand]) -> Option<(usize, Vec<TraceEvent>)> {
+        let mut budget = CONFINED_SEARCH_CAP;
+        cands.iter().enumerate().find_map(|(c, cand)| {
+            let tail = reference_close_cycle(model, &cand.u, &cand.v, &mut budget)?;
+            Some((c, tail.into_iter().map(|e| model.describe(e)).collect()))
+        })
+    }
+
+    fn reference_close_cycle(
+        model: &Model,
+        u: &McState,
+        v: &McState,
+        budget: &mut usize,
+    ) -> Option<Vec<TraceEvent>> {
+        let target = u.key();
+        if v.key() == target {
+            return Some(Vec::new());
+        }
+        let plane = (u.proto.frontier, u.proto.next_commit);
+        let mut states = vec![v.clone()];
+        let mut seen: HashSet<StateKey> = HashSet::from([v.key()]);
+        let mut parent: Vec<Option<(usize, TraceEvent)>> = vec![None];
+        let mut queue = VecDeque::from([0usize]);
+        let mut scratch = McState::hollow();
+        while let Some(i) = queue.pop_front() {
+            if *budget == 0 {
+                return None;
+            }
+            *budget -= 1;
+            let st = states[i].clone();
+            for op in 0..model.ops.len() {
+                let StepOutcome::Stepped { event, .. } = model.try_step(&st, op, &mut scratch)
+                else {
+                    continue;
+                };
+                if (scratch.proto.frontier, scratch.proto.next_commit) != plane {
+                    continue;
+                }
+                let key = scratch.key();
+                if key == target {
+                    let mut events = Vec::new();
+                    let mut j = i;
+                    while let Some((p, ev)) = &parent[j] {
+                        events.push(ev.clone());
+                        j = *p;
+                    }
+                    events.reverse();
+                    events.push(event);
+                    return Some(events);
+                }
+                if seen.insert(key) {
+                    states.push(std::mem::replace(&mut scratch, McState::hollow()));
+                    parent.push(Some((i, event)));
+                    queue.push_back(states.len() - 1);
+                }
+            }
+        }
+        None
+    }
+
+    type EventFields = (
+        usize,
+        u64,
+        EventKind,
+        Option<usize>,
+        Value,
+        Option<u64>,
+        String,
+    );
+
+    fn fields(events: &[TraceEvent]) -> Vec<EventFields> {
+        events
+            .iter()
+            .map(|e| {
+                (
+                    e.op,
+                    e.iter,
+                    e.kind,
+                    e.addr,
+                    e.value,
+                    e.squash_from,
+                    e.desc.clone(),
+                )
+            })
+            .collect()
+    }
+
+    /// Runs both PV202 searches over one exploration's candidates and
+    /// asserts the same winning candidate and cycle events. Returns whether
+    /// a livelock was found.
+    fn livelock_searches_agree(spec: &KernelSpec, opts: &ProtocolOptions, what: &str) -> bool {
+        let model = Model::build(spec, opts).expect("model builds");
+        let ex = model.search();
+        let memo = model.find_livelock(&ex.squash_cands);
+        let reference = reference_livelock(&model, &ex.squash_cands);
+        assert_eq!(
+            memo.as_ref().map(|(c, tail)| (*c, fields(tail))),
+            reference.as_ref().map(|(c, tail)| (*c, fields(tail))),
+            "{what}: memoized and per-candidate PV202 searches diverge"
+        );
+        if let Some((_, tail)) = &memo {
+            assert!(tail.iter().all(|e| !e.desc.is_empty()), "{what}");
+        }
+        memo.is_some()
+    }
+
+    fn repo_file(rel: &str) -> std::path::PathBuf {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(rel)
+    }
+
+    fn parse_file(path: &std::path::Path) -> KernelSpec {
+        let src = std::fs::read_to_string(path).expect("readable kernel");
+        let name = path.file_stem().expect("stem").to_string_lossy();
+        parse(&name, &src)
+    }
+
+    #[test]
+    fn plane_graph_matches_per_candidate_search_on_fixtures() {
+        let mut found = 0;
+        for fixture in ["replay_livelock", "deep_wedge"] {
+            let spec = parse_file(&repo_file(&format!("kernels/bad/{fixture}.pvk")));
+            for iterations in 2..=4 {
+                for forwarding in [false, true] {
+                    let mut opts = ProtocolOptions {
+                        iterations,
+                        threads: 1,
+                        ..ProtocolOptions::default()
+                    };
+                    opts.config.forwarding = forwarding;
+                    let what = format!("{fixture} horizon {iterations} forwarding {forwarding}");
+                    found += usize::from(livelock_searches_agree(&spec, &opts, &what));
+                }
+            }
+        }
+        // replay_livelock at every horizon, deep_wedge from horizon 3 on,
+        // both only with forwarding off.
+        assert_eq!(found, 5);
+    }
+
+    #[test]
+    fn plane_graph_matches_per_candidate_search_on_the_corpus() {
+        let mut paths: Vec<_> = std::fs::read_dir(repo_file("tests/fuzz_corpus"))
+            .expect("corpus directory")
+            .map(|e| e.expect("entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "pvk"))
+            .collect();
+        paths.sort();
+        assert_eq!(paths.len(), 33);
+        let mut opts = ProtocolOptions {
+            threads: 1,
+            ..ProtocolOptions::default()
+        };
+        opts.config.depth = 16;
+        let found: Vec<String> = paths
+            .iter()
+            .filter(|p| livelock_searches_agree(&parse_file(p), &opts, &p.display().to_string()))
+            .map(|p| p.file_stem().expect("stem").to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(found, ["gen_22", "gen_29"], "the pinned PV202 kernels");
+    }
+
+    #[test]
+    fn plane_graph_matches_per_candidate_search_on_generated_kernels() {
+        use prevv_kernels::gen::{generate, GenConfig};
+        let mut found = 0;
+        for seed in 0..64u64 {
+            let spec = generate(
+                seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                &GenConfig::default(),
+            );
+            let mut opts = ProtocolOptions {
+                iterations: 3,
+                threads: 1,
+                ..ProtocolOptions::default()
+            };
+            opts.config.forwarding = false;
+            found += usize::from(livelock_searches_agree(&spec, &opts, &spec.name));
+        }
+        assert!(found >= 8, "only {found} of 64 kernels livelock");
     }
 }

@@ -33,7 +33,8 @@
 //!   frontier (and hence the commit cursor) never passes a pending squash
 //!   point.
 
-use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Range;
 
 use prevv_ir::MemOpKind;
 
@@ -72,10 +73,10 @@ pub struct ProtocolState {
     /// store-sequence list.
     pub next_commit: u64,
     /// Arrived-op counts per iteration (real + fake), for the frontier.
-    pub arrived: BTreeMap<u64, u32>,
+    pub arrived: IterCounts,
     /// Admitted-op counts per iteration (arrived plus loads in flight):
     /// input to the admission reservation.
-    pub admitted: BTreeMap<u64, u32>,
+    pub admitted: IterCounts,
 }
 
 impl Clone for ProtocolState {
@@ -89,8 +90,9 @@ impl Clone for ProtocolState {
         }
     }
 
-    /// Field-wise assignment so the queue ring and map nodes are reused.
-    /// The model checker leans on this in its scratch-state hot loop.
+    /// Field-wise assignment so the queue ring and both counter buffers are
+    /// reused. The model checker leans on this in its scratch-state hot
+    /// loop.
     fn clone_from(&mut self, source: &Self) {
         self.queue.clone_from(&source.queue);
         self.frontier = source.frontier;
@@ -111,8 +113,8 @@ impl ProtocolState {
             queue: PrematureQueue::new(depth),
             frontier: 0,
             next_commit: 0,
-            arrived: BTreeMap::new(),
-            admitted: BTreeMap::new(),
+            arrived: IterCounts::default(),
+            admitted: IterCounts::default(),
         }
     }
 
@@ -135,11 +137,7 @@ impl ProtocolState {
         }
         let per = u64::from(ports_per_iter);
         let range_iters = iter - self.frontier;
-        let already: u64 = self
-            .admitted
-            .range(self.frontier..iter)
-            .map(|(_, &n)| u64::from(n))
-            .sum();
+        let already = self.admitted.sum(self.frontier..iter);
         (range_iters * per).saturating_sub(already) as usize
     }
 
@@ -153,7 +151,7 @@ impl ProtocolState {
     /// Counts one admission of an op of `iter` (called when the op's input
     /// tokens are consumed, which may precede its arrival by a RAM read).
     pub fn note_admitted(&mut self, iter: u64) {
-        *self.admitted.entry(iter).or_insert(0) += 1;
+        self.admitted.bump(iter);
     }
 
     /// Appends an (already validated) record and counts its arrival.
@@ -162,7 +160,7 @@ impl ProtocolState {
     ///
     /// Panics if the queue is full; callers gate on [`Self::can_admit`].
     pub fn record_arrival(&mut self, rec: PrematureRecord) {
-        *self.arrived.entry(rec.iter).or_insert(0) += 1;
+        self.arrived.bump(rec.iter);
         self.queue.push(rec);
     }
 
@@ -171,14 +169,9 @@ impl ProtocolState {
     /// beyond a pending squash are about to be flushed and replayed, so they
     /// must not become retire- or commit-eligible.
     pub fn advance_frontier(&mut self, ports_per_iter: u32, cap: u64) {
-        while self.frontier < cap
-            && self
-                .arrived
-                .get(&self.frontier)
-                .is_some_and(|&n| n >= ports_per_iter)
-        {
-            self.arrived.remove(&self.frontier);
-            self.admitted.remove(&self.frontier);
+        while self.frontier < cap && self.arrived.get(self.frontier) >= ports_per_iter {
+            self.arrived.remove(self.frontier);
+            self.admitted.remove(self.frontier);
             self.frontier += 1;
         }
     }
@@ -267,8 +260,8 @@ impl ProtocolState {
     pub fn flush(&mut self, from_iter: u64) {
         debug_assert!(self.frontier <= from_iter);
         self.queue.flush(from_iter);
-        self.arrived.retain(|&iter, _| iter < from_iter);
-        self.admitted.retain(|&iter, _| iter < from_iter);
+        self.arrived.truncate_from(from_iter);
+        self.admitted.truncate_from(from_iter);
     }
 
     /// Exact per-port arrival check: every arrived record of iterations at
@@ -348,6 +341,78 @@ impl ProtocolState {
     }
 }
 
+/// Per-iteration op counts: a sorted `(iteration, count)` list holding at
+/// most one entry per in-flight iteration (a handful at any queue depth),
+/// so a flat buffer beats a tree map — and, unlike one, its `clone_from`
+/// reuses the allocation. Absent iterations count zero.
+#[derive(Default, PartialEq, Eq)]
+pub struct IterCounts {
+    entries: Vec<(u64, u32)>,
+}
+
+impl IterCounts {
+    fn find(&self, iter: u64) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&iter, |&(i, _)| i)
+    }
+
+    /// Adds one to `iter`'s count.
+    pub fn bump(&mut self, iter: u64) {
+        match self.find(iter) {
+            Ok(k) => self.entries[k].1 += 1,
+            Err(k) => self.entries.insert(k, (iter, 1)),
+        }
+    }
+
+    /// `iter`'s count (zero when absent).
+    pub fn get(&self, iter: u64) -> u32 {
+        self.find(iter).map_or(0, |k| self.entries[k].1)
+    }
+
+    /// Drops `iter`'s entry (the frontier's, once it completes).
+    pub fn remove(&mut self, iter: u64) {
+        if let Ok(k) = self.find(iter) {
+            self.entries.remove(k);
+        }
+    }
+
+    /// Sum of the counts of the iterations in `range`.
+    pub fn sum(&self, range: Range<u64>) -> u64 {
+        let lo = self.entries.partition_point(|&(i, _)| i < range.start);
+        self.entries[lo..]
+            .iter()
+            .take_while(|&&(i, _)| i < range.end)
+            .map(|&(_, n)| u64::from(n))
+            .sum()
+    }
+
+    /// Drops every entry of iterations `>= iter` (a squash flush).
+    pub fn truncate_from(&mut self, iter: u64) {
+        let keep = self.entries.partition_point(|&(i, _)| i < iter);
+        self.entries.truncate(keep);
+    }
+}
+
+impl Clone for IterCounts {
+    fn clone(&self) -> Self {
+        IterCounts {
+            entries: self.entries.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+    }
+}
+
+/// Renders as a map, `{iteration: count, ...}`.
+impl fmt::Debug for IterCounts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.entries.iter().map(|(i, n)| (i, n)))
+            .finish()
+    }
+}
+
 /// One record's projection inside a [`ProtocolKey`]: `(port, iter, seq,
 /// kind, fake, addr, value, committed)`. Public so fingerprint hot loops
 /// can hold a reusable projection arena for
@@ -417,6 +482,10 @@ mod tests {
         PrematureRecord::real(port, kind, Tag::new(iter), seq, port, 7)
     }
 
+    fn iters(c: &IterCounts) -> Vec<u64> {
+        c.entries.iter().map(|&(i, _)| i).collect()
+    }
+
     #[test]
     fn reservation_protects_older_iterations() {
         // depth 5, 2 ops/iter: loads of iterations 0..3 admitted, the fourth
@@ -443,7 +512,8 @@ mod tests {
         p.record_arrival(real(1, MemOpKind::Store, 0, 1));
         p.advance_frontier(2, u64::MAX);
         assert_eq!(p.frontier, 1);
-        assert!(p.arrived.is_empty() && p.admitted.is_empty());
+        assert!(p.arrived.entries.is_empty() && p.admitted.entries.is_empty());
+        assert_eq!(p.arrived.get(0), 0);
     }
 
     #[test]
@@ -463,7 +533,7 @@ mod tests {
         p.record_arrival(real(1, MemOpKind::Store, 0, 1));
         p.record_arrival(PrematureRecord::fake(2, MemOpKind::Store, Tag::new(0), 3));
         p.record_arrival(real(0, MemOpKind::Load, 0, 0));
-        *p.arrived.entry(0).or_insert(0) = 3;
+        assert_eq!(p.arrived.get(0), 3, "every arrival counts, fakes included");
         p.advance_frontier(3, u64::MAX);
         assert_eq!(p.frontier, 1);
         assert_eq!(
@@ -491,8 +561,8 @@ mod tests {
         }
         p.flush(2);
         assert_eq!(p.queue.len(), 2);
-        assert!(p.arrived.keys().all(|&it| it < 2));
-        assert!(p.admitted.keys().all(|&it| it < 2));
+        assert!(iters(&p.arrived).iter().all(|&it| it < 2));
+        assert!(iters(&p.admitted).iter().all(|&it| it < 2));
     }
 
     #[test]
@@ -506,7 +576,7 @@ mod tests {
         b.record_arrival(real(0, MemOpKind::Load, 0, 0));
         b.queue.pop_head();
         b.record_arrival(real(0, MemOpKind::Load, 1, 0));
-        b.arrived.remove(&0);
+        b.arrived.remove(0);
 
         assert_eq!(a.key(), b.key());
     }
@@ -530,5 +600,73 @@ mod tests {
         b.key().fold_words(|w| wb.push(w));
         assert_eq!(wa, wb);
         assert!(!wa.is_empty());
+    }
+
+    #[test]
+    fn iter_counts_bump_get_and_sum() {
+        let mut c = IterCounts::default();
+        assert!(c.entries.is_empty());
+        for it in [3u64, 1, 3, 2, 3] {
+            c.bump(it);
+        }
+        assert_eq!((c.get(1), c.get(2), c.get(3), c.get(4)), (1, 1, 3, 0));
+        assert_eq!(iters(&c), [1, 2, 3], "kept sorted");
+        assert_eq!(c.sum(0..10), 5);
+        assert_eq!(c.sum(2..3), 1, "half-open range");
+        assert_eq!(c.sum(2..4), 4);
+        assert_eq!(c.sum(4..9), 0);
+        assert_eq!(c.sum(3..3), 0, "empty range");
+        assert_eq!(format!("{c:?}"), "{1: 1, 2: 1, 3: 3}");
+    }
+
+    #[test]
+    fn iter_counts_remove_frontier_and_truncate() {
+        let mut c = IterCounts::default();
+        for it in [0u64, 0, 1, 2, 2, 5] {
+            c.bump(it);
+        }
+        c.remove(0);
+        assert_eq!(c.get(0), 0);
+        assert_eq!(iters(&c), [1, 2, 5]);
+        c.remove(3);
+        assert_eq!(iters(&c), [1, 2, 5], "absent: no-op");
+        c.truncate_from(2);
+        assert_eq!(iters(&c), [1]);
+        c.truncate_from(7);
+        assert_eq!(iters(&c), [1]);
+        c.truncate_from(0);
+        assert!(c.entries.is_empty());
+    }
+
+    #[test]
+    fn iter_counts_clone_from_reuses_the_buffer() {
+        let mut src = IterCounts::default();
+        src.bump(4);
+        src.bump(6);
+        let mut dst = IterCounts::default();
+        for it in 0..8u64 {
+            dst.bump(it);
+        }
+        let buf = dst.entries.as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.entries.as_ptr(), buf, "no reallocation");
+    }
+
+    #[test]
+    fn flush_truncates_counts_and_the_reservation_sees_it() {
+        // depth 8, 2 ops/iter: four loads admitted; flushing from 2 drops
+        // iterations 2 and 3 from both counters, so the range sum behind
+        // the reservation counts only iterations 0 and 1 again.
+        let mut p = ProtocolState::new(8);
+        for it in 0..4u64 {
+            p.note_admitted(it);
+            p.record_arrival(real(0, MemOpKind::Load, it, 0));
+        }
+        assert_eq!(p.outstanding_before(4, 2), 4);
+        p.flush(2);
+        assert_eq!(p.admitted.sum(0..u64::MAX), 2);
+        assert_eq!(p.arrived.get(3), 0);
+        assert_eq!(p.outstanding_before(4, 2), 6);
     }
 }

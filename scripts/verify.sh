@@ -23,6 +23,9 @@ if ! ./target/release/runkernel --fuzz 200 --seed 0xPREVV \
   exit 1
 fi
 
+echo "==> reproduce (every headline paper claim, exit 1 on any FAIL)"
+cargo run -q --release -p prevv-bench --bin reproduce
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -481,6 +481,77 @@ fn deep_wedge_fixture_fails_only_at_the_deeper_horizon() {
     );
 }
 
+/// The checker renders event text only for the traces it emits: every
+/// event of every counterexample over the `kernels/bad/` fixtures — PV201,
+/// PV202 and PV203 lassos and prefixes alike — must carry its description,
+/// and each trace's rendering must list every event.
+#[test]
+fn every_emitted_counterexample_event_is_described() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("kernels/bad");
+    let mut files: Vec<String> = std::fs::read_dir(dir)
+        .expect("fixture directory")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .filter(|f| f.ends_with(".pvk"))
+        .collect();
+    files.sort();
+    let mut codes = Vec::new();
+    for file in &files {
+        let (name, source) = read_fixture(&format!("kernels/bad/{file}"));
+        // The circuit-sizing fixture's wide body spans ~65k states per
+        // configuration and carries no protocol violation.
+        if name == "undersized_queue" {
+            continue;
+        }
+        let Ok(spec) = parse_kernel(&name, &source) else {
+            continue;
+        };
+        for (depth, forwarding, fake_tokens) in [
+            (16, true, true),
+            (16, false, true),
+            (16, true, false),
+            (2, true, true),
+        ] {
+            // Three iterations reach every fixture's violation (deep_wedge
+            // needs them all) at a fraction of the default horizon's cost.
+            let opts = analyze::ProtocolOptions {
+                fake_tokens,
+                iterations: 3,
+                ..analyze::ProtocolOptions::for_config(&PrevvConfig {
+                    depth,
+                    forwarding,
+                    ..PrevvConfig::default()
+                })
+            };
+            let Ok(result) = analyze::check_protocol(&spec, &opts) else {
+                continue;
+            };
+            for cex in &result.counterexamples {
+                codes.push(cex.code);
+                let rendered = cex.render();
+                for (i, e) in cex.events.iter().enumerate() {
+                    assert!(
+                        !e.desc.is_empty(),
+                        "{name}: {:?} event {} has no description",
+                        cex.code,
+                        i + 1
+                    );
+                    assert!(rendered.contains(&e.desc), "{name}: {rendered}");
+                }
+            }
+        }
+    }
+    for code in [
+        Code::ProtocolDeadlock,
+        Code::SquashLivelock,
+        Code::QueueWedge,
+    ] {
+        assert!(
+            codes.contains(&code),
+            "no {code:?} trace among the fixtures"
+        );
+    }
+}
+
 /// The symbolic GCD/Banerjee fast path alone proves every pair that
 /// brute-force enumeration proves on fig2a: all three affine `b` pairs are
 /// classified same-iteration-only (their collisions are program-order

@@ -1,14 +1,13 @@
 //! Pinned shrunk counterexamples, replayed through the full differential
 //! oracle.
 //!
-//! `tests/properties.proptest-regressions` records two historical shrink
-//! results from the property tests. The offline `compat` proptest shim
-//! never reads regression files, so those entries are inert — they would
-//! silently mask the cases they were meant to pin. Each entry is therefore
-//! reconstructed here verbatim as an explicit `KernelSpec` and run through
-//! `prevv::diffcheck::check_kernel`, which is strictly stronger than the
-//! property that originally failed (it adds round-trip, lint/model-check
-//! consistency, the speculative LSQ backend, and both schedulers).
+//! The property tests once shrank two failures to the kernels below. The
+//! offline `compat` proptest shim reads no `*.proptest-regressions` seed
+//! file, so each case lives here instead, verbatim as an explicit
+//! `KernelSpec`, run through `prevv::diffcheck::check_kernel` — strictly
+//! stronger than the property that originally failed (it adds round-trip,
+//! lint/model-check consistency, the speculative LSQ backend, and both
+//! schedulers).
 
 use prevv::dataflow::components::LoopLevel;
 use prevv::diffcheck::{check_kernel, DiffOptions};
@@ -34,7 +33,7 @@ fn oracle_must_pass(spec: &KernelSpec) {
     );
 }
 
-/// First `properties.proptest-regressions` entry: a guarded and an
+/// First shrunk `tests/properties.rs` case: a guarded and an
 /// unguarded store to the same indirectly-addressed cell in one iteration.
 /// Historically shrunk from a cross-controller divergence hunt.
 #[test]
@@ -68,7 +67,7 @@ fn pinned_guarded_indirect_double_store() {
     oracle_must_pass(&spec);
 }
 
-/// Second `properties.proptest-regressions` entry: two opaque-addressed
+/// Second shrunk `tests/properties.rs` case: two opaque-addressed
 /// read-modify-write stores with different hash seeds into the same array,
 /// so collisions are data-dependent and iteration-crossing.
 #[test]
@@ -122,4 +121,31 @@ fn pinned_pv204_reduction_escape_replays() {
             .map(ToString::to_string)
             .collect::<Vec<_>>()
     );
+
+    // The PV204 trace the oracle replays, as the checker emits it: its
+    // prefix and its escape event are all described.
+    let config = match prevv::diffcheck::backends(&spec).pop() {
+        Some(prevv::Controller::Prevv(c)) => c,
+        _ => unreachable!("the oracle's backend list ends with PreVV"),
+    };
+    let opts = DiffOptions::default();
+    let result = prevv::analyze::check_protocol(
+        &spec,
+        &prevv::analyze::ProtocolOptions {
+            iterations: opts.mc_iterations,
+            max_states: opts.mc_max_states,
+            threads: 1,
+            ..prevv::analyze::ProtocolOptions::for_config(&config)
+        },
+    )
+    .expect("checks");
+    let cex = result
+        .counterexamples
+        .iter()
+        .find(|c| c.code == prevv::analyze::Code::ReductionUnsound)
+        .expect("a PV204 counterexample");
+    assert!(!cex.events.is_empty());
+    for e in &cex.events {
+        assert!(!e.desc.is_empty(), "undescribed event: {e:?}");
+    }
 }
