@@ -42,7 +42,7 @@
 //! check the abstract arbiter/premature-queue/squash protocol itself,
 //! reusing the pure `prevv_core::ProtocolState` step functions the
 //! simulator runs. The affine machinery behind PV001/PV004 is the
-//! symbolic dependence engine re-exported as [`symdep`] (GCD and Banerjee
+//! symbolic dependence engine [`prevv_ir::symdep`] (GCD and Banerjee
 //! tests), which lets the lint families scale past enumerable iteration
 //! spaces; the `PV3xx` notes ([`seplog`]) are the separation-logic-style
 //! disjointness prover that discharges whole pair-classes before they reach
@@ -91,7 +91,6 @@ mod lints;
 pub mod modelcheck;
 pub mod perf;
 pub mod seplog;
-pub mod symdep;
 
 pub use absint::{analyze_kernel as infer_invariants, occupancy_bound, DischargeReason};
 pub use circuit::{lint_circuit, lint_netlist, CircuitOptions, ControllerModel};

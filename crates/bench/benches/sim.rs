@@ -20,15 +20,20 @@
 //!
 //! Only `Simulator::run` is timed — synthesis and controller construction
 //! are one-time setup, not per-cycle scheduler work.
+//!
+//! The `engine` benches time the wire fixpoint + commit loop alone on
+//! hand-built linear pipelines of adders (no memory controller).
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use prevv::dataflow::components::{BinOp, BinaryAlu, Buffer, Constant, Fork, IterSource, Sink};
+use prevv::dataflow::{Netlist, SquashBus};
 use prevv::kernels::extra;
 use prevv::kernels::gen::{generate, GenConfig};
 use prevv::{
-    run_kernel_with, Controller, KernelSpec, MemTiming, PrevvConfig, PrevvMemory, Scheduler,
-    SimConfig, Simulator, SynthOptions,
+    run_kernel_with, Controller, KernelSpec, MemTiming, PrevvConfig, Scheduler, SimConfig,
+    Simulator, SynthOptions,
 };
 
 const N: i64 = 256;
@@ -96,10 +101,9 @@ fn gen_workloads() -> Vec<(KernelSpec, PrevvConfig)> {
 /// Returns (simulated cycles, seconds).
 fn run_once(spec: &KernelSpec, config: &PrevvConfig, scheduler: Scheduler) -> (u64, f64) {
     let mut synth = prevv::ir::synthesize(spec).expect("fig2a synthesizes");
-    let (ctrl, _ram, _stats) =
-        PrevvMemory::new(synth.interface.clone(), config.clone(), synth.bus.clone())
-            .expect("valid config");
-    synth.netlist.add("prevv", ctrl);
+    Controller::Prevv(config.clone())
+        .attach(&mut synth)
+        .expect("valid config");
     let mut sim = Simulator::new(synth.netlist, synth.bus)
         .expect("valid netlist")
         .with_config(SimConfig {
@@ -188,6 +192,72 @@ fn bench_schedulers(c: &mut Criterion) {
     g.finish();
 }
 
+/// A linear pipeline: source -> fork -> (chain of adders) -> sink.
+fn pipeline(iters: i64, stages: usize) -> (Netlist, SquashBus) {
+    let mut net = Netlist::new();
+    let bus = SquashBus::new();
+    let src = net.channel();
+    let mut chain_in = net.channel();
+    let const_trigs: Vec<_> = (0..stages).map(|_| net.channel()).collect();
+    let mut fork_outs = vec![chain_in];
+    fork_outs.extend(const_trigs.iter().copied());
+    net.add(
+        "src",
+        IterSource::new(
+            (0..iters).map(|i| vec![i]).collect(),
+            vec![src],
+            bus.clone(),
+        ),
+    );
+    // Buffer each constant trigger so the source is never the bottleneck.
+    let mut buffered = vec![fork_outs[0]];
+    for (k, &t) in const_trigs.iter().enumerate() {
+        let slot = net.channel();
+        net.add(format!("buf{k}"), Buffer::new(4, slot, t));
+        buffered.push(slot);
+    }
+    net.add("fork", Fork::new(src, buffered));
+    for (k, trig) in const_trigs.into_iter().enumerate() {
+        let c = net.channel();
+        let out = net.channel();
+        net.add(format!("const{k}"), Constant::new(1, trig, c));
+        net.add(
+            format!("add{k}"),
+            BinaryAlu::with_latency(BinOp::Add, 1, chain_in, c, out),
+        );
+        chain_in = out;
+    }
+    net.add("sink", Sink::new(vec![chain_in]));
+    (net, bus)
+}
+
+fn bench_engine(c: &mut Criterion) {
+    let mut g = c.benchmark_group("engine");
+    for &stages in &[4usize, 16, 64] {
+        g.bench_with_input(
+            BenchmarkId::new("pipeline_256_iters", stages),
+            &stages,
+            |b, &stages| {
+                b.iter(|| {
+                    let (net, bus) = pipeline(256, stages);
+                    let mut sim = Simulator::new(net, bus).expect("valid");
+                    sim.run().expect("completes")
+                });
+            },
+        );
+    }
+    g.finish();
+}
+
+fn bench_fixpoint_convergence(c: &mut Criterion) {
+    // Per-cycle cost on a wide netlist (many independent components).
+    c.bench_function("engine/step_wide_64", |b| {
+        let (net, bus) = pipeline(1_000_000, 64);
+        let mut sim = Simulator::new(net, bus).expect("valid");
+        b.iter(|| sim.step().expect("steps"));
+    });
+}
+
 /// Emits the machine-readable summary line `scripts/verify.sh` consumes.
 fn emit_summary(_c: &mut Criterion) {
     let (bram_spec, bram_config) = bram_workload();
@@ -231,6 +301,11 @@ fn emit_summary(_c: &mut Criterion) {
     );
 }
 
-criterion_group!(schedulers, bench_schedulers);
+criterion_group!(
+    schedulers,
+    bench_schedulers,
+    bench_engine,
+    bench_fixpoint_convergence
+);
 criterion_group!(summary, emit_summary);
 criterion_main!(schedulers, summary);

@@ -24,7 +24,7 @@
 
 use prevv::dataflow::trace::{to_vcd, TraceRecorder};
 use prevv::dataflow::{sweep, viz, Scheduler, SimConfig, Simulator};
-use prevv::{Controller, Lsq, LsqConfig, MemTiming, PrevvConfig, PrevvMemory};
+use prevv::{Controller, MemTiming, PrevvConfig};
 use rand::{Rng, SeedableRng};
 
 struct Args {
@@ -573,59 +573,14 @@ fn main() {
         })
         .collect();
 
-    let controller_name = args.controller.name();
     let design = args
         .controller
         .area_kind()
         .map(|k| prevv::area::estimate(&synth, k));
-    let ram = match &args.controller {
-        Controller::Direct => {
-            let (c, ram) =
-                prevv::mem::DirectMemory::new(synth.interface.clone(), MemTiming::default());
-            synth.netlist.add("mem", c);
-            ram
-        }
-        Controller::Dynamatic { depth } => {
-            let (c, ram) = Lsq::new(synth.interface.clone(), LsqConfig::dynamatic(*depth))
-                .unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                });
-            synth.netlist.add("lsq", c);
-            ram
-        }
-        Controller::FastLsq { depth } => {
-            let (c, ram) = Lsq::new(synth.interface.clone(), LsqConfig::fast(*depth))
-                .unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                });
-            synth.netlist.add("lsq", c);
-            ram
-        }
-        Controller::SpecLsq { depth } => {
-            let (c, ram) = prevv::mem::SpecLsq::new(
-                synth.interface.clone(),
-                prevv::mem::SpecLsqConfig::speculative(*depth),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            });
-            synth.netlist.add("spec_lsq", c);
-            ram
-        }
-        Controller::Prevv(cfg) => {
-            let (c, ram, _) =
-                PrevvMemory::new(synth.interface.clone(), cfg.clone(), synth.bus.clone())
-                    .unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        std::process::exit(1);
-                    });
-            synth.netlist.add("prevv", c);
-            ram
-        }
-    };
+    let attached = args.controller.attach(&mut synth).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    });
 
     if let Some(path) = &args.dot {
         if let Err(e) = std::fs::write(path, viz::to_dot(&synth.netlist)) {
@@ -681,17 +636,10 @@ fn main() {
         }
     };
 
-    let gold = prevv::ir::golden::execute(&spec);
-    let ram = ram.borrow();
-    let arrays: Vec<Vec<i64>> = synth
-        .interface
-        .split_ram(ram.image())
-        .into_iter()
-        .map(<[i64]>::to_vec)
-        .collect();
-    let correct = arrays == gold.arrays;
+    let run = attached.finish(&spec, &synth.interface, report);
+    let report = &run.report;
 
-    println!("controller: {controller_name}");
+    println!("controller: {}", run.controller);
     println!("simulation: {report}");
     if let Some(summary) = &perf {
         println!(
@@ -728,8 +676,8 @@ fn main() {
             report.cycles as f64 * d.clock_period_ns / 1000.0
         );
     }
-    println!("result matches golden model: {correct}");
-    for (decl, arr) in spec.arrays.iter().zip(&arrays) {
+    println!("result matches golden model: {}", run.matches_golden);
+    for (decl, arr) in spec.arrays.iter().zip(&run.arrays) {
         let preview: Vec<i64> = arr.iter().take(12).copied().collect();
         println!(
             "  {}[{}] = {preview:?}{}",
@@ -747,7 +695,7 @@ fn main() {
             println!("wrote {path}");
         }
     }
-    if !correct {
+    if !run.matches_golden {
         std::process::exit(3);
     }
 }

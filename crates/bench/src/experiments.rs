@@ -140,25 +140,18 @@ pub struct DepthPoint {
 ///
 /// Propagates the first [`RunError`].
 pub fn depth_sweep(spec: &KernelSpec, depths: &[usize]) -> Result<Vec<DepthPoint>, RunError> {
-    let synth = prevv::ir::synthesize(spec)?;
-    let min_depth = synth.interface.ports.len();
+    // One premature-queue record per memory op of an iteration must fit.
+    let min_depth = spec.mem_ops_per_iter();
     depths
         .iter()
         .filter(|&&d| d >= min_depth)
         .map(|&depth| {
             let e = evaluate(spec, Controller::Prevv(PrevvConfig::with_depth(depth)))?;
             let stats = e.run.prevv.expect("prevv controller");
-            let rep = prevv::area::estimate(
-                &synth,
-                ControllerKind::Prevv {
-                    depth,
-                    pair_reduction: true,
-                },
-            );
             Ok(DepthPoint {
                 depth,
                 cycles: e.run.report.cycles,
-                luts: rep.total().luts,
+                luts: e.design.total().luts,
                 squashes: stats.squashes,
                 queue_full_stalls: stats.queue_full_stalls,
                 high_water: stats.queue_high_water,
@@ -347,6 +340,24 @@ mod tests {
                 row.kernel,
                 row.lut_share
             );
+        }
+    }
+
+    #[test]
+    fn evaluate_matches_standalone_pricing_and_run_kernel() {
+        // One synthesis serves both halves of `evaluate`: its design must
+        // equal pricing a fresh synthesis, and its run a fresh `run_kernel`.
+        for spec in paper::all_default() {
+            for (name, ctrl) in configs() {
+                let e = evaluate(&spec, ctrl.clone()).expect("evaluates");
+                let synth = prevv::ir::synthesize(&spec).expect("synthesizes");
+                let kind = ctrl.area_kind().expect("paper configs are priced");
+                let priced = prevv::area::estimate(&synth, kind);
+                assert_eq!(e.design, priced, "{}/{name}", spec.name);
+                let run = prevv::run_kernel(&spec, ctrl).expect("runs");
+                assert_eq!(e.run.arrays, run.arrays, "{}/{name}", spec.name);
+                assert_eq!(e.run.report, run.report, "{}/{name}", spec.name);
+            }
         }
     }
 

@@ -8,7 +8,9 @@
 //!   dynamically scheduled circuits mis-execute without an LSQ);
 //! * [`Lsq`] — the Dynamatic-style load-store queue \[15\] with group
 //!   allocation, associative search, store-to-load forwarding and in-order
-//!   commit; [`LsqConfig::fast`] models the fast-allocation plugin \[8\].
+//!   commit; [`LsqConfig::fast`] models the fast-allocation plugin \[8\]
+//!   and [`LsqConfig::speculative`] the speculative allocator of
+//!   Szafarczyk et al. — one queue, three [`Allocation`] settings.
 //!
 //! The PreVV controller itself lives in `prevv-core` and plugs into the same
 //! [`MemoryInterface`](prevv_ir::MemoryInterface).
@@ -46,14 +48,22 @@ mod direct;
 mod lsq;
 mod portio;
 mod ram;
+#[cfg(test)]
 mod spec_alloc;
 
 pub use delay::DelayLine;
 pub use direct::DirectMemory;
-pub use lsq::{Lsq, LsqConfig, LsqError, LsqStats, SharedLsqStats};
+pub use lsq::{Allocation, Lsq, LsqConfig, LsqError, LsqStats, SharedLsqStats};
 pub use portio::{PortIo, DEFAULT_IO_CAPACITY};
 pub use ram::{shared, Ram, SharedRam};
-pub use spec_alloc::{SpecLsq, SpecLsqConfig, SpecStats};
+
+/// Former name of the speculative-allocation LSQ, now an [`Lsq`] under
+/// [`LsqConfig::speculative`]. It exists only because the benchmark
+/// package's `perfbench/src/mirror.rs` names it.
+pub type SpecLsq = Lsq;
+/// Former name of the speculative LSQ's configuration, kept for the same
+/// reason as [`SpecLsq`].
+pub type SpecLsqConfig = LsqConfig;
 
 /// RAM timing and port bandwidth shared by all controllers.
 ///

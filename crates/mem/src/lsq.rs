@@ -1,4 +1,4 @@
-//! The load-store queue baseline — the component PreVV eliminates.
+//! The load-store queue baselines — the component PreVV eliminates.
 //!
 //! Models the Dynamatic LSQ of Josipović et al. \[15\]/\[4\]: a **group
 //! allocator** receives one token per iteration in program order and
@@ -9,6 +9,13 @@
 //! strictly in order from the queue head. The fast-allocation variant of
 //! Elakhras et al. \[8\] ("straight to the queue") is the same machine with
 //! zero allocation latency — see [`LsqConfig::fast`].
+//!
+//! The high-frequency LSQ of Szafarczyk et al. (FPL'23, arXiv 2311.08198)
+//! is the same queues under a third [`Allocation`] policy: entry groups
+//! are allocated **speculatively**, in program order, ahead of the control
+//! network, within a window over the iterations it has confirmed — see
+//! [`LsqConfig::speculative`]. Entries, search, forwarding, in-order
+//! commit and fake-token handling are shared by all three.
 //!
 //! The resource cost of all this — per-entry CAM comparators, allocation
 //! logic, wide priority encoders — is what Fig. 1 of the paper shows
@@ -26,18 +33,38 @@ use crate::portio::PortIo;
 use crate::ram::{shared, Ram, SharedRam};
 use crate::MemTiming;
 
-/// Configuration of the LSQ baseline.
+/// How the queue reserves an iteration's entry group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Allocation {
+    /// One allocation token per iteration from the control network; the
+    /// group is usable `latency` cycles after its token arrives. Plain
+    /// Dynamatic routes allocation requests through the control network
+    /// (several cycles); the fast-allocation plugin \[8\] delivers them
+    /// straight to the queue.
+    Grouped {
+        /// Cycles from token arrival to usable entries.
+        latency: u32,
+    },
+    /// Groups are allocated ahead of the control network in program order,
+    /// at most `window` iterations beyond those confirmed by drained
+    /// allocation tokens, and never past the kernel's last iteration. The
+    /// allocator is off the critical path: an iteration's entries exist
+    /// before any of its address tokens show up.
+    Speculative {
+        /// Iterations that may be allocated beyond the last confirmed one.
+        window: usize,
+    },
+}
+
+/// Configuration of the LSQ baselines.
 #[derive(Debug, Clone)]
 pub struct LsqConfig {
     /// Load queue entries.
     pub load_depth: usize,
     /// Store queue entries.
     pub store_depth: usize,
-    /// Cycles between an iteration's allocation token arriving and its
-    /// entries being usable. Plain Dynamatic routes allocation requests
-    /// through the control network (several cycles); the fast-allocation
-    /// plugin \[8\] delivers them straight to the queue.
-    pub alloc_latency: u32,
+    /// How entry groups are reserved.
+    pub allocation: Allocation,
     /// RAM timing and port bandwidth.
     pub timing: MemTiming,
 }
@@ -48,7 +75,7 @@ impl LsqConfig {
         LsqConfig {
             load_depth: depth,
             store_depth: depth,
-            alloc_latency: 3,
+            allocation: Allocation::Grouped { latency: 3 },
             timing: MemTiming::default(),
         }
     }
@@ -57,7 +84,16 @@ impl LsqConfig {
     /// delivered straight to the queue.
     pub fn fast(depth: usize) -> Self {
         LsqConfig {
-            alloc_latency: 0,
+            allocation: Allocation::Grouped { latency: 0 },
+            ..Self::dynamatic(depth)
+        }
+    }
+
+    /// Speculative allocation (Szafarczyk et al.): same queues, groups
+    /// allocated up to `depth` iterations ahead of confirmation.
+    pub fn speculative(depth: usize) -> Self {
+        LsqConfig {
+            allocation: Allocation::Speculative { window: depth },
             ..Self::dynamatic(depth)
         }
     }
@@ -155,8 +191,15 @@ pub struct Lsq {
     config: LsqConfig,
     lq: Vec<Entry>,
     sq: Vec<Entry>,
+    /// Grouped policy: allocation tokens in flight, then awaiting room.
     alloc_delay: DelayLine<Token>,
     ready_allocs: std::collections::VecDeque<Token>,
+    /// Speculative policy: next iteration to allocate (program order),
+    /// iterations confirmed by drained allocation tokens, and the total
+    /// speculation never runs past.
+    next_spec_iter: u64,
+    confirmed: u64,
+    total_iters: u64,
     reads: DelayLine<(usize, u64, u32, Value)>,
     loads_per_iter: usize,
     stores_per_iter: usize,
@@ -205,6 +248,7 @@ impl Lsq {
         }
         let ram = shared(Ram::new(iface.initial_ram()));
         let stats_handle = Rc::new(RefCell::new(LsqStats::default()));
+        let total_iters = iface.iterations as u64;
         Ok((
             Lsq {
                 io: PortIo::new(iface),
@@ -214,6 +258,9 @@ impl Lsq {
                 sq: Vec::new(),
                 alloc_delay: DelayLine::new(),
                 ready_allocs: std::collections::VecDeque::new(),
+                next_spec_iter: 0,
+                confirmed: 0,
+                total_iters,
                 reads: DelayLine::new(),
                 loads_per_iter,
                 stores_per_iter,
@@ -236,32 +283,69 @@ impl Lsq {
         (self.lq.len(), self.sq.len())
     }
 
-    fn allocate_ready(&mut self) {
-        while let Some(front) = self.ready_allocs.front() {
-            let can = self.lq.len() + self.loads_per_iter <= self.config.load_depth
-                && self.sq.len() + self.stores_per_iter <= self.config.store_depth;
-            if !can {
-                self.stats.alloc_stall_cycles += 1;
-                break;
-            }
-            let iter = front.tag.iter;
-            let tag = front.tag;
-            self.ready_allocs.pop_front();
-            for p in 0..self.io.port_count() {
-                let op = &self.io.port(p).op;
-                let entry = Entry {
-                    port: p,
-                    iter,
-                    seq: op.seq,
-                    tag,
-                    addr: None,
-                    data: None,
-                    state: EntryState::Waiting,
-                };
-                match op.kind {
-                    MemOpKind::Load => self.lq.push(entry),
-                    MemOpKind::Store => self.sq.push(entry),
+    /// Runs this cycle's allocation under the configured policy. Each
+    /// policy leaves the other's state untouched (empty or zero).
+    fn allocate(&mut self) {
+        match self.config.allocation {
+            Allocation::Grouped { latency } => {
+                if let Some(t) = self.io.take_alloc() {
+                    self.alloc_delay.push(latency, t);
                 }
+                self.ready_allocs.extend(self.alloc_delay.tick());
+                while let Some(&front) = self.ready_allocs.front() {
+                    if !self.has_room() {
+                        break;
+                    }
+                    self.ready_allocs.pop_front();
+                    self.push_group(front.tag);
+                }
+            }
+            Allocation::Speculative { window } => {
+                // Confirmation tokens merely advance the window; they gate
+                // nothing else, which is the whole point of the design.
+                if self.io.take_alloc().is_some() {
+                    self.confirmed += 1;
+                }
+                while self.next_spec_iter < self.total_iters
+                    && self.next_spec_iter < self.confirmed + window as u64
+                    && self.has_room()
+                {
+                    // Placeholder tag: overwritten by the address token (or
+                    // unused — cancelled loads answer with the fake token's
+                    // tag), so it never reaches a result channel.
+                    self.push_group(Tag::new(self.next_spec_iter));
+                    self.next_spec_iter += 1;
+                }
+            }
+        }
+    }
+
+    /// Can one more iteration's group fit? Counts a capacity stall if not.
+    fn has_room(&mut self) -> bool {
+        let room = self.lq.len() + self.loads_per_iter <= self.config.load_depth
+            && self.sq.len() + self.stores_per_iter <= self.config.store_depth;
+        if !room {
+            self.stats.alloc_stall_cycles += 1;
+        }
+        room
+    }
+
+    /// Reserves one entry per static memory op for iteration `tag.iter`.
+    fn push_group(&mut self, tag: Tag) {
+        for p in 0..self.io.port_count() {
+            let op = &self.io.port(p).op;
+            let entry = Entry {
+                port: p,
+                iter: tag.iter,
+                seq: op.seq,
+                tag,
+                addr: None,
+                data: None,
+                state: EntryState::Waiting,
+            };
+            match op.kind {
+                MemOpKind::Load => self.lq.push(entry),
+                MemOpKind::Store => self.sq.push(entry),
             }
         }
     }
@@ -418,11 +502,26 @@ impl Lsq {
             }
         }
     }
+
+    /// Queue and allocator positions; a change across a commit catches
+    /// entry motion that bypasses the io queues.
+    fn progress(&self) -> (usize, usize, usize, u64, u64) {
+        (
+            self.lq.len(),
+            self.sq.len(),
+            self.ready_allocs.len(),
+            self.next_spec_iter,
+            self.confirmed,
+        )
+    }
 }
 
 impl Component for Lsq {
     fn type_name(&self) -> &'static str {
-        "lsq"
+        match self.config.allocation {
+            Allocation::Grouped { .. } => "lsq",
+            Allocation::Speculative { .. } => "spec_lsq",
+        }
     }
 
     fn ports(&self) -> Ports {
@@ -435,12 +534,12 @@ impl Component for Lsq {
 
     fn commit(&mut self, sig: &Signals) -> bool {
         // Occupied delay lines tick below even when nothing else moves, and
-        // queue-length changes catch entry motion that bypasses the io
-        // queues; together with the io dirty flag this is an honest
+        // queue and allocator motion catches entry changes that bypass the
+        // io queues; together with the io dirty flag this is an honest
         // changed-signal for the scheduler/watchdog (the stats mirror below
         // is bookkeeping and deliberately excluded).
         let ticking = !self.alloc_delay.is_empty() || !self.reads.is_empty();
-        let lens = (self.lq.len(), self.sq.len(), self.ready_allocs.len());
+        let before = self.progress();
         self.io.commit_io(sig);
 
         // Read completions (issued `read_latency` cycles ago).
@@ -457,12 +556,7 @@ impl Component for Lsq {
             }
         }
 
-        // Group allocation pipeline.
-        if let Some(t) = self.io.take_alloc() {
-            self.alloc_delay.push(self.config.alloc_latency, t);
-        }
-        self.ready_allocs.extend(self.alloc_delay.tick());
-        self.allocate_ready();
+        self.allocate();
 
         self.ingest_arrivals();
         self.issue_loads();
@@ -476,7 +570,7 @@ impl Component for Lsq {
             || ticking
             || !self.alloc_delay.is_empty()
             || !self.reads.is_empty()
-            || lens != (self.lq.len(), self.sq.len(), self.ready_allocs.len())
+            || before != self.progress()
     }
 
     fn eval_invalidated(&self) -> bool {
@@ -484,8 +578,9 @@ impl Component for Lsq {
     }
 
     fn flush(&mut self, from_iter: u64) {
-        // The LSQ never speculates, so it never receives a squash in normal
-        // operation; this keeps the component well-behaved if one arrives.
+        // No LSQ rides the squash bus, so none receives a flush in normal
+        // operation; this keeps the component well-behaved if one arrives,
+        // rolling the speculation pointer back with the queues.
         self.eval_dirty = true;
         self.io.flush(from_iter);
         self.lq.retain(|e| e.iter < from_iter);
@@ -493,6 +588,8 @@ impl Component for Lsq {
         self.ready_allocs.retain(|t| t.tag.iter < from_iter);
         self.alloc_delay.flush_if(|t| t.tag.iter >= from_iter);
         self.reads.flush_if(|&(_, iter, _, _)| iter >= from_iter);
+        self.next_spec_iter = self.next_spec_iter.min(from_iter);
+        self.confirmed = self.confirmed.min(from_iter);
     }
 
     fn is_idle(&self) -> bool {
@@ -514,15 +611,18 @@ impl Component for Lsq {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use prevv_dataflow::components::LoopLevel;
-    use prevv_dataflow::{SimConfig, Simulator};
-    use prevv_ir::{golden, synthesize, ArrayDecl, ArrayId, Expr, KernelSpec, Stmt};
+    use prevv_dataflow::components::{BinOp, LoopLevel};
+    use prevv_dataflow::{SimConfig, SimReport, Simulator};
+    use prevv_ir::{golden, synthesize, ArrayDecl, ArrayId, Expr, KernelSpec, OpaqueFn, Stmt};
 
-    fn run_lsq(spec: &KernelSpec, config: LsqConfig) -> (Vec<Vec<i64>>, prevv_dataflow::SimReport) {
+    pub(crate) fn run_lsq(
+        spec: &KernelSpec,
+        config: LsqConfig,
+    ) -> (Vec<Vec<i64>>, SimReport, LsqStats) {
         let mut s = synthesize(spec).expect("synth");
-        let (ctrl, ram) = Lsq::new(s.interface.clone(), config).expect("fits");
+        let (ctrl, ram, stats) = Lsq::with_stats(s.interface.clone(), config).expect("fits");
         s.netlist.add("lsq", ctrl);
         let mut sim = Simulator::new(s.netlist, s.bus)
             .expect("valid netlist")
@@ -539,11 +639,20 @@ mod tests {
             .into_iter()
             .map(<[i64]>::to_vec)
             .collect();
-        (arrays, report)
+        let stats = *stats.borrow();
+        (arrays, report, stats)
     }
 
-    /// The reduction that breaks DirectMemory.
-    fn reduction() -> KernelSpec {
+    /// Runs `spec` and asserts the first array matches the golden model.
+    pub(crate) fn assert_golden(spec: &KernelSpec, config: LsqConfig) -> Vec<i64> {
+        let gold = golden::execute(spec);
+        let (arrays, _, _) = run_lsq(spec, config);
+        assert_eq!(arrays[0], gold.array(ArrayId(0)));
+        arrays[0].clone()
+    }
+
+    /// The reduction that breaks DirectMemory: one counter, serial chain.
+    pub(crate) fn reduction() -> KernelSpec {
         let s = ArrayId(0);
         KernelSpec::new(
             "reduce",
@@ -558,32 +667,10 @@ mod tests {
         .expect("valid")
     }
 
-    #[test]
-    fn lsq_fixes_the_loop_carried_reduction() {
-        let spec = reduction();
-        let gold = golden::execute(&spec);
-        let (arrays, _) = run_lsq(&spec, LsqConfig::dynamatic(16));
-        assert_eq!(arrays[0], gold.array(ArrayId(0)));
-    }
-
-    #[test]
-    fn fast_allocation_is_not_slower() {
-        let spec = reduction();
-        let (_, slow) = run_lsq(&spec, LsqConfig::dynamatic(16));
-        let (_, fast) = run_lsq(&spec, LsqConfig::fast(16));
-        assert!(
-            fast.cycles <= slow.cycles,
-            "fast allocation [8] must not lose to plain Dynamatic [15]: {} vs {}",
-            fast.cycles,
-            slow.cycles
-        );
-    }
-
-    #[test]
-    fn histogram_with_runtime_indices_is_correct() {
-        use prevv_ir::OpaqueFn;
+    /// 48 increments into 8 bins at indices known only at run time.
+    pub(crate) fn histogram() -> KernelSpec {
         let h = ArrayId(0);
-        let spec = KernelSpec::new(
+        KernelSpec::new(
             "hist",
             vec![LoopLevel::upto(48)],
             vec![ArrayDecl::zeroed("h", 8)],
@@ -593,19 +680,13 @@ mod tests {
                 Expr::load(h, Expr::var(0).opaque(OpaqueFn::new(11, 8))).add(Expr::lit(1)),
             )],
         )
-        .expect("valid");
-        let gold = golden::execute(&spec);
-        let (arrays, _) = run_lsq(&spec, LsqConfig::dynamatic(16));
-        assert_eq!(arrays[0], gold.array(ArrayId(0)));
-        let total: i64 = arrays[0].iter().sum();
-        assert_eq!(total, 48);
+        .expect("valid")
     }
 
-    #[test]
-    fn guarded_kernel_with_fakes_completes_on_lsq() {
-        use prevv_dataflow::components::BinOp;
+    /// A store guarded on even iterations: odd ones send fake tokens.
+    pub(crate) fn guarded() -> KernelSpec {
         let a = ArrayId(0);
-        let spec = KernelSpec::new(
+        KernelSpec::new(
             "guarded",
             vec![LoopLevel::upto(16)],
             vec![ArrayDecl::zeroed("a", 16)],
@@ -620,16 +701,12 @@ mod tests {
                 ),
             )],
         )
-        .expect("valid");
-        let gold = golden::execute(&spec);
-        let (arrays, _) = run_lsq(&spec, LsqConfig::dynamatic(16));
-        assert_eq!(arrays[0], gold.array(ArrayId(0)));
+        .expect("valid")
     }
 
-    #[test]
-    fn shallow_queue_is_rejected_when_iteration_cannot_fit() {
+    /// Asserts that a load queue of depth 2 refuses 3 loads per iteration.
+    pub(crate) fn assert_rejects_three_loads(config: LsqConfig) {
         let a = ArrayId(0);
-        // 3 loads per iteration, queue depth 2.
         let spec = KernelSpec::new(
             "wide",
             vec![LoopLevel::upto(4)],
@@ -646,7 +723,7 @@ mod tests {
         let s = synthesize(&spec).expect("synth");
         let cfg = LsqConfig {
             load_depth: 2,
-            ..LsqConfig::dynamatic(2)
+            ..config
         };
         let err = Lsq::new(s.interface, cfg).expect_err("must reject");
         assert!(matches!(
@@ -659,10 +736,59 @@ mod tests {
     }
 
     #[test]
+    fn lsq_fixes_the_loop_carried_reduction() {
+        assert_golden(&reduction(), LsqConfig::dynamatic(16));
+    }
+
+    #[test]
+    fn fast_allocation_is_not_slower() {
+        let spec = reduction();
+        let (_, slow, _) = run_lsq(&spec, LsqConfig::dynamatic(16));
+        let (_, fast, _) = run_lsq(&spec, LsqConfig::fast(16));
+        assert!(
+            fast.cycles <= slow.cycles,
+            "fast allocation [8] must not lose to plain Dynamatic [15]: {} vs {}",
+            fast.cycles,
+            slow.cycles
+        );
+    }
+
+    #[test]
+    fn speculative_policy_fills_the_queue_ahead_of_confirmation() {
+        // Same cycles as [8] on the reduction, but the speculative policy
+        // fills the queue ahead of the control network (nearly twice the
+        // peak occupancy) and so stalls on capacity where the grouped
+        // policy never does. Routing it through the grouped allocator
+        // fails this.
+        let pin = |config| {
+            let (_, report, stats) = run_lsq(&reduction(), config);
+            (report.cycles, stats.high_water, stats.alloc_stall_cycles)
+        };
+        assert_eq!(pin(LsqConfig::fast(16)), (68, 17, 0));
+        assert_eq!(pin(LsqConfig::speculative(16)), (68, 32, 36));
+    }
+
+    #[test]
+    fn histogram_with_runtime_indices_is_correct() {
+        let bins = assert_golden(&histogram(), LsqConfig::dynamatic(16));
+        assert_eq!(bins.iter().sum::<i64>(), 48);
+    }
+
+    #[test]
+    fn guarded_kernel_with_fakes_completes_on_lsq() {
+        assert_golden(&guarded(), LsqConfig::dynamatic(16));
+    }
+
+    #[test]
+    fn shallow_queue_is_rejected_when_iteration_cannot_fit() {
+        assert_rejects_three_loads(LsqConfig::dynamatic(2));
+    }
+
+    #[test]
     fn deeper_queue_is_not_slower() {
         let spec = reduction();
-        let (_, d4) = run_lsq(&spec, LsqConfig::fast(4));
-        let (_, d16) = run_lsq(&spec, LsqConfig::fast(16));
+        let (_, d4, _) = run_lsq(&spec, LsqConfig::fast(4));
+        let (_, d16, _) = run_lsq(&spec, LsqConfig::fast(16));
         assert!(
             d16.cycles <= d4.cycles,
             "deeper LSQ must not be slower: {} vs {}",

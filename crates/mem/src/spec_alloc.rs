@@ -1,587 +1,27 @@
-//! Speculatively allocated load-store queue — the third LSQ baseline.
-//!
-//! Models the high-frequency HLS LSQ of Szafarczyk et al. (FPL'23, arXiv
-//! 2311.08198): instead of waiting for the control network to deliver one
-//! allocation token per iteration (the Dynamatic group allocator of
-//! `lsq.rs`), the queue **speculatively allocates** entry groups for future
-//! iterations in program order, bounded by a speculation window over the
-//! number of iterations the control network has actually confirmed.
-//! Allocation tokens still arrive — they are drained purely as
-//! confirmations that advance the window — so the allocator is off the
-//! critical path entirely: an iteration's entries exist before any of its
-//! address tokens show up.
-//!
-//! Because kernels here have a statically known iteration count, speculation
-//! is clamped to the interface's total and misspeculated entries never
-//! exist; what remains observable versus `LsqConfig::fast` is that entries
-//! appear earlier (deeper effective pipelining, higher queue occupancy) and
-//! the allocation handshake never stalls the control network. Ordering,
-//! associative search, forwarding, and in-order store commit are identical
-//! to `lsq.rs` — the oracle in `prevv::diffcheck` holds all three LSQ
-//! variants plus PreVV to byte-identical results.
+//! Tests of the speculative-allocation LSQ: an [`Lsq`](crate::Lsq) under
+//! [`LsqConfig::speculative`](crate::LsqConfig::speculative).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use prevv_dataflow::{Component, Ports, Signals, Tag, Token, Value};
-use prevv_ir::{MemOpKind, MemoryInterface};
-
-use crate::delay::DelayLine;
-use crate::lsq::{LsqError, LsqStats, SharedLsqStats};
-use crate::portio::PortIo;
-use crate::ram::{shared, Ram, SharedRam};
-use crate::MemTiming;
-
-/// Configuration of the speculative-allocation LSQ.
-#[derive(Debug, Clone)]
-pub struct SpecLsqConfig {
-    /// Load queue entries.
-    pub load_depth: usize,
-    /// Store queue entries.
-    pub store_depth: usize,
-    /// How many iterations may be allocated beyond the last confirmed one.
-    pub window: usize,
-    /// RAM timing and port bandwidth.
-    pub timing: MemTiming,
-}
-
-impl SpecLsqConfig {
-    /// Depth-`depth` queues with a speculation window of the same size.
-    pub fn speculative(depth: usize) -> Self {
-        SpecLsqConfig {
-            load_depth: depth,
-            store_depth: depth,
-            window: depth,
-            timing: MemTiming::default(),
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EntryState {
-    Waiting,
-    Issued,
-    Done,
-    Cancelled,
-}
-
-#[derive(Debug, Clone)]
-struct Entry {
-    port: usize,
-    iter: u64,
-    seq: u32,
-    tag: Tag,
-    addr: Option<usize>,
-    data: Option<Value>,
-    state: EntryState,
-}
-
-impl Entry {
-    fn order(&self) -> (u64, u32) {
-        (self.iter, self.seq)
-    }
-}
-
-/// Statistics specific to speculative allocation, on top of the shared
-/// [`LsqStats`] the facade reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpecStats {
-    /// Iteration groups allocated ahead of their confirmation token.
-    pub spec_allocated: u64,
-    /// Confirmation tokens drained from the control network.
-    pub confirmed: u64,
-    /// Cycles in which allocation was blocked by the speculation window
-    /// (as opposed to queue capacity).
-    pub window_stall_cycles: u64,
-}
-
-/// The speculative-allocation LSQ controller.
-#[derive(Debug)]
-pub struct SpecLsq {
-    io: PortIo,
-    ram: SharedRam,
-    config: SpecLsqConfig,
-    lq: Vec<Entry>,
-    sq: Vec<Entry>,
-    reads: DelayLine<(usize, u64, u32, Value)>,
-    /// Next iteration to allocate speculatively (program order).
-    next_spec_iter: u64,
-    /// Iterations confirmed by drained allocation tokens.
-    confirmed: u64,
-    /// Total iterations in the kernel — speculation never runs past the end.
-    total_iters: u64,
-    loads_per_iter: usize,
-    stores_per_iter: usize,
-    stats: LsqStats,
-    spec_stats: SpecStats,
-    shared: SharedLsqStats,
-    eval_dirty: bool,
-}
-
-impl SpecLsq {
-    /// Creates a speculative-allocation LSQ over a fresh RAM initialized
-    /// from the interface's array images.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LsqError`] if one iteration's ops cannot fit the queues
-    /// (shared failure mode with the other LSQ baselines).
-    pub fn new(
-        iface: MemoryInterface,
-        config: SpecLsqConfig,
-    ) -> Result<(Self, SharedRam), LsqError> {
-        let (lsq, ram, _) = Self::with_stats(iface, config)?;
-        Ok((lsq, ram))
-    }
-
-    /// Like [`SpecLsq::new`], additionally returning the shared statistics
-    /// handle that stays readable after the component is moved into a
-    /// netlist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LsqError`] if one iteration's ops cannot fit the queues.
-    pub fn with_stats(
-        iface: MemoryInterface,
-        config: SpecLsqConfig,
-    ) -> Result<(Self, SharedRam, SharedLsqStats), LsqError> {
-        let loads_per_iter = iface.load_ports();
-        let stores_per_iter = iface.store_ports();
-        if loads_per_iter > config.load_depth {
-            return Err(LsqError::LoadQueueTooShallow {
-                needed: loads_per_iter,
-                depth: config.load_depth,
-            });
-        }
-        if stores_per_iter > config.store_depth {
-            return Err(LsqError::StoreQueueTooShallow {
-                needed: stores_per_iter,
-                depth: config.store_depth,
-            });
-        }
-        let ram = shared(Ram::new(iface.initial_ram()));
-        let stats_handle = Rc::new(RefCell::new(LsqStats::default()));
-        let total_iters = iface.iterations as u64;
-        Ok((
-            SpecLsq {
-                io: PortIo::new(iface),
-                ram: ram.clone(),
-                config,
-                lq: Vec::new(),
-                sq: Vec::new(),
-                reads: DelayLine::new(),
-                next_spec_iter: 0,
-                confirmed: 0,
-                total_iters,
-                loads_per_iter,
-                stores_per_iter,
-                stats: LsqStats::default(),
-                spec_stats: SpecStats::default(),
-                shared: stats_handle.clone(),
-                eval_dirty: true,
-            },
-            ram,
-            stats_handle,
-        ))
-    }
-
-    /// Shared-shape statistics (forwards, RAM traffic, stalls, high water).
-    pub fn stats(&self) -> LsqStats {
-        self.stats
-    }
-
-    /// Speculation-specific statistics.
-    pub fn spec_stats(&self) -> SpecStats {
-        self.spec_stats
-    }
-
-    /// Current queue occupancies `(loads, stores)`.
-    pub fn queue_occupancy(&self) -> (usize, usize) {
-        (self.lq.len(), self.sq.len())
-    }
-
-    /// Allocates entry groups ahead of the confirmation stream, in program
-    /// order, until the speculation window, queue capacity, or the end of
-    /// the iteration space stops it.
-    fn allocate_speculative(&mut self) {
-        while self.next_spec_iter < self.total_iters {
-            if self.next_spec_iter >= self.confirmed + self.config.window as u64 {
-                self.spec_stats.window_stall_cycles += 1;
-                break;
-            }
-            let can = self.lq.len() + self.loads_per_iter <= self.config.load_depth
-                && self.sq.len() + self.stores_per_iter <= self.config.store_depth;
-            if !can {
-                self.stats.alloc_stall_cycles += 1;
-                break;
-            }
-            let iter = self.next_spec_iter;
-            self.next_spec_iter += 1;
-            if iter >= self.confirmed {
-                self.spec_stats.spec_allocated += 1;
-            }
-            for p in 0..self.io.port_count() {
-                let op = &self.io.port(p).op;
-                let entry = Entry {
-                    port: p,
-                    iter,
-                    seq: op.seq,
-                    // Placeholder tag: overwritten by the address token (or
-                    // unused — cancelled loads answer with the fake token's
-                    // tag), so it never reaches a result channel.
-                    tag: Tag::new(iter),
-                    addr: None,
-                    data: None,
-                    state: EntryState::Waiting,
-                };
-                match op.kind {
-                    MemOpKind::Load => self.lq.push(entry),
-                    MemOpKind::Store => self.sq.push(entry),
-                }
-            }
-        }
-    }
-
-    fn ingest_arrivals(&mut self) {
-        for p in 0..self.io.port_count() {
-            let is_load = self.io.port(p).is_load();
-            while let Some(tok) = self.io.peek_addr(p).copied() {
-                let addr = self.io.resolve(p, tok.value);
-                let q = if is_load { &mut self.lq } else { &mut self.sq };
-                let Some(e) = q
-                    .iter_mut()
-                    .find(|e| e.port == p && e.iter == tok.tag.iter && e.addr.is_none())
-                else {
-                    break; // not yet speculated far enough: leave upstream
-                };
-                e.addr = Some(addr);
-                e.tag = tok.tag;
-                self.io.take_addr(p).expect("peeked");
-            }
-            if !is_load {
-                while let Some(tok) = self.io.peek_data(p).copied() {
-                    let Some(e) = self
-                        .sq
-                        .iter_mut()
-                        .find(|e| e.port == p && e.iter == tok.tag.iter && e.data.is_none())
-                    else {
-                        break;
-                    };
-                    e.data = Some(tok.value);
-                    self.io.take_data(p).expect("peeked");
-                }
-            }
-            while let Some(tok) = self.io.peek_fake(p).copied() {
-                let q = if is_load { &mut self.lq } else { &mut self.sq };
-                let Some(e) = q.iter_mut().find(|e| {
-                    e.port == p && e.iter == tok.tag.iter && e.state == EntryState::Waiting
-                }) else {
-                    break;
-                };
-                e.state = EntryState::Cancelled;
-                self.io.take_fake(p).expect("peeked");
-                if is_load {
-                    self.io.push_result(p, Token::tagged(0, tok.tag));
-                }
-            }
-        }
-    }
-
-    fn issue_loads(&mut self) {
-        let mut budget = self.config.timing.read_ports;
-        for li in 0..self.lq.len() {
-            if budget == 0 {
-                break;
-            }
-            let (order, addr) = {
-                let l = &self.lq[li];
-                if l.state != EntryState::Waiting {
-                    continue;
-                }
-                let Some(addr) = l.addr else { continue };
-                (l.order(), addr)
-            };
-            // Identical associative search to `lsq.rs`: older unknown-addr
-            // stores block; the youngest matching older store forwards.
-            // Speculation makes this stricter, not looser — entries for
-            // older iterations always exist by the time a load's address
-            // arrives, so no ordering hazard can slip past the search.
-            let mut blocked = false;
-            let mut forward: Option<(u64, u32, Option<Value>)> = None;
-            for s in &self.sq {
-                if s.state == EntryState::Cancelled || s.order() >= order {
-                    continue;
-                }
-                match s.addr {
-                    None => {
-                        blocked = true;
-                        break;
-                    }
-                    Some(sa) if sa == addr => {
-                        if forward.is_none_or(|(fi, fs, _)| (fi, fs) < s.order()) {
-                            forward = Some((s.iter, s.seq, s.data));
-                        }
-                    }
-                    Some(_) => {}
-                }
-            }
-            if blocked {
-                continue;
-            }
-            match forward {
-                Some((_, _, Some(v))) => {
-                    let l = &mut self.lq[li];
-                    l.state = EntryState::Done;
-                    l.data = Some(v);
-                    let (port, tag) = (l.port, l.tag);
-                    self.io.push_result(port, Token::tagged(v, tag));
-                    self.stats.forwards += 1;
-                }
-                Some((_, _, None)) => {}
-                None => {
-                    let value = self.ram.borrow_mut().read(addr);
-                    let l = &mut self.lq[li];
-                    l.state = EntryState::Issued;
-                    self.reads.push(
-                        self.config.timing.read_latency,
-                        (l.port, l.iter, l.seq, value),
-                    );
-                    self.stats.ram_reads += 1;
-                    budget -= 1;
-                }
-            }
-        }
-    }
-
-    fn commit_stores(&mut self) {
-        let mut budget = self.config.timing.write_ports;
-        while let Some(head) = self.sq.first() {
-            match head.state {
-                EntryState::Cancelled => {
-                    self.sq.remove(0);
-                }
-                _ => {
-                    let (Some(addr), Some(data)) = (head.addr, head.data) else {
-                        break;
-                    };
-                    if budget == 0 {
-                        break;
-                    }
-                    self.ram.borrow_mut().write(addr, data);
-                    self.stats.ram_writes += 1;
-                    budget -= 1;
-                    self.sq.remove(0);
-                }
-            }
-        }
-    }
-
-    fn dealloc_loads(&mut self) {
-        while let Some(head) = self.lq.first() {
-            if matches!(head.state, EntryState::Done | EntryState::Cancelled) {
-                self.lq.remove(0);
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-impl Component for SpecLsq {
-    fn type_name(&self) -> &'static str {
-        "spec_lsq"
-    }
-
-    fn ports(&self) -> Ports {
-        self.io.channel_ports()
-    }
-
-    fn eval(&self, sig: &mut Signals) {
-        self.io.eval(sig);
-    }
-
-    fn commit(&mut self, sig: &Signals) -> bool {
-        let ticking = !self.reads.is_empty();
-        let lens = (
-            self.lq.len(),
-            self.sq.len(),
-            self.next_spec_iter,
-            self.confirmed,
-        );
-        self.io.commit_io(sig);
-
-        for (port, iter, seq, value) in self.reads.tick() {
-            if let Some(e) = self
-                .lq
-                .iter_mut()
-                .find(|e| e.port == port && e.iter == iter && e.seq == seq)
-            {
-                e.state = EntryState::Done;
-                e.data = Some(value);
-                let tag = e.tag;
-                self.io.push_result(port, Token::tagged(value, tag));
-            }
-        }
-
-        // Confirmation tokens merely advance the speculation window; they
-        // gate nothing else, which is the whole point of the design.
-        if self.io.take_alloc().is_some() {
-            self.confirmed += 1;
-            self.spec_stats.confirmed += 1;
-        }
-        self.allocate_speculative();
-
-        self.ingest_arrivals();
-        self.issue_loads();
-        self.commit_stores();
-        self.dealloc_loads();
-        self.stats.high_water = self.stats.high_water.max(self.lq.len() + self.sq.len());
-        *self.shared.borrow_mut() = self.stats;
-
-        self.eval_dirty = self.io.take_dirty();
-        self.eval_dirty
-            || ticking
-            || !self.reads.is_empty()
-            || lens
-                != (
-                    self.lq.len(),
-                    self.sq.len(),
-                    self.next_spec_iter,
-                    self.confirmed,
-                )
-    }
-
-    fn eval_invalidated(&self) -> bool {
-        self.eval_dirty
-    }
-
-    fn flush(&mut self, from_iter: u64) {
-        // Like the Dynamatic LSQ, this controller never rides the squash
-        // bus in normal operation; stay well-behaved if a flush arrives by
-        // rolling the speculation pointer back with the queues.
-        self.eval_dirty = true;
-        self.io.flush(from_iter);
-        self.lq.retain(|e| e.iter < from_iter);
-        self.sq.retain(|e| e.iter < from_iter);
-        self.reads.flush_if(|&(_, iter, _, _)| iter >= from_iter);
-        self.next_spec_iter = self.next_spec_iter.min(from_iter);
-        self.confirmed = self.confirmed.min(from_iter);
-    }
-
-    fn is_idle(&self) -> bool {
-        self.io.is_idle() && self.lq.is_empty() && self.sq.is_empty() && self.reads.is_empty()
-    }
-
-    fn occupancy(&self) -> usize {
-        self.io.occupancy() + self.lq.len() + self.sq.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.config.load_depth + self.config.store_depth
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::lsq::{Lsq, LsqConfig};
-    use prevv_dataflow::components::LoopLevel;
-    use prevv_dataflow::{SimConfig, Simulator};
-    use prevv_ir::{golden, synthesize, ArrayDecl, ArrayId, Expr, KernelSpec, Stmt};
-
-    fn run_spec(
-        spec: &KernelSpec,
-        config: SpecLsqConfig,
-    ) -> (Vec<Vec<i64>>, prevv_dataflow::SimReport) {
-        let mut s = synthesize(spec).expect("synth");
-        let (ctrl, ram) = SpecLsq::new(s.interface.clone(), config).expect("fits");
-        s.netlist.add("spec_lsq", ctrl);
-        let mut sim = Simulator::new(s.netlist, s.bus)
-            .expect("valid netlist")
-            .with_config(SimConfig {
-                max_cycles: 500_000,
-                watchdog: 2_000,
-                ..SimConfig::default()
-            });
-        let report = sim.run().expect("completes");
-        let ram = ram.borrow();
-        let arrays = s
-            .interface
-            .split_ram(ram.image())
-            .into_iter()
-            .map(<[i64]>::to_vec)
-            .collect();
-        (arrays, report)
-    }
-
-    /// The reduction that breaks DirectMemory.
-    fn reduction() -> KernelSpec {
-        let s = ArrayId(0);
-        KernelSpec::new(
-            "reduce",
-            vec![LoopLevel::upto(32)],
-            vec![ArrayDecl::zeroed("s", 4)],
-            vec![Stmt::store(
-                s,
-                Expr::lit(0),
-                Expr::load(s, Expr::lit(0)).add(Expr::var(0)),
-            )],
-        )
-        .expect("valid")
-    }
+    use crate::lsq::tests::{
+        assert_golden, assert_rejects_three_loads, guarded, histogram, reduction, run_lsq,
+    };
+    use crate::{Allocation, LsqConfig};
+    use prevv_ir::{golden, ArrayId};
 
     #[test]
     fn spec_lsq_fixes_the_loop_carried_reduction() {
-        let spec = reduction();
-        let gold = golden::execute(&spec);
-        let (arrays, _) = run_spec(&spec, SpecLsqConfig::speculative(16));
-        assert_eq!(arrays[0], gold.array(ArrayId(0)));
+        assert_golden(&reduction(), LsqConfig::speculative(16));
     }
 
     #[test]
     fn histogram_with_runtime_indices_is_correct() {
-        use prevv_ir::OpaqueFn;
-        let h = ArrayId(0);
-        let spec = KernelSpec::new(
-            "hist",
-            vec![LoopLevel::upto(48)],
-            vec![ArrayDecl::zeroed("h", 8)],
-            vec![Stmt::store(
-                h,
-                Expr::var(0).opaque(OpaqueFn::new(11, 8)),
-                Expr::load(h, Expr::var(0).opaque(OpaqueFn::new(11, 8))).add(Expr::lit(1)),
-            )],
-        )
-        .expect("valid");
-        let gold = golden::execute(&spec);
-        let (arrays, _) = run_spec(&spec, SpecLsqConfig::speculative(16));
-        assert_eq!(arrays[0], gold.array(ArrayId(0)));
-        assert_eq!(arrays[0].iter().sum::<i64>(), 48);
+        let bins = assert_golden(&histogram(), LsqConfig::speculative(16));
+        assert_eq!(bins.iter().sum::<i64>(), 48);
     }
 
     #[test]
     fn guarded_kernel_with_fakes_completes() {
-        use prevv_dataflow::components::BinOp;
-        let a = ArrayId(0);
-        let spec = KernelSpec::new(
-            "guarded",
-            vec![LoopLevel::upto(16)],
-            vec![ArrayDecl::zeroed("a", 16)],
-            vec![Stmt::guarded(
-                a,
-                Expr::var(0),
-                Expr::load(a, Expr::var(0)).add(Expr::lit(5)),
-                Expr::bin(
-                    BinOp::Eq,
-                    Expr::bin(BinOp::Rem, Expr::var(0), Expr::lit(2)),
-                    Expr::lit(0),
-                ),
-            )],
-        )
-        .expect("valid");
-        let gold = golden::execute(&spec);
-        let (arrays, _) = run_spec(&spec, SpecLsqConfig::speculative(16));
-        assert_eq!(arrays[0], gold.array(ArrayId(0)));
+        assert_golden(&guarded(), LsqConfig::speculative(16));
     }
 
     #[test]
@@ -589,50 +29,19 @@ mod tests {
         // The point of the design: with allocation off the critical path,
         // the speculative LSQ must never lose to fast allocation [8].
         let spec = reduction();
-        let mut s = synthesize(&spec).expect("synth");
-        let (ctrl, _) = Lsq::new(s.interface.clone(), LsqConfig::fast(16)).expect("fits");
-        s.netlist.add("lsq", ctrl);
-        let mut sim = Simulator::new(s.netlist, s.bus).expect("valid netlist");
-        let fast = sim.run().expect("completes");
-
-        let (_, spec_report) = run_spec(&spec, SpecLsqConfig::speculative(16));
+        let (_, fast, _) = run_lsq(&spec, LsqConfig::fast(16));
+        let (_, speculative, _) = run_lsq(&spec, LsqConfig::speculative(16));
         assert!(
-            spec_report.cycles <= fast.cycles,
+            speculative.cycles <= fast.cycles,
             "speculative allocation must not lose to fast allocation: {} vs {}",
-            spec_report.cycles,
+            speculative.cycles,
             fast.cycles
         );
     }
 
     #[test]
     fn shallow_queue_is_rejected() {
-        let a = ArrayId(0);
-        let spec = KernelSpec::new(
-            "wide",
-            vec![LoopLevel::upto(4)],
-            vec![ArrayDecl::zeroed("a", 16)],
-            vec![Stmt::store(
-                a,
-                Expr::var(0),
-                Expr::load(a, Expr::var(0))
-                    .add(Expr::load(a, Expr::var(0).add(Expr::lit(1))))
-                    .add(Expr::load(a, Expr::var(0).add(Expr::lit(2)))),
-            )],
-        )
-        .expect("valid");
-        let s = synthesize(&spec).expect("synth");
-        let cfg = SpecLsqConfig {
-            load_depth: 2,
-            ..SpecLsqConfig::speculative(2)
-        };
-        let err = SpecLsq::new(s.interface, cfg).expect_err("must reject");
-        assert!(matches!(
-            err,
-            LsqError::LoadQueueTooShallow {
-                needed: 3,
-                depth: 2
-            }
-        ));
+        assert_rejects_three_loads(LsqConfig::speculative(2));
     }
 
     #[test]
@@ -641,13 +50,13 @@ mod tests {
         // must still match golden, just slower.
         let spec = reduction();
         let gold = golden::execute(&spec);
-        let cfg = SpecLsqConfig {
-            window: 1,
-            ..SpecLsqConfig::speculative(16)
+        let cfg = LsqConfig {
+            allocation: Allocation::Speculative { window: 1 },
+            ..LsqConfig::speculative(16)
         };
-        let (arrays, narrow) = run_spec(&spec, cfg);
+        let (arrays, narrow, _) = run_lsq(&spec, cfg);
         assert_eq!(arrays[0], gold.array(ArrayId(0)));
-        let (_, wide) = run_spec(&spec, SpecLsqConfig::speculative(16));
+        let (_, wide, _) = run_lsq(&spec, LsqConfig::speculative(16));
         assert!(
             wide.cycles <= narrow.cycles,
             "wider speculation window must not be slower: {} vs {}",

@@ -11,18 +11,13 @@
 use prevv::dataflow::trace::TraceRecorder;
 use prevv::dataflow::{viz, SimConfig, Simulator};
 use prevv::kernels::extra;
-use prevv::{PrevvConfig, PrevvMemory};
+use prevv::{Controller, PrevvConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = extra::fig2a(12, (0..12).map(|i| i % 4).collect());
     println!("kernel source:\n{}", prevv::ir::pretty::render(&spec));
 
     let mut synth = prevv::ir::synthesize(&spec)?;
-    let (ctrl, ram, stats) = PrevvMemory::new(
-        synth.interface.clone(),
-        PrevvConfig::prevv16(),
-        synth.bus.clone(),
-    )?;
 
     // Watch the first load port's address and result channels plus the
     // first store port's address channel.
@@ -33,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             watch.push(out);
         }
     }
-    synth.netlist.add("prevv", ctrl);
+    let attached = Controller::Prevv(PrevvConfig::prevv16()).attach(&mut synth)?;
 
     let dot = viz::to_dot(&synth.netlist);
     std::fs::write("/tmp/prevv_circuit.dot", &dot)?;
@@ -49,11 +44,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..SimConfig::default()
     });
     sim.attach_recorder(TraceRecorder::new(watch));
-    let report = sim.run()?;
+    let run = attached.finish(&spec, &synth.interface, sim.run()?);
 
-    println!("simulation: {report}");
-    println!("final a[] = {:?}", &ram.borrow().image()[..8]);
-    println!("controller stats: {:?}\n", stats.borrow());
+    println!("simulation: {}", run.report);
+    println!("final a[] = {:?}", &run.arrays[0][..8]);
+    println!("controller stats: {:?}\n", run.prevv.expect("PreVV stats"));
     println!("memory-port waveforms (T = transfer, s = stall, . = idle):");
     let rec = sim.take_recorder().expect("attached");
     // Print the first 100 cycles of each watched channel.

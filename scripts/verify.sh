@@ -11,6 +11,11 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark package (own workspace: build + self-test)"
+# perfbench is outside the root workspace, so the steps above never
+# compile it; this catches a facade API change that would break it.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> differential fuzz oracle (200 generated kernels, pinned seed)"
 # Every generated kernel must agree byte-for-byte across the golden
 # interpreter, both schedulers, and all four memory subsystems, with

@@ -45,7 +45,11 @@ pub use prevv_area::{ControllerKind, DesignReport, Resources};
 pub use prevv_core::{PrevvConfig, PrevvError, PrevvMemory, PrevvStats, SquashEvent};
 pub use prevv_dataflow::{Scheduler, SimConfig, SimError, SimReport, Simulator, Value};
 pub use prevv_ir::{KernelError, KernelSpec, SynthOptions};
-pub use prevv_mem::{Lsq, LsqConfig, LsqError, LsqStats, MemTiming, SpecLsq, SpecLsqConfig};
+pub use prevv_mem::{Lsq, LsqConfig, LsqError, LsqStats, MemTiming};
+
+use prevv_core::{SharedPrevvStats, SharedSquashLog};
+use prevv_ir::{MemoryInterface, SynthesizedKernel};
+use prevv_mem::{SharedLsqStats, SharedRam};
 
 /// Static analysis (lints) over kernels.
 pub use prevv_analyze as analyze;
@@ -130,6 +134,95 @@ impl Controller {
                 depth: c.depth,
                 pair_reduction: c.pair_reduction,
             }),
+        }
+    }
+
+    /// Builds this controller over `synth`'s memory interface and adds it
+    /// to the netlist, labelled `mem`, `lsq`, `spec_lsq` or `prevv`. The
+    /// returned handles stay readable after the netlist moves into the
+    /// simulator; [`Attached::finish`] turns them into a [`RunResult`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RunError::Lsq`] / [`RunError::Prevv`] when the queues
+    /// cannot hold one iteration's operations.
+    pub fn attach(&self, synth: &mut SynthesizedKernel) -> Result<Attached, RunError> {
+        let iface = synth.interface.clone();
+        let bare = |ram| Attached {
+            controller: self.name(),
+            ram,
+            lsq: None,
+            prevv: None,
+            squash_log: None,
+        };
+        let (config, label) = match self {
+            Controller::Direct => {
+                let (ctrl, ram) = prevv_mem::DirectMemory::new(iface, MemTiming::default());
+                synth.netlist.add("mem", ctrl);
+                return Ok(bare(ram));
+            }
+            Controller::Prevv(config) => {
+                let (ctrl, ram, stats) =
+                    PrevvMemory::new(iface, config.clone(), synth.bus.clone())?;
+                let squash_log = Some(ctrl.squash_log());
+                synth.netlist.add("prevv", ctrl);
+                return Ok(Attached {
+                    prevv: Some(stats),
+                    squash_log,
+                    ..bare(ram)
+                });
+            }
+            Controller::Dynamatic { depth } => (LsqConfig::dynamatic(*depth), "lsq"),
+            Controller::FastLsq { depth } => (LsqConfig::fast(*depth), "lsq"),
+            Controller::SpecLsq { depth } => (LsqConfig::speculative(*depth), "spec_lsq"),
+        };
+        let (ctrl, ram, stats) = Lsq::with_stats(iface, config)?;
+        synth.netlist.add(label, ctrl);
+        Ok(Attached {
+            lsq: Some(stats),
+            ..bare(ram)
+        })
+    }
+}
+
+/// The handles of a controller that [`Controller::attach`] added to a
+/// netlist: its RAM, its statistics and (PreVV only) its squash log.
+#[derive(Debug)]
+pub struct Attached {
+    controller: String,
+    ram: SharedRam,
+    lsq: Option<SharedLsqStats>,
+    prevv: Option<SharedPrevvStats>,
+    squash_log: Option<SharedSquashLog>,
+}
+
+impl Attached {
+    /// Reads the final memory through `interface`, checks it against the
+    /// golden model of `spec`, and snapshots the controller statistics.
+    pub fn finish(
+        self,
+        spec: &KernelSpec,
+        interface: &MemoryInterface,
+        report: SimReport,
+    ) -> RunResult {
+        let arrays: Vec<Vec<Value>> = interface
+            .split_ram(self.ram.borrow().image())
+            .into_iter()
+            .map(<[Value]>::to_vec)
+            .collect();
+        let matches_golden = arrays == prevv_ir::golden::execute(spec).arrays;
+        RunResult {
+            kernel: spec.name.clone(),
+            controller: self.controller,
+            arrays,
+            report,
+            prevv: self.prevv.map(|s| *s.borrow()),
+            lsq: self.lsq.map(|s| *s.borrow()),
+            squash_log: self
+                .squash_log
+                .map(|l| l.borrow().clone())
+                .unwrap_or_default(),
+            matches_golden,
         }
     }
 }
@@ -249,74 +342,22 @@ pub fn run_kernel_with(
     synth_opts: &SynthOptions,
     sim_config: &SimConfig,
 ) -> Result<RunResult, RunError> {
-    let mut synth = prevv_ir::synthesize_with(spec, synth_opts)?;
-    let controller_name = controller.name();
-    let mut prevv_stats = None;
-    let mut lsq_stats = None;
-    let mut squash_log = None;
-    let ram = match &controller {
-        Controller::Direct => {
-            let (ctrl, ram) =
-                prevv_mem::DirectMemory::new(synth.interface.clone(), MemTiming::default());
-            synth.netlist.add("mem", ctrl);
-            ram
-        }
-        Controller::Dynamatic { depth } => {
-            let (ctrl, ram, stats) =
-                Lsq::with_stats(synth.interface.clone(), LsqConfig::dynamatic(*depth))?;
-            synth.netlist.add("lsq", ctrl);
-            lsq_stats = Some(stats);
-            ram
-        }
-        Controller::FastLsq { depth } => {
-            let (ctrl, ram, stats) =
-                Lsq::with_stats(synth.interface.clone(), LsqConfig::fast(*depth))?;
-            synth.netlist.add("lsq", ctrl);
-            lsq_stats = Some(stats);
-            ram
-        }
-        Controller::SpecLsq { depth } => {
-            let (ctrl, ram, stats) = prevv_mem::SpecLsq::with_stats(
-                synth.interface.clone(),
-                prevv_mem::SpecLsqConfig::speculative(*depth),
-            )?;
-            synth.netlist.add("spec_lsq", ctrl);
-            lsq_stats = Some(stats);
-            ram
-        }
-        Controller::Prevv(config) => {
-            let (ctrl, ram, stats) =
-                PrevvMemory::new(synth.interface.clone(), config.clone(), synth.bus.clone())?;
-            squash_log = Some(ctrl.squash_log());
-            synth.netlist.add("prevv", ctrl);
-            prevv_stats = Some(stats);
-            ram
-        }
-    };
+    let synth = prevv_ir::synthesize_with(spec, synth_opts)?;
+    simulate(spec, &controller, synth, sim_config)
+}
 
+/// Attaches `controller` to `synth`, simulates to quiescence and checks
+/// the result: the shared tail of [`run_kernel_with`] and [`evaluate`].
+fn simulate(
+    spec: &KernelSpec,
+    controller: &Controller,
+    mut synth: SynthesizedKernel,
+    sim_config: &SimConfig,
+) -> Result<RunResult, RunError> {
+    let attached = controller.attach(&mut synth)?;
     let mut sim = Simulator::new(synth.netlist, synth.bus)?.with_config(sim_config.clone());
     let report = sim.run()?;
-
-    let ram = ram.borrow();
-    let arrays: Vec<Vec<Value>> = synth
-        .interface
-        .split_ram(ram.image())
-        .into_iter()
-        .map(<[Value]>::to_vec)
-        .collect();
-    let gold = prevv_ir::golden::execute(spec);
-    let matches_golden = arrays == gold.arrays;
-
-    Ok(RunResult {
-        kernel: spec.name.clone(),
-        controller: controller_name,
-        arrays,
-        report,
-        prevv: prevv_stats.map(|s| *s.borrow()),
-        lsq: lsq_stats.map(|s| *s.borrow()),
-        squash_log: squash_log.map(|l| l.borrow().clone()).unwrap_or_default(),
-        matches_golden,
-    })
+    Ok(attached.finish(spec, &synth.interface, report))
 }
 
 /// Runs the kernel *and* prices the design: the full Table II data point
@@ -327,6 +368,8 @@ pub fn run_kernel_with(
 /// See [`run_kernel`].
 pub fn evaluate(spec: &KernelSpec, controller: Controller) -> Result<Evaluation, RunError> {
     let synth = prevv_ir::synthesize(spec)?;
+    // Price the bare netlist, before `simulate` adds the controller node:
+    // the controller is priced from its kind, never from the netlist.
     let design = match controller.area_kind() {
         Some(kind) => prevv_area::estimate(&synth, kind),
         None => DesignReport {
@@ -335,7 +378,7 @@ pub fn evaluate(spec: &KernelSpec, controller: Controller) -> Result<Evaluation,
             clock_period_ns: prevv_area::calib::CP_BASE_NS,
         },
     };
-    let run = run_kernel(spec, controller)?;
+    let run = simulate(spec, &controller, synth, &SimConfig::default())?;
     let exec_time_us = run.report.cycles as f64 * design.clock_period_ns / 1000.0;
     Ok(Evaluation {
         run,
@@ -431,6 +474,7 @@ mod tests {
     fn harness_runs_all_controllers_on_the_histogram() {
         let spec = extra::histogram(48, 8, 7);
         for ctrl in [
+            Controller::Direct,
             Controller::Dynamatic { depth: 16 },
             Controller::FastLsq { depth: 16 },
             Controller::SpecLsq { depth: 16 },
@@ -438,8 +482,23 @@ mod tests {
             Controller::Prevv(PrevvConfig::prevv64()),
         ] {
             let name = ctrl.name();
+            let (lsq, prevv) = match ctrl {
+                Controller::Direct => (false, false),
+                Controller::Prevv(_) => (false, true),
+                _ => (true, false),
+            };
             let r = run_kernel(&spec, ctrl).expect("runs");
-            assert!(r.matches_golden, "{name} diverged from golden");
+            // Direct memory mis-executes by design; the rest must not.
+            if lsq || prevv {
+                assert!(r.matches_golden, "{name} diverged from golden");
+            }
+            assert_eq!(r.lsq.is_some(), lsq, "{name}: LSQ stats");
+            assert_eq!(r.prevv.is_some(), prevv, "{name}: PreVV stats");
+            assert_eq!(
+                r.squash_log.is_empty(),
+                r.report.squashes == 0,
+                "{name}: squash log vs squash count"
+            );
         }
     }
 

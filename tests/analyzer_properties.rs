@@ -5,12 +5,12 @@
 
 use proptest::prelude::*;
 
-use prevv::analyze::symdep::{classify_pair, AffineForm, PairClass};
 use prevv::analyze::{
     analyze, check_protocol, replay_counterexample, AnalyzeOptions, Code, ProtocolOptions,
 };
 use prevv::dataflow::components::LoopLevel;
 use prevv::ir::depend;
+use prevv::ir::symdep::{classify_pair, AffineForm, PairClass};
 use prevv::ir::{ArrayDecl, ArrayId, BinOp, Expr, KernelSpec, MemOpKind, OpaqueFn, Stmt};
 use prevv::{run_kernel, Controller, MemTiming, PrevvConfig};
 

@@ -7,9 +7,9 @@
 
 use std::path::PathBuf;
 
-use prevv::analyze::symdep::{classify_accesses, PairClass};
 use prevv::analyze::{self, AnalyzeOptions, Code, ControllerModel, Severity};
 use prevv::ir::parse::parse_kernel;
+use prevv::ir::symdep::{classify_accesses, PairClass};
 use prevv::{
     run_kernel, run_kernel_with, CircuitOptions, Controller, PrevvConfig, SimConfig, SynthOptions,
 };

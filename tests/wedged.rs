@@ -135,12 +135,11 @@ fn run_with_divergent_gadget(
     };
     let spec = generate(seed, &cfg);
     let mut circuit = prevv::ir::synthesize(&spec).expect("generated kernels synthesize");
-    let (lsq, _ram) = prevv::mem::Lsq::new(
-        circuit.interface.clone(),
-        prevv::mem::LsqConfig::fast(16.max(spec.mem_ops_per_iter())),
-    )
+    Controller::FastLsq {
+        depth: 16.max(spec.mem_ops_per_iter()),
+    }
+    .attach(&mut circuit)
     .expect("fast LSQ attaches");
-    circuit.netlist.add("lsq", lsq);
 
     // The canonical divergent gadget: iteration 1 routes a token into an
     // unbuffered merge→mux→fork loop, so the combinational fixpoint churns.
