@@ -29,10 +29,12 @@
 //!   spaces too large to enumerate.
 //! * **PV501** — provably-infeasible guards (dead statements), with a
 //!   machine-applicable removal fix.
-//! * **PV502** — invariant-backed pair discharge ([`discharge_pairs`]):
+//! * **PV502** — invariant-backed pair discharge ([`upgrade_verdicts`]):
 //!   guard-refined footprints that are disjoint by interval or congruence,
-//!   or same-address/injective over a restricted domain. The model checker
-//!   reuses this with its bounded-horizon box to shrink the validated set.
+//!   or same-address/injective over a restricted domain, upgrade the
+//!   dependence verdicts no affine or enumeration proof settled. The lint
+//!   runs the upgrade over the iteration hull, the model checker over its
+//!   bounded-horizon box.
 //! * **PV503** — a static occupancy bound for the premature queue
 //!   ([`occupancy_bound`]): the queue can never hold more records than the
 //!   kernel ever issues, so a deeper configured `depth_q` is wasted area.
@@ -47,7 +49,8 @@
 
 use prevv_dataflow::components::BinOp;
 use prevv_dataflow::Value;
-use prevv_ir::depend::{AmbiguousPair, Dependences, StaticMemOp, ENUM_LIMIT};
+pub use prevv_ir::depend::DischargeReason;
+use prevv_ir::depend::{AmbiguousPair, Dependences, Proof, StaticMemOp, VerdictClass, ENUM_LIMIT};
 use prevv_ir::symdep::{hull_bounds, AffineForm};
 use prevv_ir::{ArrayInit, Expr, KernelSpec, MemOpKind};
 
@@ -970,37 +973,6 @@ pub fn analyze_within(spec: &KernelSpec, bounds: &[(Value, Value)]) -> KernelInv
 
 // --- consumer: footprints and pair discharge (PV502) ------------------------
 
-/// Why [`discharge_pairs`] proved a pair safe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DischargeReason {
-    /// The guard-refined wrapped footprints share no address (interval or
-    /// congruence disjointness).
-    DisjointValues,
-    /// Both accesses follow the same address function over the domain, the
-    /// function is injective and never wraps, and the load is sequenced
-    /// before the store — every collision is same-iteration and already
-    /// serialized by the in-order commit.
-    SameIterationOrdered,
-    /// One side's guard is infeasible over the domain: the op only ever
-    /// issues fake tokens, which carry no address.
-    DeadCode,
-}
-
-impl DischargeReason {
-    /// Human-readable clause for diagnostics.
-    pub fn describe(&self) -> &'static str {
-        match self {
-            DischargeReason::DisjointValues => {
-                "guard-refined value footprints are disjoint (interval/congruence)"
-            }
-            DischargeReason::SameIterationOrdered => {
-                "addresses provably coincide only same-iteration, load before store"
-            }
-            DischargeReason::DeadCode => "one access is guarded by an infeasible predicate",
-        }
-    }
-}
-
 /// Post-wrap footprint: the raw index abstraction folded into `[0, len)`
 /// the way the runtime's `rem_euclid` does.
 fn wrap_footprint(raw: &AbsVal, len: Value) -> AbsVal {
@@ -1075,11 +1047,13 @@ fn form_injective(form: &AffineForm, bounds: &[(Value, Value)]) -> bool {
 }
 
 /// Tries to discharge one ambiguous pair with value reasoning over the
-/// given inclusive per-level bounds. Sound over-approximation: a verdict
-/// means no cross-iteration hazard exists for any iteration inside the
-/// box; `None` means no proof (the pair stays validated).
-pub fn discharge_pair(
+/// inclusive per-level `bounds`, given the invariants [`analyze_within`]
+/// computed for that box. Sound over-approximation: a verdict means no
+/// cross-iteration hazard exists for any iteration inside the box (an empty
+/// box has none); `None` means no proof (the pair stays validated).
+fn discharge(
     spec: &KernelSpec,
+    inv: &KernelInvariants,
     deps: &Dependences,
     pair: AmbiguousPair,
     bounds: &[(Value, Value)],
@@ -1087,7 +1061,6 @@ pub fn discharge_pair(
     if bounds.iter().any(|&(lo, hi)| hi < lo) {
         return Some(DischargeReason::DeadCode);
     }
-    let inv = analyze_within(spec, bounds);
     let load = &deps.ops[pair.load];
     let store = &deps.ops[pair.store];
     let len = spec.arrays[load.array.0].len as Value;
@@ -1123,17 +1096,47 @@ pub fn discharge_pair(
     None
 }
 
-/// Runs [`discharge_pair`] over a pair set, returning the proven ones.
+/// Discharges what value reasoning over the inclusive per-level `bounds`
+/// can, returning the proven pairs.
 pub fn discharge_pairs(
     spec: &KernelSpec,
     deps: &Dependences,
     pairs: &[AmbiguousPair],
     bounds: &[(Value, Value)],
 ) -> Vec<(AmbiguousPair, DischargeReason)> {
+    let inv = analyze_within(spec, bounds);
     pairs
         .iter()
-        .filter_map(|&p| discharge_pair(spec, deps, p, bounds).map(|r| (p, r)))
+        .filter_map(|&p| discharge(spec, &inv, deps, p, bounds).map(|r| (p, r)))
         .collect()
+}
+
+/// The upgrade step over a box, given the invariants [`analyze_within`]
+/// computed for it: every [`VerdictClass::MustAlias`] or
+/// [`VerdictClass::Unknown`] verdict that value reasoning discharges becomes
+/// a [`Proof::Invariant`] verdict (disjoint, or order-protected for the
+/// same-address path). Proved verdicts are left as they are.
+pub fn upgrade_verdicts(
+    spec: &KernelSpec,
+    deps: &mut Dependences,
+    inv: &KernelInvariants,
+    bounds: &[(Value, Value)],
+) {
+    for k in 0..deps.pairs.len() {
+        if deps.verdicts[k].proof().is_some() {
+            continue;
+        }
+        let Some(reason) = discharge(spec, inv, deps, deps.pairs[k], bounds) else {
+            continue;
+        };
+        let proof = Proof::Invariant(reason);
+        deps.verdicts[k].class = match reason {
+            DischargeReason::SameIterationOrdered => VerdictClass::OrderProtected(proof),
+            DischargeReason::DisjointValues | DischargeReason::DeadCode => {
+                VerdictClass::Disjoint(proof)
+            }
+        };
+    }
 }
 
 // --- consumer: occupancy bound (PV503) --------------------------------------
@@ -1183,12 +1186,17 @@ pub(crate) fn check_occupancy(spec: &KernelSpec, depth: usize, report: &mut Repo
 
 // --- consumer: value lints (PV500/PV501) ------------------------------------
 
-/// PV500/PV501 — definite out-of-bounds proofs and infeasible guards.
-pub(crate) fn check_values(spec: &KernelSpec, deps: &Dependences, report: &mut Report) {
+/// PV500/PV501 — definite out-of-bounds proofs and infeasible guards, from
+/// the hull invariants ([`analyze_kernel`]).
+pub(crate) fn check_values(
+    spec: &KernelSpec,
+    deps: &Dependences,
+    inv: &KernelInvariants,
+    report: &mut Report,
+) {
     if spec.iteration_count() == 0 {
         return;
     }
-    let inv = analyze_kernel(spec);
     let spans = op_spans(spec, &deps.ops);
     let large = spec.iteration_count() > ENUM_LIMIT;
 
@@ -1393,7 +1401,7 @@ mod tests {
         let s = spec(src);
         let deps = depend::analyze(&s);
         let mut report = Report::default();
-        check_values(&s, &deps, &mut report);
+        check_values(&s, &deps, &analyze_kernel(&s), &mut report);
         let d = report.with_code(Code::InfeasibleGuard);
         assert_eq!(d.len(), 1, "{:?}", report.diagnostics);
         let sugg = d[0].suggestion.as_ref().expect("machine-applicable");
@@ -1413,7 +1421,7 @@ mod tests {
         let s = spec(src);
         let deps = depend::analyze(&s);
         let mut report = Report::default();
-        check_values(&s, &deps, &mut report);
+        check_values(&s, &deps, &analyze_kernel(&s), &mut report);
         let d = report.with_code(Code::RangeOutOfBounds);
         assert!(!d.is_empty(), "{:?}", report.diagnostics);
         assert!(d[0].message.contains("reaches 9"), "{}", d[0].message);
@@ -1424,7 +1432,7 @@ mod tests {
         );
         let deps = depend::analyze(&ok);
         let mut report = Report::default();
-        check_values(&ok, &deps, &mut report);
+        check_values(&ok, &deps, &analyze_kernel(&ok), &mut report);
         assert!(report.with_code(Code::RangeOutOfBounds).is_empty());
     }
 
@@ -1442,7 +1450,7 @@ mod tests {
             let s = spec(src);
             let deps = depend::analyze(&s);
             let mut report = Report::default();
-            check_values(&s, &deps, &mut report);
+            check_values(&s, &deps, &analyze_kernel(&s), &mut report);
             assert!(
                 report.with_code(Code::RangeOutOfBounds).is_empty()
                     && report.with_code(Code::InfeasibleGuard).is_empty(),
@@ -1494,13 +1502,13 @@ mod tests {
         // Full space: a real cross-iteration RAW dependence exists — the
         // prover must stay silent.
         let full = hull_box(&s).expect("nonempty");
-        assert_eq!(discharge_pair(&s, &deps, pair, &full), None);
+        assert!(discharge_pairs(&s, &deps, &[pair], &full).is_empty());
         // First-iterations box (i = 0, k = 0): load and store addresses
         // coincide per-iteration and the form is injective in j.
         let horizon = vec![(0, 0), (0, 3), (0, 0)];
         assert_eq!(
-            discharge_pair(&s, &deps, pair, &horizon),
-            Some(DischargeReason::SameIterationOrdered)
+            discharge_pairs(&s, &deps, &[pair], &horizon),
+            vec![(pair, DischargeReason::SameIterationOrdered)]
         );
     }
 
@@ -1536,7 +1544,7 @@ mod tests {
         if let Ok(s) = s {
             let deps = depend::analyze(&s);
             let mut report = Report::default();
-            check_values(&s, &deps, &mut report);
+            check_values(&s, &deps, &analyze_kernel(&s), &mut report);
             check_occupancy(&s, 16, &mut report);
             assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
         }

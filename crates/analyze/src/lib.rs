@@ -44,9 +44,10 @@
 //! simulator runs. The affine machinery behind PV001/PV004 is the
 //! symbolic dependence engine [`prevv_ir::symdep`] (GCD and Banerjee
 //! tests), which lets the lint families scale past enumerable iteration
-//! spaces; the `PV3xx` notes ([`seplog`]) are the separation-logic-style
-//! disjointness prover that discharges whole pair-classes before they reach
-//! the arbiter or the model checker; the `PV4xx` lints ([`perf`]) model
+//! spaces; the `PV3xx` notes ([`seplog`]) report the one verdict
+//! `prevv_ir::depend` computes per pair, which discharges whole
+//! pair-classes before they reach the arbiter or the model checker; the
+//! `PV4xx` lints ([`perf`]) model
 //! the synthesized netlist as a timed marked graph and bound its
 //! steady-state initiation interval (maximum cycle ratio plus the
 //! controller's port/validation/retire budgets); the `PV5xx` lints
@@ -80,7 +81,7 @@
 use std::fmt;
 
 use prevv_core::PrevvConfig;
-use prevv_ir::depend;
+use prevv_ir::depend::{self, AmbiguousPair, Dependences};
 use prevv_ir::{KernelError, KernelSpec, SynthOptions, SynthesizedKernel};
 
 pub mod absint;
@@ -162,7 +163,18 @@ impl AnalyzeOptions {
 /// [`AnalyzeOptions::depth`] for every depth-sensitive lint — the file
 /// records the configuration it was authored for.
 pub fn analyze(spec: &KernelSpec, opts: &AnalyzeOptions) -> Report {
-    let deps = depend::analyze(spec);
+    analyze_with_verdicts(spec, opts).0
+}
+
+/// [`analyze`], also returning the dependence verdicts the lints read: the
+/// [`depend::analyze`] chain, upgraded once by the value domains over the
+/// iteration hull ([`absint::upgrade_verdicts`]).
+fn analyze_with_verdicts(spec: &KernelSpec, opts: &AnalyzeOptions) -> (Report, Dependences) {
+    let mut deps = depend::analyze(spec);
+    let invariants = absint::analyze_kernel(spec);
+    if let Some(hull) = absint::hull_box(spec) {
+        absint::upgrade_verdicts(spec, &mut deps, &invariants, &hull);
+    }
     let mut effective = opts.clone();
     if let Some((depth, _)) = spec.depth_hint() {
         effective.depth = depth;
@@ -171,16 +183,15 @@ pub fn analyze(spec: &KernelSpec, opts: &AnalyzeOptions) -> Report {
     let mut report = Report::default();
     lints::check_bounds(spec, &deps, &mut report);
     lints::check_deadlock(spec, &deps, opts, &mut report);
-    let refinement = depend::refine_pairs(spec, &deps);
-    lints::check_depth(spec, &deps, &refinement, opts, &mut report);
-    lints::check_disjoint(spec, &deps, &refinement, &mut report);
+    lints::check_depth(spec, &deps, opts, &mut report);
+    lints::check_disjoint(spec, &deps, &mut report);
     lints::check_dead_stores(spec, &deps, &mut report);
     lints::check_pair_reduction(spec, &deps, opts, &mut report);
     seplog::check_separation(spec, &deps, &mut report);
-    absint::check_values(spec, &deps, &mut report);
+    absint::check_values(spec, &deps, &invariants, &mut report);
     absint::check_occupancy(spec, opts.depth, &mut report);
     report.normalize();
-    report
+    (report, deps)
 }
 
 /// Lints kernel source text: parses it and runs [`analyze`]; a parse
@@ -350,28 +361,28 @@ pub fn synthesize_with(
     analyze_opts: &AnalyzeOptions,
 ) -> Result<(SynthesizedKernel, Report), AnalyzeError> {
     spec.validate()?;
-    let mut report = analyze(spec, analyze_opts);
+    let (mut report, deps) = analyze_with_verdicts(spec, analyze_opts);
     if report.has_errors() {
         return Err(AnalyzeError::Rejected(report));
     }
     let mut synth = prevv_ir::synthesize_with(spec, synth_opts)?;
-    // Value-invariant discharge (PV502): pairs absint proves disjoint over
-    // the full iteration hull leave the arbiter's validated set — the
-    // attached controller never compares them. Soundness rides on the
-    // abstract domains (cross-checked against enumeration by the property
-    // tests); the discharged pairs join `bypassed` so tooling sees them.
-    if let Some(hull) = absint::hull_box(spec) {
-        let discharged = absint::discharge_pairs(spec, &synth.deps, &synth.interface.pairs, &hull);
-        if !discharged.is_empty() {
-            synth
-                .interface
-                .pairs
-                .retain(|p| !discharged.iter().any(|(d, _)| d == p));
-            synth
-                .bypassed
-                .extend(discharged.into_iter().map(|(p, _)| p));
-        }
+    // Value-invariant discharge (PV502): pairs the hull upgrade proved safe
+    // leave the arbiter's validated set too — the attached controller never
+    // compares them. Soundness rides on the abstract domains (cross-checked
+    // against enumeration by the property tests); the discharged pairs join
+    // `bypassed` so tooling sees them.
+    if synth_opts.bypass_safe_pairs {
+        let discharged: Vec<AmbiguousPair> = deps
+            .pairs
+            .iter()
+            .zip(&deps.verdicts)
+            .filter(|(_, v)| matches!(v.proof(), Some(depend::Proof::Invariant(_))))
+            .map(|(&p, _)| p)
+            .collect();
+        synth.interface.pairs.retain(|p| !discharged.contains(p));
+        synth.bypassed.extend(discharged);
     }
+    synth.deps = deps;
     let controller = analyze_opts
         .circuit_controller
         .unwrap_or(ControllerModel::Queue {

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use prevv_core::sizing::{expr_latency, recommend_depth, PairTiming};
 use prevv_dataflow::Value;
-use prevv_ir::depend::{pair_distances, Dependences, Refinement, StaticMemOp, ENUM_LIMIT};
+use prevv_ir::depend::{Dependences, StaticMemOp, ENUM_LIMIT};
 use prevv_ir::symdep::{rect_bounds, AffineForm};
 use prevv_ir::{Expr, KernelSpec, MemOpKind, Span};
 
@@ -204,11 +204,11 @@ pub(crate) fn check_deadlock(
 /// PV003 — premature-queue depth. A depth below the per-iteration op count
 /// can never advance the completion frontier (the controller refuses it at
 /// construction); a depth below the matched-pair recommendation of
-/// [`prevv_core::sizing`] merely stalls.
+/// [`prevv_core::sizing`] merely stalls. The recommendation covers every
+/// pair dependence analysis leaves validated.
 pub(crate) fn check_depth(
     spec: &KernelSpec,
     deps: &Dependences,
-    refinement: &Refinement,
     opts: &AnalyzeOptions,
     report: &mut Report,
 ) {
@@ -236,20 +236,17 @@ pub(crate) fn check_depth(
         .iter()
         .map(|s| expr_latency(&s.index, read_latency) + expr_latency(&s.value, read_latency) + 1.0)
         .sum();
-    let distances = pair_distances(spec, deps);
-    let timings: Vec<PairTiming> = refinement
+    let timings: Vec<PairTiming> = deps
         .pairs
         .iter()
-        .map(|pair| {
+        .zip(&deps.verdicts)
+        .filter(|(_, v)| !v.dependence_proved())
+        .map(|(pair, v)| {
             let stmt = &spec.body[deps.ops[pair.store].stmt];
             let t_org = expr_latency(&stmt.index, read_latency)
                 + expr_latency(&stmt.value, read_latency)
                 + 1.0;
-            let squash_probability = match distances
-                .iter()
-                .find(|d| d.pair == *pair)
-                .and_then(|d| d.min_distance)
-            {
+            let squash_probability = match v.min_distance {
                 Some(d) => 1.0 / (d as f64 + 1.0),
                 None => 0.25, // runtime-dependent: collisions are data-dependent
             };
@@ -279,18 +276,15 @@ pub(crate) fn check_depth(
     }
 }
 
-/// PV004 — provably-disjoint pairs. Reports every pair
-/// [`prevv_ir::depend::refine_pairs`] bypasses: all address collisions are
-/// same-iteration load-before-store, which the in-order store commit already
-/// serializes, so synthesis drops the pair from the arbiter's validated set.
-pub(crate) fn check_disjoint(
-    spec: &KernelSpec,
-    deps: &Dependences,
-    refinement: &Refinement,
-    report: &mut Report,
-) {
+/// PV004 — provably-disjoint pairs. Reports every pair whose dependence
+/// verdict is proved ([`prevv_ir::depend::PairVerdict::dependence_proved`]):
+/// all address collisions are same-iteration load-before-store, which the
+/// in-order store commit already serializes, so synthesis drops the pair
+/// from the arbiter's validated set.
+pub(crate) fn check_disjoint(spec: &KernelSpec, deps: &Dependences, report: &mut Report) {
     let spans = op_spans(spec, &deps.ops);
-    for pair in &refinement.bypassed {
+    let pairs = deps.pairs.iter().zip(&deps.verdicts);
+    for (pair, _) in pairs.filter(|(_, v)| v.dependence_proved()) {
         let load = &deps.ops[pair.load];
         let name = array_name(spec, load.array);
         report.push(

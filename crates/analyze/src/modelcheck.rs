@@ -69,13 +69,13 @@ use prevv_core::{Arbiter, CommitStep, PrematureRecord, PrevvConfig, ProtocolStat
 use prevv_dataflow::{Tag, Value};
 use prevv_ir::symdep::{classify_accesses, PairClass};
 use prevv_ir::{
-    depend::{AmbiguousPair, StaticMemOp},
+    depend::{AmbiguousPair, DischargeReason, Proof, StaticMemOp},
     Expr, KernelSpec, MemOpKind, Span,
 };
 
-use crate::absint::{self, DischargeReason};
+use crate::absint;
 use crate::diag::{Code, Diagnostic, Report};
-use crate::seplog::{Separation, SeparationStats};
+use crate::seplog::SeparationStats;
 
 /// Default iteration bound when [`ProtocolOptions::iterations`] is zero.
 ///
@@ -867,13 +867,10 @@ impl<'a> Model<'a> {
             })
             .collect();
 
-        let deps = prevv_ir::depend::analyze(spec);
-        let mut pair_stats = crate::seplog::separation_stats(spec, &deps);
-
         // Horizon-box invariant discharge (PV502): the per-level min/max of
         // the explored iteration prefix is a rectangular box covering every
         // explored induction-variable value; pairs the absint value domains
-        // prove disjoint within that box never collide in any explored
+        // prove safe within that box never collide in any explored
         // interleaving, so they leave the validated set before exploration
         // starts. Sound for the bounded verdicts only — PV2xx claims were
         // already relative to the horizon (PV200, DESIGN.md).
@@ -884,22 +881,23 @@ impl<'a> Model<'a> {
                 (lo, hi)
             })
             .collect();
-        let discharged = absint::discharge_pairs(spec, &deps, &synth.interface.pairs, &horizon_box);
-        if !discharged.is_empty() {
-            let classes = crate::seplog::classify_pairs(spec, &deps);
-            for (p, _) in &discharged {
-                match classes.iter().find(|(q, _)| q == p).map(|&(_, v)| v) {
-                    Some(Separation::MustAlias) => pair_stats.must_alias -= 1,
-                    Some(Separation::Residual) => pair_stats.residual -= 1,
-                    _ => {}
-                }
-                pair_stats.discharged += 1;
-            }
-            synth
-                .interface
-                .pairs
-                .retain(|p| !discharged.iter().any(|(d, _)| d == p));
-        }
+        let invariants = absint::analyze_within(spec, &horizon_box);
+        absint::upgrade_verdicts(spec, &mut synth.deps, &invariants, &horizon_box);
+        let pair_stats = SeparationStats::of(&synth.deps);
+        let discharged: Vec<(AmbiguousPair, DischargeReason)> = synth
+            .deps
+            .pairs
+            .iter()
+            .zip(&synth.deps.verdicts)
+            .filter_map(|(&p, v)| match v.proof() {
+                Some(Proof::Invariant(reason)) => Some((p, reason)),
+                _ => None,
+            })
+            .collect();
+        synth
+            .interface
+            .pairs
+            .retain(|p| !discharged.iter().any(|(d, _)| d == p));
         let iface = &synth.interface;
 
         let ops: Vec<StaticMemOp> = iface.ports.iter().map(|p| p.op.clone()).collect();

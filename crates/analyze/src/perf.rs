@@ -45,15 +45,10 @@ use std::collections::HashSet;
 
 use prevv_core::PrevvConfig;
 use prevv_dataflow::{Netlist, Value};
-use prevv_ir::depend::{pair_distances, PairDistance};
+use prevv_ir::depend::{VerdictClass, ENUM_LIMIT};
 use prevv_ir::{ArrayId, Expr, KernelSpec, MemOpKind, SynthesizedKernel};
 
 use crate::diag::{json_string, Code, Diagnostic, Report, Suggestion};
-
-/// Iteration spaces larger than this are not enumerated; guard densities
-/// fall back to their sound defaults and the address-stream interpreter is
-/// skipped (matching `depend::pair_distances`' enumeration limit).
-const ENUM_LIMIT: usize = 4096;
 
 /// Cycles from a store's value arriving at the controller to a dependent
 /// load taking it through the premature-queue bypass — the forwarding
@@ -677,12 +672,7 @@ fn path_above_load(e: &Expr, array: ArrayId, index: &Expr) -> Option<f64> {
 /// True when no execution can satisfy this load from the premature queue:
 /// every aliasing store is provably retired (or nonexistent) by the time
 /// the load issues, so the load must round-trip to RAM.
-fn provably_ram_bound(
-    synth: &SynthesizedKernel,
-    distances: &[PairDistance],
-    op_idx: usize,
-    depth: usize,
-) -> bool {
+fn provably_ram_bound(synth: &SynthesizedKernel, op_idx: usize, depth: usize) -> bool {
     let op = &synth.deps.ops[op_idx];
     let stores_to_array = synth
         .deps
@@ -699,10 +689,12 @@ fn provably_ram_bound(
     // Every pair this load participates in must be provably unforwardable.
     // Stores to the same array *not* paired with this load were proven
     // non-colliding by dependence analysis, so they cannot forward either.
-    distances
+    let deps = &synth.deps;
+    deps.pairs
         .iter()
-        .filter(|pd| pd.pair.load == op_idx)
-        .all(|pd| match pd.min_distance {
+        .zip(&deps.verdicts)
+        .filter(|(p, _)| p.load == op_idx)
+        .all(|(_, v)| match v.min_distance {
             // No unprotected collision at any distance: same-iteration
             // program order already serializes whatever overlaps exist.
             None => true,
@@ -726,11 +718,7 @@ struct Term {
 /// arrivals, retirements). Guarded operations are weighted by their exact
 /// enumerated density, or by 0 when the space is too large to enumerate —
 /// under-approximating keeps the bound sound.
-fn sound_terms(
-    synth: &SynthesizedKernel,
-    distances: &[PairDistance],
-    cfg: &PrevvConfig,
-) -> Vec<Term> {
+fn sound_terms(synth: &SynthesizedKernel, cfg: &PrevvConfig) -> Vec<Term> {
     let spec = &synth.spec;
     let densities = guard_densities(spec);
     let density = |stmt: usize| -> f64 {
@@ -751,7 +739,7 @@ fn sound_terms(
         .iter()
         .enumerate()
         .filter(|(_, o)| o.kind == MemOpKind::Load)
-        .filter(|(i, _)| provably_ram_bound(synth, distances, *i, cfg.depth))
+        .filter(|(i, _)| provably_ram_bound(synth, *i, cfg.depth))
         .map(|(_, o)| density(o.stmt))
         .sum();
     let stores: f64 = spec
@@ -807,30 +795,27 @@ fn sound_terms(
 /// individual iterations, not the steady state. Guarded accumulators
 /// collide only on taken iterations, so the distance is scaled by the
 /// guard's execution density.
-fn raw_recurrence_ii(
-    synth: &SynthesizedKernel,
-    distances: &[PairDistance],
-    cfg: &PrevvConfig,
-) -> f64 {
+fn raw_recurrence_ii(synth: &SynthesizedKernel, cfg: &PrevvConfig) -> f64 {
     let spec = &synth.spec;
     let ops_per_iter = spec.mem_ops_per_iter().max(1);
-    let classes = crate::seplog::classify_pairs(spec, &synth.deps);
     let densities = guard_densities(spec);
-    distances
+    synth
+        .deps
+        .pairs
         .iter()
-        .zip(&classes)
-        .filter_map(|(pd, (_, class))| {
-            if *class != crate::seplog::Separation::MustAlias {
+        .zip(&synth.deps.verdicts)
+        .filter_map(|(pair, v)| {
+            if v.class != VerdictClass::MustAlias {
                 return None;
             }
-            let d = pd.min_distance.filter(|&d| d >= 1)?;
+            let d = v.min_distance.filter(|&d| d >= 1)?;
             // Only pairs whose store is still resident when the load
             // arrives forward; farther pairs already count as RAM reads.
             if d.saturating_mul(ops_per_iter as u64) > cfg.depth as u64 {
                 return None;
             }
-            let load = &synth.deps.ops[pd.pair.load];
-            let store = &synth.deps.ops[pd.pair.store];
+            let load = &synth.deps.ops[pair.load];
+            let store = &synth.deps.ops[pair.store];
             if load.stmt != store.stmt {
                 return None; // cross-statement chains are not modeled
             }
@@ -888,8 +873,7 @@ pub fn lint_perf(
             format!("critical cycle: {}", cycle_labels.join(" -> "))
         },
     }];
-    let distances = pair_distances(spec, &synth.deps);
-    terms.extend(sound_terms(synth, &distances, cfg));
+    terms.extend(sound_terms(synth, cfg));
     let binding = terms
         .iter()
         .max_by(|a, b| a.ii.partial_cmp(&b.ii).unwrap_or(std::cmp::Ordering::Equal))
@@ -901,7 +885,7 @@ pub fn lint_perf(
     // first: when it (or a sound term) already throttles the steady state,
     // racing stores arrive before the next load issues and the arrival
     // skew — the squash driver — vanishes.
-    let ii_raw = raw_recurrence_ii(synth, &distances, cfg);
+    let ii_raw = raw_recurrence_ii(synth, cfg);
     let skew = if ii_bound.max(ii_raw) >= SQUASH_II_CUTOFF {
         0
     } else {

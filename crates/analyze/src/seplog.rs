@@ -1,71 +1,37 @@
-//! PV3xx — a separation-logic-style disjointness prover over affine access
-//! footprints.
+//! PV3xx — the separation notes over the dependence verdicts.
 //!
-//! The dependence analysis in `prevv_ir::depend` decides which load/store
-//! pairs the arbiter must validate. This pass re-examines every conservative
-//! pair *symbolically*, in the spirit of separation logic's heap
-//! disjointness assertions: each access is abstracted to its affine
-//! footprint (the set of raw addresses its index form can take over the
-//! iteration hull), and the prover tries to show the two footprints are
-//! **separate** — either disjoint outright, or overlapping only where the
-//! in-order commit already serializes them.
+//! Separation logic phrases "these two accesses never interfere" as one
+//! judgment on their footprints (the sets of cells each can touch). Here
+//! that judgment is the `PairVerdict` that `prevv_ir::depend::analyze` hands
+//! every conservative pair — the affine tests, exact enumeration and the
+//! must-alias check, run once — after the [`absint`](crate::absint) value
+//! domains upgraded what they could over the iteration hull. This pass only
+//! reports it:
 //!
-//! Three verdicts, three codes, all notes:
-//!
-//! * **PV301 (proven separate)** — the footprints are disjoint over the
-//!   hull, or every collision is same-iteration and program-order protected
-//!   (load sequenced before the store). Such a pair never needs the arbiter
-//!   and never enters the model checker's validated set: a whole pair-class
-//!   is discharged before exploration starts.
+//! * **PV301 (proven separate)** — every collision is same-iteration and
+//!   program-order protected (load sequenced before the store), proved by
+//!   the affine tests or by enumeration. Such a pair never needs the
+//!   arbiter and never enters the model checker's validated set.
 //! * **PV302 (must-alias)** — the two footprints are the *same* affine
 //!   function, so they collide on every traversal: the arbiter validation
 //!   for this pair is live, not defensive. Constant footprints (`a[0]`)
 //!   additionally collide across iterations — the canonical squash-replay
 //!   generator.
-//! * **PV300 (separation horizon)** — at least one pair resisted symbolic
-//!   discharge (runtime-dependent index, wrapping range); the dynamic
+//! * **PV502 (invariant discharge)** — the value domains proved the pair
+//!   safe where the affine tests and enumeration could not.
+//! * **PV300 (separation horizon)** — at least one pair is must-alias or
+//!   unproved (runtime-dependent index, cross-iteration reuse); the dynamic
 //!   arbiter and the PV2xx bounded checker remain the only line of defense
 //!   for it.
 //!
-//! The prover rides on [`prevv_ir::symdep::classify_accesses`], which since
-//! the hull-bounds extension also covers triangular nests — strictly more
-//! than the GCD/Banerjee rectangular fast path `refine_pairs` started with.
-//! Its verdicts are one-sided (proof or silence) and are cross-checked
-//! against brute-force enumeration by the property tests in
-//! `tests/analyzer_properties.rs`.
+//! The verdicts are one-sided (proof or silence) and are cross-checked
+//! against brute-force enumeration by `tests/analyzer_properties.rs`.
 
-use prevv_ir::depend::{AmbiguousPair, Dependences};
-use prevv_ir::symdep::{classify_accesses, AffineForm, PairClass};
+use prevv_ir::depend::{Dependences, Proof, VerdictClass};
 use prevv_ir::KernelSpec;
 
-use crate::absint;
 use crate::diag::{Code, Diagnostic, Report};
 use crate::lints::op_spans;
-
-/// The prover's verdict for one conservative load/store pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Separation {
-    /// Proven: the footprints never overlap, in any pair of iterations.
-    DisjointFootprints,
-    /// Proven: every overlap is same-iteration with the load sequenced
-    /// before the store — the in-order commit serializes it.
-    OrderProtected,
-    /// Proven: the footprints are the same affine function; the pair
-    /// collides on every traversal (and across iterations when constant).
-    MustAlias,
-    /// No symbolic proof; the pair stays with the dynamic arbiter.
-    Residual,
-}
-
-impl Separation {
-    /// Pairs the arbiter (and the model checker) no longer needs.
-    pub fn discharged(self) -> bool {
-        matches!(
-            self,
-            Separation::DisjointFootprints | Separation::OrderProtected
-        )
-    }
-}
 
 /// Aggregate pair-class counts, surfaced in the model checker's stats and
 /// the `prevv-lint` JSON summary so the discharge is visible to tooling.
@@ -73,133 +39,79 @@ impl Separation {
 pub struct SeparationStats {
     /// Conservative ambiguous pairs found by dependence analysis.
     pub conservative: usize,
-    /// Pairs the prover discharged (PV301).
+    /// Pairs with a proof, by any method (PV301, PV502).
     pub discharged: usize,
     /// Pairs proven must-alias (PV302) — validated, and provably live.
     pub must_alias: usize,
-    /// Pairs with no symbolic verdict — validated defensively.
+    /// Pairs with no verdict — validated defensively.
     pub residual: usize,
 }
 
-/// Classifies every conservative pair. The order matches `deps.pairs`.
-pub fn classify_pairs(spec: &KernelSpec, deps: &Dependences) -> Vec<(AmbiguousPair, Separation)> {
-    let levels = spec.levels.len();
-    deps.pairs
-        .iter()
-        .map(|&pair| {
-            let load = &deps.ops[pair.load];
-            let store = &deps.ops[pair.store];
-            let verdict = match classify_accesses(spec, &load.index, &store.index, load.array) {
-                PairClass::Disjoint => Separation::DisjointFootprints,
-                PairClass::SameIterationOnly if load.seq < store.seq => Separation::OrderProtected,
-                _ => {
-                    // Identical affine forms must-alias even when the raw
-                    // range wraps: equal raw values stay equal after
-                    // `rem_euclid`.
-                    match (
-                        AffineForm::from_expr(&load.index, levels),
-                        AffineForm::from_expr(&store.index, levels),
-                    ) {
-                        (Some(a), Some(b)) if a == b => Separation::MustAlias,
-                        _ => Separation::Residual,
-                    }
+impl SeparationStats {
+    /// Counts the verdicts of `deps`.
+    pub fn of(deps: &Dependences) -> Self {
+        let mut stats = SeparationStats {
+            conservative: deps.pairs.len(),
+            ..SeparationStats::default()
+        };
+        for v in &deps.verdicts {
+            match v.class {
+                VerdictClass::OrderProtected(_) | VerdictClass::Disjoint(_) => {
+                    stats.discharged += 1
                 }
-            };
-            (pair, verdict)
-        })
-        .collect()
-}
-
-/// Aggregate counts over [`classify_pairs`].
-pub fn separation_stats(spec: &KernelSpec, deps: &Dependences) -> SeparationStats {
-    let mut stats = SeparationStats {
-        conservative: deps.pairs.len(),
-        ..SeparationStats::default()
-    };
-    for (_, verdict) in classify_pairs(spec, deps) {
-        match verdict {
-            Separation::DisjointFootprints | Separation::OrderProtected => stats.discharged += 1,
-            Separation::MustAlias => stats.must_alias += 1,
-            Separation::Residual => stats.residual += 1,
+                VerdictClass::MustAlias => stats.must_alias += 1,
+                VerdictClass::Unknown => stats.residual += 1,
+            }
         }
+        stats
     }
-    stats
 }
 
-/// The lint pass: one PV301 note per discharged pair, one PV302 note per
-/// must-alias pair, and a single PV300 horizon note when anything remains
-/// for the dynamic arbiter.
-///
-/// Pairs the affine prover cannot discharge get a second chance with the
-/// [`absint`] value domains over the full iteration hull: guard-refined
-/// footprints that are disjoint by interval or congruence (e.g. a store
-/// guarded to even iterations against a load guarded to odd ones) become
-/// PV502 notes and stop counting against the separation horizon.
+/// The lint pass: one PV301 note per pair dependence analysis proved
+/// order-protected, one PV502 note per pair value invariants discharged,
+/// one PV302 note per must-alias pair, and a single PV300 horizon note when
+/// anything remains for the dynamic arbiter.
 pub(crate) fn check_separation(spec: &KernelSpec, deps: &Dependences, report: &mut Report) {
     let spans = op_spans(spec, &deps.ops);
-    let verdicts = classify_pairs(spec, deps);
-    let hull = absint::hull_box(spec);
     let mut residual = 0usize;
-    for (pair, verdict) in &verdicts {
+    for (pair, verdict) in deps.pairs.iter().zip(&deps.verdicts) {
         let name = &spec.arrays[deps.ops[pair.load].array.0].name;
         let span = spans[pair.load].or(spans[pair.store]);
-        if !verdict.discharged() {
-            if let Some(reason) = hull
-                .as_deref()
-                .and_then(|b| absint::discharge_pair(spec, deps, *pair, b))
-            {
-                report.push(
-                    Diagnostic::note(
-                        Code::InvariantDischarge,
-                        format!(
-                            "value invariants discharge the load/store pair on `{name}`: \
-                             {} — the pair leaves the arbiter's validated set",
-                            reason.describe()
-                        ),
-                    )
-                    .with_span(span),
-                );
+        let note = match verdict.class {
+            VerdictClass::OrderProtected(Proof::Invariant(reason))
+            | VerdictClass::Disjoint(Proof::Invariant(reason)) => Diagnostic::note(
+                Code::InvariantDischarge,
+                format!(
+                    "value invariants discharge the load/store pair on `{name}`: \
+                     {} — the pair leaves the arbiter's validated set",
+                    reason.describe()
+                ),
+            ),
+            VerdictClass::OrderProtected(_) | VerdictClass::Disjoint(_) => Diagnostic::note(
+                Code::ProvenDisjoint,
+                format!(
+                    "load/store footprints on `{name}` are proven separate: every overlap \
+                     is same-iteration and the load is sequenced before the store, which \
+                     the in-order commit serializes"
+                ),
+            ),
+            VerdictClass::MustAlias => {
+                residual += 1;
+                Diagnostic::note(
+                    Code::MustAlias,
+                    format!(
+                        "load/store footprints on `{name}` must-alias: both follow the \
+                         same affine index function, so the arbiter validation for this \
+                         pair fires on every traversal"
+                    ),
+                )
+            }
+            VerdictClass::Unknown => {
+                residual += 1;
                 continue;
             }
-        }
-        match verdict {
-            Separation::DisjointFootprints => report.push(
-                Diagnostic::note(
-                    Code::ProvenDisjoint,
-                    format!(
-                        "load/store footprints on `{name}` are proven separate: the affine \
-                         envelopes never overlap, in any pair of iterations"
-                    ),
-                )
-                .with_span(span),
-            ),
-            Separation::OrderProtected => report.push(
-                Diagnostic::note(
-                    Code::ProvenDisjoint,
-                    format!(
-                        "load/store footprints on `{name}` are proven separate: every overlap \
-                         is same-iteration and the load is sequenced before the store, which \
-                         the in-order commit serializes"
-                    ),
-                )
-                .with_span(span),
-            ),
-            Separation::MustAlias => {
-                residual += 1;
-                report.push(
-                    Diagnostic::note(
-                        Code::MustAlias,
-                        format!(
-                            "load/store footprints on `{name}` must-alias: both follow the \
-                             same affine index function, so the arbiter validation for this \
-                             pair fires on every traversal"
-                        ),
-                    )
-                    .with_span(span),
-                );
-            }
-            Separation::Residual => residual += 1,
-        }
+        };
+        report.push(note.with_span(span));
     }
     if residual > 0 {
         report.push(
@@ -209,7 +121,7 @@ pub(crate) fn check_separation(spec: &KernelSpec, deps: &Dependences, report: &m
                     "separation horizon: {residual} of {} ambiguous pair(s) resist symbolic \
                      discharge; the dynamic arbiter validates them and the PV2xx checker \
                      explores their interleavings",
-                    verdicts.len()
+                    deps.pairs.len()
                 ),
             )
             .with_help(
@@ -223,31 +135,35 @@ pub(crate) fn check_separation(spec: &KernelSpec, deps: &Dependences, report: &m
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prevv_ir::depend::analyze;
+    use crate::absint;
     use prevv_ir::parse::parse_kernel;
 
-    fn verdicts(src: &str) -> Vec<Separation> {
+    /// Dependence verdicts after the hull upgrade, as `analyze` runs them.
+    fn analyze(spec: &KernelSpec) -> Dependences {
+        let mut deps = prevv_ir::depend::analyze(spec);
+        if let Some(hull) = absint::hull_box(spec) {
+            let invariants = absint::analyze_within(spec, &hull);
+            absint::upgrade_verdicts(spec, &mut deps, &invariants, &hull);
+        }
+        deps
+    }
+
+    fn verdicts(src: &str) -> Vec<VerdictClass> {
         let spec = parse_kernel("t", src).expect("parses");
-        let deps = analyze(&spec);
-        classify_pairs(&spec, &deps)
-            .into_iter()
-            .map(|(_, v)| v)
-            .collect()
+        analyze(&spec).verdicts.iter().map(|v| v.class).collect()
     }
 
     #[test]
     fn order_protected_accumulator_is_discharged() {
         let v = verdicts("int a[8];\nfor (int i = 0; i < 8; ++i) { a[i] = a[i] + 1; }");
-        assert_eq!(v, vec![Separation::OrderProtected]);
+        assert_eq!(v, vec![VerdictClass::OrderProtected(Proof::Affine)]);
     }
 
     #[test]
     fn shifted_streams_are_discharged_before_the_prover() {
-        // `a[i + 8]` vs `a[i]`: `depend::analyze` runs the same
-        // `classify_accesses` proof and drops outright-disjoint pairs from
-        // the conservative set, so nothing is left for the prover — the
-        // `DisjointFootprints` arm is upstream-subsumed (defense in depth
-        // should the dependence policy ever become more conservative).
+        // `a[i + 8]` vs `a[i]`: `depend::analyze` drops outright-disjoint
+        // pairs from the conservative set, so there is no verdict to
+        // report.
         let spec = parse_kernel(
             "t",
             "int a[16];\nfor (int i = 0; i < 8; ++i) { a[i + 8] = a[i] + 1; }",
@@ -258,13 +174,13 @@ mod tests {
             deps.pairs.is_empty(),
             "fully disjoint footprints never reach the prover"
         );
-        assert!(classify_pairs(&spec, &deps).is_empty());
+        assert!(deps.verdicts.is_empty());
     }
 
     #[test]
     fn constant_cell_must_aliases() {
         let v = verdicts("int a[4];\nfor (int i = 0; i < 8; ++i) { a[0] = a[0] + 1; }");
-        assert_eq!(v, vec![Separation::MustAlias]);
+        assert_eq!(v, vec![VerdictClass::MustAlias]);
     }
 
     #[test]
@@ -275,7 +191,7 @@ mod tests {
         )
         .expect("parses");
         let deps = analyze(&spec);
-        let stats = separation_stats(&spec, &deps);
+        let stats = SeparationStats::of(&deps);
         assert_eq!(stats.conservative, stats.discharged + stats.residual);
         assert!(stats.residual >= 1, "the data-dependent pair stays");
     }
@@ -286,7 +202,7 @@ mod tests {
                    for (int i = 0; i < 8; ++i) { a[b[i]] = a[b[i]] + 5; b[i] = b[i] + 3; }";
         let spec = parse_kernel("fig2a", src).expect("parses");
         let deps = analyze(&spec);
-        let stats = separation_stats(&spec, &deps);
+        let stats = SeparationStats::of(&deps);
         assert_eq!(stats.conservative, 4);
         assert_eq!(stats.discharged, 3, "the three affine b pairs");
         assert_eq!(stats.residual, 1, "the data-dependent a pair");
@@ -294,8 +210,8 @@ mod tests {
 
     #[test]
     fn parity_guarded_pair_is_value_discharged_not_residual() {
-        // Both accesses follow the same affine index `i`, so the affine
-        // prover says must-alias — but the guards confine the store to even
+        // Both accesses follow the same affine index `i`, so dependence
+        // analysis says must-alias — but the guards confine the store to even
         // iterations and the load to odd ones, and the congruence domain
         // proves the footprints disjoint (PV502, no horizon note).
         let spec = parse_kernel(

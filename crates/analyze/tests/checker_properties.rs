@@ -1,10 +1,10 @@
-//! Property-based cross-checks for the two provers this crate layers on
-//! top of dependence analysis:
+//! Property-based cross-checks for the verdicts the PV2xx model checker
+//! starts from and for the checker itself:
 //!
-//! 1. the PV3xx separation prover's one-sided verdicts (PV301 proven
-//!    separate, PV302 must-alias) agree with brute-force cross-product
-//!    enumeration of the affine footprints over the iteration space (the
-//!    same oracle `refine_pairs` uses under `ENUM_LIMIT`), and
+//! 1. the pair verdicts behind the PV3xx separation figures (PV301
+//!    proven separate, PV302 must-alias) agree with brute-force
+//!    cross-product enumeration of the affine footprints over the
+//!    iteration space, and
 //! 2. the partial-order-reduced exploration of the PV2xx model checker
 //!    reaches a protocol violation **iff** the unreduced BFS does, on
 //!    randomized small kernels — the soundness side of the ample-set
@@ -12,16 +12,14 @@
 
 use proptest::prelude::*;
 
-use prevv_analyze::seplog::{classify_pairs, Separation};
 use prevv_analyze::{check_protocol, ProtocolOptions};
 use prevv_core::PrevvConfig;
-use prevv_ir::depend::{analyze as depend_analyze, ENUM_LIMIT};
+use prevv_ir::depend::{analyze as depend_analyze, Proof, StaticMemOp, VerdictClass, ENUM_LIMIT};
 use prevv_ir::parse::parse_kernel;
 use prevv_ir::symdep::AffineForm;
 
 // ---------------------------------------------------------------------------
-// Kernel generators: small single-loop kernels from a constrained grammar,
-// so the unreduced state spaces stay enumerable.
+// Pair verdicts vs. enumeration.
 // ---------------------------------------------------------------------------
 
 /// An affine read-modify-write statement `a[c1*i + d1] = a[c2*i + d2] + k;`.
@@ -69,13 +67,19 @@ fn affine_kernel(len: usize, trip: usize, stmts: &[AffineStmt]) -> String {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Every PV301/PV302 verdict the separation prover hands out is
-    /// confirmed by enumerating the full cross product of iteration pairs
-    /// (bounded by `ENUM_LIMIT`, as in `refine_pairs`):
+    /// Every verdict `depend::analyze` hands out is confirmed by
+    /// enumerating the full cross product of iteration pairs, both raw
+    /// (the affine forms) and wrapped (the addresses the runtime touches):
     ///
-    /// * proven separate → no cross-iteration collision exists, and any
-    ///   same-iteration collision is load-before-store;
-    /// * must-alias → the footprints collide in *every* iteration.
+    /// * order protected (PV301) → the load is sequenced first and no
+    ///   cross-iteration collision exists;
+    /// * disjoint (PV301) → no collision at all;
+    /// * must-alias (PV302) → the footprints collide in *every* iteration;
+    /// * `min_distance` is the minimum iteration distance over the
+    ///   collisions program order does not protect.
+    ///
+    /// The generated kernels of `tests/analyzer_properties.rs` (guards,
+    /// nests, opaque and runtime indices) get the same check there.
     #[test]
     fn separation_verdicts_agree_with_enumeration(
         len in 4usize..24,
@@ -88,56 +92,74 @@ proptest! {
             // prover never sees them.
             return Ok(());
         };
-        prop_assume!(spec.iteration_count() <= ENUM_LIMIT);
+        prop_assert!(spec.iteration_count() <= ENUM_LIMIT);
         let space = spec.iteration_space();
         let deps = depend_analyze(&spec);
+        prop_assert_eq!(deps.verdicts.len(), deps.pairs.len());
         let levels = spec.levels.len();
 
-        for (pair, verdict) in classify_pairs(&spec, &deps) {
+        for (pair, verdict) in deps.pairs.iter().zip(&deps.verdicts) {
             let load = &deps.ops[pair.load];
             let store = &deps.ops[pair.store];
             let (Some(lf), Some(sf)) = (
                 AffineForm::from_expr(&load.index, levels),
                 AffineForm::from_expr(&store.index, levels),
             ) else {
-                // Non-affine indices can only be Residual.
-                prop_assert_eq!(verdict, Separation::Residual);
+                prop_assert!(
+                    verdict.class != VerdictClass::MustAlias
+                        && verdict.proof() != Some(Proof::Affine),
+                    "non-affine pair got {:?}\n{}", verdict, src
+                );
                 continue;
             };
-            match verdict {
-                Separation::DisjointFootprints => {
-                    for r1 in &space {
-                        for r2 in &space {
+            let wrapped = |f: &AffineForm, op: &StaticMemOp, row: &[i64]| {
+                spec.resolve_index(op.array, f.eval(row))
+            };
+            let mut hits = Vec::new();
+            for (i1, r1) in space.iter().enumerate() {
+                for (i2, r2) in space.iter().enumerate() {
+                    if wrapped(&lf, load, r1) == wrapped(&sf, store, r2) {
+                        hits.push((i1, i2));
+                    }
+                }
+            }
+            let brute = hits
+                .iter()
+                .filter(|&&(i1, i2)| !(i1 == i2 && load.seq < store.seq))
+                .map(|&(i1, i2)| i1.abs_diff(i2) as u64)
+                .min();
+            prop_assert_eq!(verdict.min_distance, brute, "min_distance of {:?}\n{}", verdict, src);
+            match verdict.class {
+                VerdictClass::Disjoint(_) => {
+                    // Equal raw addresses wrap to equal cells, so no
+                    // wrapped collision means no raw one either.
+                    prop_assert!(hits.is_empty(), "disjoint pair collides at {:?}\n{}", hits, src);
+                }
+                VerdictClass::OrderProtected(_) => {
+                    prop_assert!(load.seq < store.seq, "order protection needs program order");
+                    prop_assert!(
+                        hits.iter().all(|&(i1, i2)| i1 == i2),
+                        "order-protected pair collides across iterations {:?}\n{}", hits, src
+                    );
+                    for (i1, r1) in space.iter().enumerate() {
+                        for (i2, r2) in space.iter().enumerate() {
                             prop_assert!(
-                                lf.eval(r1) != sf.eval(r2),
-                                "PV301-disjoint pair collides at rows {r1:?}/{r2:?}\n{src}"
+                                i1 == i2 || lf.eval(r1) != sf.eval(r2),
+                                "order-protected pair collides raw across \
+                                 iterations {}/{}\n{}", i1, i2, src
                             );
                         }
                     }
                 }
-                Separation::OrderProtected => {
-                    prop_assert!(load.seq < store.seq, "order protection needs program order");
-                    for (i1, r1) in space.iter().enumerate() {
-                        for (i2, r2) in space.iter().enumerate() {
-                            if i1 != i2 {
-                                prop_assert!(
-                                    lf.eval(r1) != sf.eval(r2),
-                                    "PV301-order-protected pair collides across \
-                                     iterations {i1}/{i2}\n{src}"
-                                );
-                            }
-                        }
-                    }
-                }
-                Separation::MustAlias => {
+                VerdictClass::MustAlias => {
                     for r in &space {
                         prop_assert_eq!(
                             lf.eval(r), sf.eval(r),
-                            "PV302 pair must collide in every iteration\n{src}"
+                            "PV302 pair must collide in every iteration\n{}", src
                         );
                     }
                 }
-                Separation::Residual => {}
+                VerdictClass::Unknown => {}
             }
         }
     }

@@ -141,12 +141,12 @@ pub fn expr_latency(e: &prevv_ir::Expr, ram_read_latency: u32) -> f64 {
 /// static bound (their cost appears as squashes instead).
 pub fn kernel_recurrence_ii(spec: &prevv_ir::KernelSpec, ram_read_latency: u32) -> f64 {
     let deps = prevv_ir::depend::analyze(spec);
-    let distances = prevv_ir::depend::pair_distances(spec, &deps);
-    distances
+    deps.pairs
         .iter()
-        .filter_map(|pd| {
-            let d = pd.min_distance?;
-            let store = &deps.ops[pd.pair.store];
+        .zip(&deps.verdicts)
+        .filter_map(|(pair, v)| {
+            let d = v.min_distance?;
+            let store = &deps.ops[pair.store];
             let stmt = &spec.body[store.stmt];
             let chain = expr_latency(&stmt.value, ram_read_latency) + 1.0;
             Some(recurrence_ii(chain, d))

@@ -7,6 +7,10 @@
 //! (ambiguous) whenever an index depends on memory contents or opaque
 //! runtime functions — precisely the situation of the paper's Fig. 2(b)
 //! where `f(x)`/`g(x)` defeat the compiler.
+//!
+//! "Does this pair need the arbiter?" is answered here, once per pair, as a
+//! [`PairVerdict`]; synthesis, the lints, the throughput model and the
+//! model checker all read that verdict instead of re-deriving it.
 
 use std::collections::HashSet;
 
@@ -15,7 +19,7 @@ use prevv_dataflow::Value;
 use crate::expr::{ArrayId, Expr};
 use crate::golden::MemOpKind;
 use crate::kernel::KernelSpec;
-use crate::symdep::{self, PairClass};
+use crate::symdep::{self, AffineForm, PairClass};
 
 /// Largest iteration-space size the exact (enumerating) analyses run on.
 ///
@@ -57,6 +61,97 @@ pub struct AmbiguousPair {
     pub store: usize,
 }
 
+/// Why value invariants (the `prevv-analyze` abstract interpreter) proved a
+/// pair safe over a box of induction values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DischargeReason {
+    /// The guard-refined wrapped footprints share no address (interval or
+    /// congruence disjointness).
+    DisjointValues,
+    /// Both accesses follow the same address function over the domain, the
+    /// function is injective and never wraps, and the load is sequenced
+    /// before the store — every collision is same-iteration and already
+    /// serialized by the in-order commit.
+    SameIterationOrdered,
+    /// One side's guard is infeasible over the domain: the op only ever
+    /// issues fake tokens, which carry no address.
+    DeadCode,
+}
+
+impl DischargeReason {
+    /// Human-readable clause for diagnostics.
+    pub fn describe(&self) -> &'static str {
+        match self {
+            DischargeReason::DisjointValues => {
+                "guard-refined value footprints are disjoint (interval/congruence)"
+            }
+            DischargeReason::SameIterationOrdered => {
+                "addresses provably coincide only same-iteration, load before store"
+            }
+            DischargeReason::DeadCode => "one access is guarded by an infeasible predicate",
+        }
+    }
+}
+
+/// The method that proved a pair safe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Proof {
+    /// The symbolic GCD/Banerjee tests of [`crate::symdep`] (any space size).
+    Affine,
+    /// Exact enumeration of both address streams (spaces up to
+    /// [`ENUM_LIMIT`]).
+    Enumerated,
+    /// Value invariants over a box, added after dependence analysis by the
+    /// `prevv-analyze` abstract interpreter.
+    Invariant(DischargeReason),
+}
+
+/// What is known about one ambiguous pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VerdictClass {
+    /// Proved: every collision is same-iteration with the load sequenced
+    /// before the store, which the in-order commit already serializes.
+    OrderProtected(Proof),
+    /// Proved: the accesses never touch the same cell. Dependence analysis
+    /// drops such pairs outright, so only value invariants produce this.
+    Disjoint(Proof),
+    /// The load and store follow the same affine index function, so they
+    /// collide on every traversal: the arbiter's validation is live.
+    MustAlias,
+    /// No proof either way; the pair stays with the dynamic arbiter.
+    Unknown,
+}
+
+/// The one verdict on an ambiguous pair that every consumer reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairVerdict {
+    /// The verdict proper.
+    pub class: VerdictClass,
+    /// Minimum `|iter(load) − iter(store)|` at which the pair's addresses
+    /// collide outside same-iteration program-order protection. `None`
+    /// means no such collision exists (the pair is order-protected), or that
+    /// the distance is unknowable statically (runtime-dependent index, or a
+    /// space past [`ENUM_LIMIT`]). Distance 0 means a same-iteration
+    /// (ROM-ordered) conflict exists.
+    pub min_distance: Option<u64>,
+}
+
+impl PairVerdict {
+    /// The proof that the pair never needs the arbiter, if any.
+    pub fn proof(&self) -> Option<Proof> {
+        match self.class {
+            VerdictClass::OrderProtected(p) | VerdictClass::Disjoint(p) => Some(p),
+            VerdictClass::MustAlias | VerdictClass::Unknown => None,
+        }
+    }
+
+    /// True when dependence analysis itself (the affine tests or
+    /// enumeration) proved the pair safe: the pairs synthesis bypasses.
+    pub fn dependence_proved(&self) -> bool {
+        matches!(self.proof(), Some(Proof::Affine | Proof::Enumerated))
+    }
+}
+
 /// The result of dependence analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dependences {
@@ -64,6 +159,8 @@ pub struct Dependences {
     pub ops: Vec<StaticMemOp>,
     /// All ambiguous load/store pairs.
     pub pairs: Vec<AmbiguousPair>,
+    /// One verdict per pair, index-aligned with [`Self::pairs`].
+    pub verdicts: Vec<PairVerdict>,
 }
 
 impl Dependences {
@@ -128,118 +225,150 @@ pub fn enumerate_ops(spec: &KernelSpec) -> Vec<StaticMemOp> {
     ops
 }
 
-/// Runs the dependence analysis.
+/// Runs the dependence analysis and decides every ambiguous pair once.
 ///
 /// Two accesses of the same array form an ambiguous pair when their address
-/// sets can intersect. The symbolic GCD/Banerjee tests ([`crate::symdep`])
-/// run first and can discharge a pair as disjoint on any space size; for
-/// spaces up to [`ENUM_LIMIT`] the address sets of the remaining affine
-/// pairs are then enumerated exactly, beyond it they stay conservatively
-/// ambiguous. An index that reads memory or applies an opaque function makes
-/// the pair ambiguous unconditionally (its addresses are unknowable before
-/// runtime). This matches Dynamatic's policy of routing every potentially
-/// dependent access through the LSQ.
+/// sets can intersect. An index that reads memory or applies an opaque
+/// function makes the pair ambiguous unconditionally (its addresses are
+/// unknowable before runtime). This matches Dynamatic's policy of routing
+/// every potentially dependent access through the LSQ.
+///
+/// Each pair then gets its [`PairVerdict`] from one prover chain:
+///
+/// 1. the symbolic GCD/Banerjee tests ([`crate::symdep`]), on any space
+///    size: a disjoint proof drops the pair, a same-iteration-only proof
+///    with the load sequenced first makes it [`Proof::Affine`]
+///    order-protected;
+/// 2. for statically evaluable indices on spaces up to [`ENUM_LIMIT`], the
+///    exact collision search: it drops pairs whose address sets never meet,
+///    yields the minimum unprotected distance, and makes the pair
+///    [`Proof::Enumerated`] order-protected when no unprotected collision
+///    exists;
+/// 3. for pairs still unproved, the must-alias check (equal affine forms).
+///
+/// An order-protected pair never needs the arbiter: removing it from the
+/// validated set skips the arbiter's head-to-tail search for its ops without
+/// weakening validation of any remaining pair, since arriving validated ops
+/// are still compared against *all* resident queue records.
 pub fn analyze(spec: &KernelSpec) -> Dependences {
     let ops = enumerate_ops(spec);
+    let levels = spec.levels.len();
     let small = spec.iteration_count() <= ENUM_LIMIT;
     let space = if small {
         spec.iteration_space()
     } else {
         Vec::new()
     };
-    // Precompute each op's address set (None = runtime-dependent or the
-    // space is too large to enumerate).
-    let addr_sets: Vec<Option<HashSet<usize>>> = ops
+    // Each op's address stream in iteration order (None = runtime-dependent
+    // index or a space too large to enumerate); stores also keep theirs as
+    // sorted `(address, iteration)` pairs for the nearest-store search.
+    let streams: Vec<Option<Vec<usize>>> = ops
         .iter()
         .map(|op| {
-            if !small || op.index.is_runtime_dependent() {
-                None
-            } else {
-                Some(
-                    space
-                        .iter()
-                        .map(|row| spec.resolve_index(op.array, eval_affine(&op.index, row)))
-                        .collect(),
-                )
-            }
+            (small && !op.index.is_runtime_dependent()).then(|| {
+                space
+                    .iter()
+                    .map(|row| spec.resolve_index(op.array, eval_affine(&op.index, row)))
+                    .collect()
+            })
+        })
+        .collect();
+    let sorted: Vec<Option<Vec<(usize, usize)>>> = ops
+        .iter()
+        .zip(&streams)
+        .map(|(op, stream)| {
+            let addrs = stream.as_ref().filter(|_| op.kind == MemOpKind::Store)?;
+            let mut s: Vec<(usize, usize)> = addrs.iter().copied().zip(0..).collect();
+            s.sort_unstable();
+            Some(s)
         })
         .collect();
 
     let mut pairs = Vec::new();
-    for l in &ops {
-        if l.kind != MemOpKind::Load {
-            continue;
-        }
+    let mut verdicts = Vec::new();
+    for l in ops.iter().filter(|o| o.kind == MemOpKind::Load) {
         for s in &ops {
             if s.kind != MemOpKind::Store || s.array != l.array {
                 continue;
             }
+            let protected = l.seq < s.seq;
             let affine = !l.index.is_runtime_dependent() && !s.index.is_runtime_dependent();
-            if affine
-                && symdep::classify_accesses(spec, &l.index, &s.index, l.array)
-                    == PairClass::Disjoint
-            {
-                // Symbolic fast path: proved never to touch the same cell.
+            let symbolic = if affine {
+                symdep::classify_accesses(spec, &l.index, &s.index, l.array)
+            } else {
+                PairClass::Unknown
+            };
+            if symbolic == PairClass::Disjoint {
                 continue;
             }
-            let conflict = match (&addr_sets[l.id], &addr_sets[s.id]) {
-                (Some(la), Some(sa)) => !la.is_disjoint(sa),
-                _ => true,
+            // `Some(d)`: enumerated, with minimum unprotected distance `d`.
+            let enumerated = match (&streams[l.id], &sorted[s.id]) {
+                (Some(loads), Some(stores)) => match collisions(loads, stores, protected) {
+                    None => continue, // the address sets never meet
+                    found => found,
+                },
+                _ => None,
             };
-            if conflict {
-                pairs.push(AmbiguousPair {
-                    load: l.id,
-                    store: s.id,
-                });
-            }
+            let class = if symbolic == PairClass::SameIterationOnly && protected {
+                VerdictClass::OrderProtected(Proof::Affine)
+            } else if enumerated == Some(None) {
+                VerdictClass::OrderProtected(Proof::Enumerated)
+            } else if must_alias(l, s, levels) {
+                VerdictClass::MustAlias
+            } else {
+                VerdictClass::Unknown
+            };
+            let min_distance = match class {
+                VerdictClass::OrderProtected(_) => None,
+                _ => enumerated.flatten(),
+            };
+            pairs.push(AmbiguousPair {
+                load: l.id,
+                store: s.id,
+            });
+            verdicts.push(PairVerdict {
+                class,
+                min_distance,
+            });
         }
     }
-    Dependences { ops, pairs }
+    Dependences {
+        ops,
+        pairs,
+        verdicts,
+    }
 }
 
-/// The iteration distance profile of one ambiguous pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PairDistance {
-    /// The pair.
-    pub pair: AmbiguousPair,
-    /// Minimum `|iter(load) − iter(store)|` at which the pair's addresses
-    /// collide outside same-iteration program-order protection. `None` means
-    /// no such collision exists (proved by enumeration or symbolically), or
-    /// that the distance is unknowable statically (runtime-dependent index,
-    /// or a space past [`ENUM_LIMIT`] with no symbolic proof). Distance 0
-    /// means a same-iteration (ROM-ordered) conflict exists.
-    pub min_distance: Option<u64>,
+/// Identical affine index functions collide on every traversal, even when
+/// the raw range wraps: equal raw values stay equal after `rem_euclid`.
+fn must_alias(load: &StaticMemOp, store: &StaticMemOp, levels: usize) -> bool {
+    match (
+        AffineForm::from_expr(&load.index, levels),
+        AffineForm::from_expr(&store.index, levels),
+    ) {
+        (Some(a), Some(b)) => a == b,
+        _ => false,
+    }
 }
 
-/// Minimum unprotected collision distance of one affine pair, exact over
-/// the materialized space.
+/// Exact collision search of one pair over the materialized space: `None`
+/// when the load's and the store's address sets never meet, otherwise the
+/// minimum `|iter(load) − iter(store)|` over the collisions program order
+/// does not protect (`Some(None)` when it protects them all).
 ///
-/// The store stream's `(address, iteration)` pairs are sorted once; each
-/// load iteration then binary-searches its own address for the nearest
-/// earlier and nearest later store iteration. A store in the load's own
-/// iteration counts (at distance 0) only when it precedes the load in the
-/// order ROM — a load sequenced first is protected by program order, so
-/// the search steps past it to the next later store. With `N` iterations
-/// this costs `O(N log N)` instead of the `N²` of comparing every load
-/// iteration with every store iteration, and returns the same minimum.
-fn enumerated_min_distance(
-    spec: &KernelSpec,
-    load: &StaticMemOp,
-    store: &StaticMemOp,
-    space: &[Vec<Value>],
-) -> Option<u64> {
-    let addr_of =
-        |op: &StaticMemOp, row: &[Value]| spec.resolve_index(op.array, eval_affine(&op.index, row));
-    let mut stores: Vec<(usize, usize)> = space
-        .iter()
-        .enumerate()
-        .map(|(i, row)| (addr_of(store, row), i))
-        .collect();
-    stores.sort_unstable();
-    let protected = load.seq < store.seq;
+/// `loads` is the load's address per iteration; `stores` is the store
+/// stream's sorted `(address, iteration)` pairs. Each load iteration
+/// binary-searches its own address for the nearest earlier and nearest
+/// later store iteration. A store in the load's own iteration counts (at
+/// distance 0) only when it precedes the load in the order ROM — with
+/// `protected` (load sequenced first) the search steps past it to the next
+/// later store. With `N` iterations this costs `O(N log N)` instead of the
+/// `N²` of comparing every load iteration with every store iteration, and
+/// returns the same minimum.
+fn collisions(loads: &[usize], stores: &[(usize, usize)], protected: bool) -> Option<Option<u64>> {
+    let mut collides = false;
     let mut best: Option<u64> = None;
-    for (i, row) in space.iter().enumerate() {
-        let addr = addr_of(load, row);
+    for (i, &addr) in loads.iter().enumerate() {
         // First store at this address in an iteration >= i.
         let at = stores.partition_point(|&s| s < (addr, i));
         let earlier = at
@@ -247,6 +376,7 @@ fn enumerated_min_distance(
             .map(|k| stores[k])
             .filter(|&(a, _)| a == addr);
         let mut later = stores.get(at).copied().filter(|&(a, _)| a == addr);
+        collides |= earlier.is_some() || later.is_some();
         if protected && later.is_some_and(|(_, j)| j == i) {
             later = stores.get(at + 1).copied().filter(|&(a, _)| a == addr);
         }
@@ -258,124 +388,7 @@ fn enumerated_min_distance(
             break;
         }
     }
-    best
-}
-
-/// Computes the minimum conflict distance of every ambiguous pair.
-///
-/// Short distances are what make premature execution race (the producer
-/// store has not even arrived when the consumer load issues); the sizing
-/// model and the dependence predictor both care about this profile. The
-/// symbolic tests serve as a fast path where their verdict is exact (a
-/// disjoint proof, or a same-iteration-only proof on a program-order
-/// protected pair, both meaning "no unprotected collision"); the exact
-/// sorted nearest-store search covers the rest up to [`ENUM_LIMIT`]
-/// iterations.
-pub fn pair_distances(spec: &KernelSpec, deps: &Dependences) -> Vec<PairDistance> {
-    let small = spec.iteration_count() <= ENUM_LIMIT;
-    let space = if small {
-        spec.iteration_space()
-    } else {
-        Vec::new()
-    };
-    deps.pairs
-        .iter()
-        .map(|&pair| {
-            let load = &deps.ops[pair.load];
-            let store = &deps.ops[pair.store];
-            if load.index.is_runtime_dependent() || store.index.is_runtime_dependent() {
-                return PairDistance {
-                    pair,
-                    min_distance: None,
-                };
-            }
-            match symdep::classify_accesses(spec, &load.index, &store.index, load.array) {
-                PairClass::Disjoint => {
-                    return PairDistance {
-                        pair,
-                        min_distance: None,
-                    }
-                }
-                PairClass::SameIterationOnly if load.seq < store.seq => {
-                    return PairDistance {
-                        pair,
-                        min_distance: None,
-                    }
-                }
-                _ => {}
-            }
-            if !small {
-                // No symbolic proof and the space is too large to enumerate:
-                // the distance is unknowable.
-                return PairDistance {
-                    pair,
-                    min_distance: None,
-                };
-            }
-            PairDistance {
-                pair,
-                min_distance: enumerated_min_distance(spec, load, store, &space),
-            }
-        })
-        .collect()
-}
-
-/// The outcome of [`refine_pairs`]: the ambiguous pairs split into those
-/// that still need runtime validation and those proven safe statically.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Refinement {
-    /// Pairs that must be validated at runtime.
-    pub pairs: Vec<AmbiguousPair>,
-    /// Pairs whose every address collision is protected by same-iteration
-    /// program order — the controller may bypass the arbiter for them
-    /// (the `prevv-analyze` PV004 fast path).
-    pub bypassed: Vec<AmbiguousPair>,
-}
-
-/// Splits the ambiguous pairs into runtime-validated and provably-safe sets.
-///
-/// A pair is provably safe when both indices are affine (so its address
-/// streams are known exactly) and no collision exists outside same-iteration
-/// program order: every time the load and store touch the same cell, the
-/// load is earlier in the same iteration's order ROM, which the in-order
-/// commit of stores below the completion frontier already serializes. The
-/// proof comes from the symbolic tests first (a [`PairClass::Disjoint`]
-/// verdict, or [`PairClass::SameIterationOnly`] with the load sequenced
-/// before the store — both scale to arbitrarily large spaces), falling back
-/// to the exact sorted nearest-store search for spaces up to
-/// [`ENUM_LIMIT`]; anything unproved stays conservatively validated.
-/// Removing a safe pair from the validated set skips the arbiter's
-/// head-to-tail search for its ops without weakening validation of any
-/// remaining pair — arriving validated ops are still compared against
-/// *all* resident queue records.
-pub fn refine_pairs(spec: &KernelSpec, deps: &Dependences) -> Refinement {
-    let small = spec.iteration_count() <= ENUM_LIMIT;
-    let space = if small {
-        spec.iteration_space()
-    } else {
-        Vec::new()
-    };
-    let mut pairs = Vec::new();
-    let mut bypassed = Vec::new();
-    for &pair in &deps.pairs {
-        let load = &deps.ops[pair.load];
-        let store = &deps.ops[pair.store];
-        let affine = !load.index.is_runtime_dependent() && !store.index.is_runtime_dependent();
-        let safe = affine
-            && match symdep::classify_accesses(spec, &load.index, &store.index, load.array) {
-                PairClass::Disjoint => true,
-                PairClass::SameIterationOnly => load.seq < store.seq,
-                PairClass::Unknown => {
-                    small && enumerated_min_distance(spec, load, store, &space).is_none()
-                }
-            };
-        if safe {
-            bypassed.push(pair);
-        } else {
-            pairs.push(pair);
-        }
-    }
-    Refinement { pairs, bypassed }
+    collides.then_some(best)
 }
 
 fn eval_affine(e: &Expr, row: &[Value]) -> Value {
@@ -491,9 +504,12 @@ mod tests {
         )
         .expect("valid");
         let d = analyze(&k);
-        let dist = pair_distances(&k, &d);
-        assert_eq!(dist.len(), 1);
-        assert_eq!(dist[0].min_distance, Some(1), "adjacent-iteration reuse");
+        assert_eq!(d.verdicts.len(), 1);
+        assert_eq!(
+            d.verdicts[0].min_distance,
+            Some(1),
+            "adjacent-iteration reuse"
+        );
     }
 
     #[test]
@@ -520,8 +536,7 @@ mod tests {
         assert_eq!(d.pairs.len(), 1);
         // ...but the distance analysis proves no protected-order violation
         // can occur.
-        let dist = pair_distances(&k, &d);
-        assert_eq!(dist[0].min_distance, None);
+        assert_eq!(d.verdicts[0].min_distance, None);
     }
 
     #[test]
@@ -541,9 +556,11 @@ mod tests {
         )
         .expect("valid");
         let d = analyze(&k);
-        let r = refine_pairs(&k, &d);
-        assert!(r.pairs.is_empty());
-        assert_eq!(r.bypassed.len(), 1);
+        assert_eq!(
+            d.verdicts[0].class,
+            VerdictClass::OrderProtected(Proof::Affine)
+        );
+        assert!(d.verdicts[0].dependence_proved());
     }
 
     #[test]
@@ -563,9 +580,8 @@ mod tests {
         )
         .expect("valid");
         let d = analyze(&k);
-        let r = refine_pairs(&k, &d);
-        assert_eq!(r.pairs.len(), 1);
-        assert!(r.bypassed.is_empty());
+        assert_eq!(d.verdicts.len(), 1);
+        assert!(!d.verdicts[0].dependence_proved());
 
         // Runtime-dependent indices always stay validated, even though their
         // distance is unknowable.
@@ -583,9 +599,8 @@ mod tests {
         )
         .expect("valid");
         let d = analyze(&k);
-        let r = refine_pairs(&k, &d);
-        assert_eq!(r.pairs.len(), d.pairs.len());
-        assert!(r.bypassed.is_empty());
+        assert!(!d.pairs.is_empty());
+        assert!(d.verdicts.iter().all(|v| v.class == VerdictClass::Unknown));
     }
 
     #[test]
@@ -605,8 +620,7 @@ mod tests {
         )
         .expect("valid");
         let d = analyze(&k);
-        let dist = pair_distances(&k, &d);
-        assert!(dist.iter().all(|p| p.min_distance.is_none()));
+        assert!(d.verdicts.iter().all(|v| v.min_distance.is_none()));
     }
 
     #[test]
@@ -631,12 +645,12 @@ mod tests {
         // Same-cell load/store: conservatively an ambiguous pair...
         assert_eq!(d.pairs.len(), 1);
         // ...whose every collision is same-iteration load-before-store, so
-        // the symbolic refinement bypasses it.
-        let r = refine_pairs(&k, &d);
-        assert!(r.pairs.is_empty());
-        assert_eq!(r.bypassed.len(), 1);
-        let dist = pair_distances(&k, &d);
-        assert_eq!(dist[0].min_distance, None);
+        // the symbolic tests prove it order-protected.
+        assert_eq!(
+            d.verdicts[0].class,
+            VerdictClass::OrderProtected(Proof::Affine)
+        );
+        assert_eq!(d.verdicts[0].min_distance, None);
     }
 
     #[test]
@@ -680,9 +694,63 @@ mod tests {
         .expect("valid");
         let d = analyze(&k);
         assert_eq!(d.pairs.len(), 1);
-        let r = refine_pairs(&k, &d);
-        assert_eq!(r.pairs.len(), 1);
-        assert!(r.bypassed.is_empty());
+        assert_eq!(d.verdicts[0].class, VerdictClass::Unknown);
+        assert_eq!(d.verdicts[0].min_distance, None);
+    }
+
+    #[test]
+    fn enumeration_proves_what_the_affine_tests_cannot() {
+        // a[i + 6] += 1 over i in 0..4 with a of length 8: the raw range
+        // [6, 9] wraps, so the symbolic tests refuse, but the wrapped cells
+        // 6, 7, 0, 1 are distinct per iteration and every collision is the
+        // load's own iteration's store.
+        let a = ArrayId(0);
+        let cell = || Expr::var(0).add(Expr::lit(6));
+        let k = KernelSpec::new(
+            "wrap",
+            vec![LoopLevel::upto(4)],
+            vec![ArrayDecl::zeroed("a", 8)],
+            vec![Stmt::store(
+                a,
+                cell(),
+                Expr::load(a, cell()).add(Expr::lit(1)),
+            )],
+        )
+        .expect("valid");
+        let d = analyze(&k);
+        assert_eq!(
+            d.verdicts,
+            vec![PairVerdict {
+                class: VerdictClass::OrderProtected(Proof::Enumerated),
+                min_distance: None,
+            }]
+        );
+    }
+
+    #[test]
+    fn constant_cells_must_alias_with_their_distance() {
+        // a[0] += 1: the same cell every iteration, rewritten at distance 1.
+        let a = ArrayId(0);
+        let k = KernelSpec::new(
+            "const_cell",
+            vec![LoopLevel::upto(8)],
+            vec![ArrayDecl::zeroed("a", 4)],
+            vec![Stmt::store(
+                a,
+                Expr::lit(0),
+                Expr::load(a, Expr::lit(0)).add(Expr::lit(1)),
+            )],
+        )
+        .expect("valid");
+        let d = analyze(&k);
+        assert_eq!(
+            d.verdicts,
+            vec![PairVerdict {
+                class: VerdictClass::MustAlias,
+                min_distance: Some(1),
+            }]
+        );
+        assert_eq!(d.verdicts[0].proof(), None);
     }
 
     #[test]

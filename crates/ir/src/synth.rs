@@ -23,7 +23,7 @@ use prevv_dataflow::components::{
 };
 use prevv_dataflow::{ChannelId, Netlist, SquashBus, Value};
 
-use crate::depend::{analyze, refine_pairs, AmbiguousPair, Dependences};
+use crate::depend::{analyze, AmbiguousPair, Dependences};
 use crate::expr::Expr;
 use crate::golden::MemOpKind;
 use crate::iface::{ArrayLayout, MemoryInterface, MemoryPort};
@@ -42,8 +42,9 @@ pub struct SynthOptions {
     /// source run ahead of slow consumers (Dynamatic's buffer placement);
     /// without it the pipeline serializes on the slowest operand.
     pub slack: usize,
-    /// Drop ambiguous pairs that [`refine_pairs`] proves safe (every
-    /// collision protected by same-iteration program order) from the
+    /// Drop ambiguous pairs whose dependence verdict is proved safe (every
+    /// collision protected by same-iteration program order, see
+    /// [`crate::depend::PairVerdict::dependence_proved`]) from the
     /// controller's validated set, so the arbiter skips searching for them —
     /// the `prevv-analyze` PV004 fast path. The conservative analysis is
     /// still available in [`SynthesizedKernel::deps`].
@@ -102,14 +103,14 @@ pub fn synthesize_with(
 ) -> Result<SynthesizedKernel, KernelError> {
     spec.validate()?;
     let deps = analyze(spec);
-    let refinement = if opts.bypass_safe_pairs {
-        refine_pairs(spec, &deps)
-    } else {
-        crate::depend::Refinement {
-            pairs: deps.pairs.clone(),
-            bypassed: Vec::new(),
+    let (mut pairs, mut bypassed) = (Vec::new(), Vec::new());
+    for (&pair, v) in deps.pairs.iter().zip(&deps.verdicts) {
+        if opts.bypass_safe_pairs && v.dependence_proved() {
+            bypassed.push(pair);
+        } else {
+            pairs.push(pair);
         }
-    };
+    }
     let mut b = Builder {
         opts,
         net: Netlist::new(),
@@ -188,7 +189,7 @@ pub fn synthesize_with(
         alloc_in,
         arrays,
         iterations,
-        pairs: refinement.pairs,
+        pairs,
     };
 
     Ok(SynthesizedKernel {
@@ -197,7 +198,7 @@ pub fn synthesize_with(
         bus,
         spec: spec.clone(),
         deps,
-        bypassed: refinement.bypassed,
+        bypassed,
     })
 }
 

@@ -147,11 +147,12 @@ mod tests {
     fn stencil_has_short_distance_pairs() {
         let spec = stencil1d(10, 2, 5);
         let d = depend::analyze(&spec);
-        let dist = depend::pair_distances(&spec, &d);
         assert!(
-            dist.iter()
-                .any(|p| matches!(p.min_distance, Some(d) if d <= 1)),
-            "in-place stencil must expose distance<=1 reuse: {dist:?}"
+            d.verdicts
+                .iter()
+                .any(|v| matches!(v.min_distance, Some(d) if d <= 1)),
+            "in-place stencil must expose distance<=1 reuse: {:?}",
+            d.verdicts
         );
     }
 

@@ -86,6 +86,11 @@ if proto["truncated_by_budget"]:
     sys.exit("state budget truncated the stock-kernel proof")
 states, ratio = proto["states"], proto["reduction_ratio"]
 discharged, conservative = proto["pairs"]["discharged"], proto["pairs"]["conservative"]
+# The stock kernels have 9 conservative pairs; at least 6 must be
+# discharged before exploration (one verdict per pair, read by the checker).
+if conservative != 9 or discharged < 6:
+    sys.exit(f"stock kernels: {discharged}/{conservative} pairs discharged; "
+             "expected 9 conservative with at least 6 discharged")
 print(f"    {nfiles} kernels protocol-clean within the exploration bound")
 print(f"    {states} states, reduction ratio {ratio}, "
       f"{discharged}/{conservative} pairs discharged")

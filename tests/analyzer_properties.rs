@@ -1,7 +1,7 @@
 //! Property-based tests for the static analyzer: it must never panic on
-//! any kernel the generator can produce, its PV004 bypass verdicts must be
-//! sound against brute-force address enumeration, and kernels it passes
-//! must simulate correctly under PreVV.
+//! any kernel the generator can produce, its pair verdicts must be sound
+//! against brute-force address enumeration, and kernels it passes must
+//! simulate correctly under PreVV.
 
 use proptest::prelude::*;
 
@@ -9,7 +9,7 @@ use prevv::analyze::{
     analyze, check_protocol, replay_counterexample, AnalyzeOptions, Code, ProtocolOptions,
 };
 use prevv::dataflow::components::LoopLevel;
-use prevv::ir::depend;
+use prevv::ir::depend::{self, Proof, StaticMemOp, VerdictClass, ENUM_LIMIT};
 use prevv::ir::symdep::{classify_pair, AffineForm, PairClass};
 use prevv::ir::{ArrayDecl, ArrayId, BinOp, Expr, KernelSpec, MemOpKind, OpaqueFn, Stmt};
 use prevv::{run_kernel, Controller, MemTiming, PrevvConfig};
@@ -130,35 +130,117 @@ proptest! {
         let json = report.to_json(None);
         prop_assert!(json.starts_with('{') && json.ends_with('}'));
     }
+}
 
-    /// PV004 soundness: every pair the refinement bypasses is verified by
-    /// brute force — both indices affine, and every address collision over
-    /// the whole iteration space is a same-iteration, program-order
-    /// protected load-before-store.
+/// Every wrapped collision of a static pair as `(load iteration, store
+/// iteration)`, by brute force over the whole space.
+fn brute_collisions(
+    spec: &KernelSpec,
+    load: &StaticMemOp,
+    store: &StaticMemOp,
+) -> Vec<(usize, usize)> {
+    let space = spec.iteration_space();
+    let addr =
+        |op: &StaticMemOp, row: &[i64]| spec.resolve_index(op.array, eval_affine(&op.index, row));
+    let mut hits = Vec::new();
+    for (i1, row1) in space.iter().enumerate() {
+        for (i2, row2) in space.iter().enumerate() {
+            if addr(load, row1) == addr(store, row2) {
+                hits.push((i1, i2));
+            }
+        }
+    }
+    hits
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 64,
+        ..ProptestConfig::default()
+    })]
+
+    /// PV004 soundness: the dependence verdicts, and above all the pairs
+    /// synthesis bypasses, agree with brute-force enumeration of both
+    /// address streams (wrapped the way the runtime wraps) and of their
+    /// raw affine forms:
+    ///
+    /// * every pair is a load and a store of one array, and when both
+    ///   indices are static their address streams do meet;
+    /// * a pair dependence analysis proved (the pairs synthesis bypasses,
+    ///   PV004/PV301) has static indices, the load sequenced before the
+    ///   store, and collides only within one iteration, raw or wrapped;
+    /// * a disjoint pair never collides, raw or wrapped;
+    /// * a must-alias pair's raw affine forms agree in every iteration;
+    /// * an index without an affine form gets neither an affine proof nor
+    ///   a must-alias verdict;
+    /// * `min_distance` is the brute-force minimum distance over the
+    ///   collisions program order does not protect, and `None` for
+    ///   runtime-dependent indices.
+    ///
+    /// The source-text affine kernels get the same check in
+    /// `crates/analyze/tests/checker_properties.rs`.
     #[test]
     fn pv004_bypass_is_sound(spec in kernel()) {
+        prop_assert!(spec.iteration_count() <= ENUM_LIMIT);
         let deps = depend::analyze(&spec);
-        let refinement = depend::refine_pairs(&spec, &deps);
+        prop_assert_eq!(deps.verdicts.len(), deps.pairs.len());
         let space = spec.iteration_space();
-        for pair in &refinement.bypassed {
+        let levels = spec.levels.len();
+        for (pair, verdict) in deps.pairs.iter().zip(&deps.verdicts) {
             let load = &deps.ops[pair.load];
             let store = &deps.ops[pair.store];
             prop_assert_eq!(load.kind, MemOpKind::Load);
             prop_assert_eq!(store.kind, MemOpKind::Store);
-            prop_assert!(!load.index.is_runtime_dependent());
-            prop_assert!(!store.index.is_runtime_dependent());
-            for (i1, row1) in space.iter().enumerate() {
-                let la = spec.resolve_index(load.array, eval_affine(&load.index, row1));
-                for (i2, row2) in space.iter().enumerate() {
-                    let sa = spec.resolve_index(store.array, eval_affine(&store.index, row2));
-                    if la == sa {
-                        prop_assert!(
-                            i1 == i2 && load.seq < store.seq,
-                            "bypassed pair collides outside program order: \
-                             load iter {} vs store iter {}", i1, i2
-                        );
+            prop_assert_eq!(load.array, store.array);
+            let forms = (
+                AffineForm::from_expr(&load.index, levels),
+                AffineForm::from_expr(&store.index, levels),
+            );
+            let (Some(lf), Some(sf)) = forms else {
+                prop_assert!(
+                    verdict.class != VerdictClass::MustAlias
+                        && verdict.proof() != Some(Proof::Affine),
+                    "non-affine pair got {:?}", verdict
+                );
+                if load.index.is_runtime_dependent() || store.index.is_runtime_dependent() {
+                    prop_assert!(!verdict.dependence_proved());
+                    prop_assert_eq!(verdict.min_distance, None);
+                }
+                continue;
+            };
+            let hits = brute_collisions(&spec, load, store);
+            prop_assert!(!hits.is_empty(), "static pair whose streams never meet");
+            let unprotected = |&(i1, i2): &(usize, usize)| !(i1 == i2 && load.seq < store.seq);
+            let brute = hits
+                .iter()
+                .filter(|h| unprotected(h))
+                .map(|&(i1, i2)| i1.abs_diff(i2) as u64)
+                .min();
+            prop_assert_eq!(verdict.min_distance, brute, "min_distance of {:?}", verdict);
+            match verdict.class {
+                // Equal raw addresses wrap to equal cells, so no wrapped
+                // collision means no raw one either.
+                VerdictClass::Disjoint(_) => {
+                    prop_assert!(hits.is_empty(), "disjoint pair collides at {:?}", hits);
+                }
+                VerdictClass::OrderProtected(_) => {
+                    prop_assert!(load.seq < store.seq, "order protection needs program order");
+                    prop_assert!(
+                        hits.iter().all(|&(i1, i2)| i1 == i2),
+                        "proved pair collides outside program order: {:?}", hits
+                    );
+                    for (i1, r1) in space.iter().enumerate() {
+                        for (i2, r2) in space.iter().enumerate() {
+                            prop_assert!(i1 == i2 || lf.eval(r1) != sf.eval(r2));
+                        }
                     }
                 }
+                VerdictClass::MustAlias => {
+                    for r in &space {
+                        prop_assert_eq!(lf.eval(r), sf.eval(r));
+                    }
+                }
+                VerdictClass::Unknown => {}
             }
         }
     }

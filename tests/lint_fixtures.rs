@@ -8,8 +8,8 @@
 use std::path::PathBuf;
 
 use prevv::analyze::{self, AnalyzeOptions, Code, ControllerModel, Severity};
+use prevv::ir::depend::{Proof, VerdictClass};
 use prevv::ir::parse::parse_kernel;
-use prevv::ir::symdep::{classify_accesses, PairClass};
 use prevv::{
     run_kernel, run_kernel_with, CircuitOptions, Controller, PrevvConfig, SimConfig, SynthOptions,
 };
@@ -552,10 +552,10 @@ fn every_emitted_counterexample_event_is_described() {
     }
 }
 
-/// The symbolic GCD/Banerjee fast path alone proves every pair that
-/// brute-force enumeration proves on fig2a: all three affine `b` pairs are
-/// classified same-iteration-only (their collisions are program-order
-/// protected), and the runtime-dependent `a` pair stays unproven.
+/// The symbolic GCD/Banerjee tests alone prove every pair that brute-force
+/// enumeration proves on fig2a: all three affine `b` pairs carry an
+/// [`Proof::Affine`] order-protection verdict, and the runtime-dependent
+/// `a` pair stays unproven.
 #[test]
 fn fig2a_affine_pairs_are_proven_by_the_symbolic_engine_alone() {
     let (name, source) = read_fixture("kernels/fig2a.pvk");
@@ -564,17 +564,18 @@ fn fig2a_affine_pairs_are_proven_by_the_symbolic_engine_alone() {
 
     let mut affine = 0;
     let mut runtime = 0;
-    for pair in &deps.pairs {
+    for (pair, verdict) in deps.pairs.iter().zip(&deps.verdicts) {
         let load = &deps.ops[pair.load];
         let store = &deps.ops[pair.store];
         if load.index.is_runtime_dependent() || store.index.is_runtime_dependent() {
             runtime += 1;
+            assert_eq!(verdict.class, VerdictClass::Unknown);
             continue;
         }
         affine += 1;
         assert_eq!(
-            classify_accesses(&spec, &load.index, &store.index, load.array),
-            PairClass::SameIterationOnly,
+            verdict.class,
+            VerdictClass::OrderProtected(Proof::Affine),
             "symbolic engine must prove the affine pair (load {} / store {})",
             pair.load,
             pair.store,

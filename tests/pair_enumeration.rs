@@ -1,11 +1,12 @@
 //! Differential test of the exact collision search in `prevv::ir::depend`.
 //!
-//! `pair_distances` and `refine_pairs` find each affine pair's minimum
-//! unprotected collision distance with a sorted nearest-store search. This
-//! suite re-derives every answer with the brute-force reference — compare
-//! every load iteration with every store iteration — and requires identical
-//! `Option<u64>` distances and identical validated/bypassed splits on the
-//! paper kernels, on generated kernels, and on hand-built edge cases.
+//! `depend::analyze` finds each affine pair's minimum unprotected collision
+//! distance with a sorted nearest-store search and records it in the pair's
+//! verdict. This suite re-derives every answer with the brute-force
+//! reference — compare every load iteration with every store iteration —
+//! and requires identical `Option<u64>` distances and identical
+//! validated/proved splits on the paper kernels, on generated kernels, and
+//! on hand-built edge cases.
 
 use prevv::dataflow::components::LoopLevel;
 use prevv::ir::depend::{self, AmbiguousPair, StaticMemOp, ENUM_LIMIT};
@@ -46,7 +47,7 @@ fn brute_min_distance(spec: &KernelSpec, load: &StaticMemOp, store: &StaticMemOp
     best
 }
 
-/// Checks `pair_distances` and `refine_pairs` against the reference and
+/// Checks the verdicts' distances and proofs against the reference and
 /// returns the per-pair distances for further assertions.
 fn assert_matches_reference(spec: &KernelSpec) -> Vec<Option<u64>> {
     assert!(
@@ -72,9 +73,8 @@ fn assert_matches_reference(spec: &KernelSpec) -> Vec<Option<u64>> {
         })
         .collect();
 
-    let distances = depend::pair_distances(spec, &deps);
-    let got: Vec<Option<u64>> = distances.iter().map(|d| d.min_distance).collect();
-    assert_eq!(got, expected, "{}: pair_distances", spec.name);
+    let got: Vec<Option<u64>> = deps.verdicts.iter().map(|v| v.min_distance).collect();
+    assert_eq!(got, expected, "{}: min_distance", spec.name);
 
     let (mut validated, mut bypassed) = (Vec::new(), Vec::new());
     for (&pair, dist) in deps.pairs.iter().zip(&expected) {
@@ -84,18 +84,21 @@ fn assert_matches_reference(spec: &KernelSpec) -> Vec<Option<u64>> {
             bypassed.push(pair);
         }
     }
-    let refinement = depend::refine_pairs(spec, &deps);
-    assert_eq!(
-        refinement.pairs, validated,
-        "{}: validated pairs",
-        spec.name
-    );
-    assert_eq!(
-        refinement.bypassed, bypassed,
-        "{}: bypassed pairs",
-        spec.name
-    );
+    let (got_validated, got_bypassed) = split(&deps);
+    assert_eq!(got_validated, validated, "{}: validated pairs", spec.name);
+    assert_eq!(got_bypassed, bypassed, "{}: bypassed pairs", spec.name);
     expected
+}
+
+/// The pairs synthesis validates and the ones it bypasses, in pair order.
+fn split(deps: &depend::Dependences) -> (Vec<AmbiguousPair>, Vec<AmbiguousPair>) {
+    let (proved, open): (Vec<_>, Vec<_>) = deps
+        .pairs
+        .iter()
+        .zip(&deps.verdicts)
+        .partition(|(_, v)| v.dependence_proved());
+    let pairs = |v: Vec<(&AmbiguousPair, _)>| v.into_iter().map(|(&p, _)| p).collect();
+    (pairs(open), pairs(proved))
 }
 
 #[test]
@@ -137,7 +140,7 @@ fn same_iteration_load_before_store_is_bypassed() {
     );
     assert_eq!(assert_matches_reference(&spec), vec![None]);
     let deps = depend::analyze(&spec);
-    assert_eq!(depend::refine_pairs(&spec, &deps).bypassed, deps.pairs);
+    assert_eq!(split(&deps).1, deps.pairs);
 }
 
 #[test]
@@ -156,7 +159,7 @@ fn same_iteration_store_before_load_is_distance_zero() {
     );
     assert_eq!(assert_matches_reference(&spec), vec![Some(0)]);
     let deps = depend::analyze(&spec);
-    assert!(depend::refine_pairs(&spec, &deps).bypassed.is_empty());
+    assert!(split(&deps).1.is_empty());
 }
 
 #[test]

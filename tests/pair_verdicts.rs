@@ -1,0 +1,161 @@
+//! Consumer agreement: every reader of a pair's verdict sees the same one.
+//!
+//! `prevv::ir::depend::analyze` decides each ambiguous load/store pair once.
+//! Synthesis bypasses the pairs it proved, PV004 and PV301 report exactly
+//! those, and the model checker's pair counts partition the conservative
+//! set. This suite checks that on every parseable kernel file (stock, bad
+//! and the pinned fuzz corpus), on the paper kernels at twice their default
+//! size, and on the first 200 kernels of the `runkernel --fuzz 200 --seed
+//! 0xPREVV` gate.
+
+use std::collections::BTreeSet;
+use std::path::Path;
+
+use prevv::analyze::{self, AnalyzeOptions, Code, ProtocolOptions};
+use prevv::ir::depend::{self, AmbiguousPair};
+use prevv::ir::parse::parse_kernel;
+use prevv::ir::KernelSpec;
+use prevv::kernels::{gen, paper};
+
+/// `runkernel --seed`'s hash of a non-numeric seed string (FNV-1a).
+fn hash_seed(s: &str) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in s.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// `runkernel --fuzz`'s i-th kernel seed (splitmix64 mix of the base).
+fn kernel_seed(base: u64, i: u64) -> u64 {
+    let mut z = base ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+fn parseable_files(dir: &str) -> Vec<KernelSpec> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "pvk"))
+        .collect();
+    paths.sort();
+    paths
+        .iter()
+        .filter_map(|p| {
+            let name = p.file_stem()?.to_string_lossy().into_owned();
+            let source = std::fs::read_to_string(p).ok()?;
+            parse_kernel(&name, &source).ok()
+        })
+        .collect()
+}
+
+/// Where PV004/PV301 anchor a pair: the load's span, else the store's.
+/// Notes with equal anchor and array are one diagnostic after
+/// `Report::normalize`, so the expected count is the number of distinct
+/// anchors.
+fn anchor(
+    spec: &KernelSpec,
+    deps: &depend::Dependences,
+    pair: AmbiguousPair,
+) -> (Option<(usize, usize)>, usize) {
+    let span = |id: usize| {
+        let op = &deps.ops[id];
+        let first = deps
+            .ops
+            .iter()
+            .position(|o| o.stmt == op.stmt)
+            .expect("own statement");
+        spec.body[op.stmt].op_span(id - first)
+    };
+    let span = span(pair.load).or(span(pair.store));
+    (span.map(|s| (s.start, s.end)), deps.ops[pair.load].array.0)
+}
+
+fn assert_consumers_agree(spec: &KernelSpec) {
+    let name = &spec.name;
+    let deps = depend::analyze(spec);
+    let proved: Vec<AmbiguousPair> = deps
+        .pairs
+        .iter()
+        .zip(&deps.verdicts)
+        .filter(|(_, v)| v.dependence_proved())
+        .map(|(&p, _)| p)
+        .collect();
+
+    let synth = prevv::ir::synthesize(spec).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(synth.bypassed, proved, "{name}: synthesis bypass");
+    assert_eq!(
+        synth.deps, deps,
+        "{name}: synthesis reads the same verdicts"
+    );
+
+    let anchors: BTreeSet<_> = proved.iter().map(|&p| anchor(spec, &deps, p)).collect();
+    let report = analyze::analyze(spec, &AnalyzeOptions::default());
+    for code in [Code::DisjointPair, Code::ProvenDisjoint] {
+        assert_eq!(
+            report.with_code(code).len(),
+            anchors.len(),
+            "{name}: {code:?} notes vs proved pairs {proved:?}"
+        );
+    }
+
+    // One iteration of horizon is enough: the counts are fixed before the
+    // search starts.
+    let opts = ProtocolOptions {
+        iterations: 1,
+        threads: 1,
+        ..ProtocolOptions::default()
+    };
+    let stats = analyze::check_protocol(spec, &opts)
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
+        .stats
+        .pairs;
+    assert_eq!(stats.conservative, deps.pairs.len(), "{name}");
+    assert_eq!(
+        stats.conservative,
+        stats.discharged + stats.must_alias + stats.residual,
+        "{name}: {stats:?}"
+    );
+    assert!(stats.discharged >= proved.len(), "{name}: {stats:?}");
+}
+
+#[test]
+fn kernel_files_agree_across_consumers() {
+    let mut checked = 0;
+    for dir in ["kernels", "kernels/bad", "tests/fuzz_corpus"] {
+        for spec in parseable_files(dir) {
+            assert_consumers_agree(&spec);
+            checked += 1;
+        }
+    }
+    assert!(checked >= 40, "only {checked} kernel files parsed");
+}
+
+#[test]
+fn paper_kernels_at_twice_default_size_agree_across_consumers() {
+    use paper::default_sizes::{GAUSSIAN, MM, POLY, TRIANGULAR};
+    for spec in [
+        paper::polyn_mult(POLY * 2),
+        paper::mm2(MM * 2),
+        paper::mm3(MM * 2),
+        paper::gaussian(GAUSSIAN * 2),
+        paper::triangular(TRIANGULAR * 2),
+    ] {
+        assert_consumers_agree(&spec);
+    }
+}
+
+#[test]
+fn fuzz_gate_kernels_agree_across_consumers() {
+    let base = hash_seed("0xPREVV");
+    for i in 0..200 {
+        assert_consumers_agree(&gen::generate(
+            kernel_seed(base, i),
+            &gen::GenConfig::default(),
+        ));
+    }
+}

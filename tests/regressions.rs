@@ -149,3 +149,67 @@ fn pinned_pv204_reduction_escape_replays() {
         assert!(!e.desc.is_empty(), "undescribed event: {e:?}");
     }
 }
+
+/// Generator index 772 of the `0xPREVV` stream (`runkernel --fuzz`'s
+/// default profile): a triangular `j = i + 1 .. 2` nest whose only
+/// iteration is `(i, j) = (0, 1)`. The load `a[i]` (op 0) and the guarded
+/// store `a[0]` (op 6) meet only in that iteration, load first. The affine
+/// tests cannot see it — over the rectangular hull `a[i]` meets `a[0]`
+/// across iterations — but enumeration can, and every consumer reads that
+/// one verdict: synthesis bypasses the pair, PV004 and PV301 both report
+/// it, and neither the PV300 horizon nor the checker's stats count it as
+/// residual.
+#[test]
+fn pinned_enumeration_only_proof_reaches_every_consumer() {
+    use prevv::analyze::{self, AnalyzeOptions, Code, ProtocolOptions};
+    use prevv::ir::depend::{self, AmbiguousPair, Proof, VerdictClass};
+
+    let source = "int a[8];\n\
+                  int b[12] = { 4, 0, 1, 2, 2, 1, 0, 6, 7, 7, 1, 7 };\n\
+                  for (int i = 0; i < 6; ++i) {\n  \
+                  for (int j = i + 1; j < 2; ++j) {\n    \
+                  b[((i + j) + 1)] = ((4 * a[i]) + min(1, b[7]));\n    \
+                  if ((j >= 5)) a[h197_8(((3 * 1) * 2))] = (a[(5 + j)] + min(1, 1));\n    \
+                  if ((j > 4)) a[0] = ((2 % j) % min(3, b[(j * 1)]));\n  \
+                  }\n}\n";
+    let spec = prevv::ir::parse::parse_kernel("fuzz_0x416fa9715cdde971", source).expect("parses");
+    let pair = AmbiguousPair { load: 0, store: 6 };
+
+    let deps = depend::analyze(&spec);
+    let k = deps
+        .pairs
+        .iter()
+        .position(|&p| p == pair)
+        .expect("a conservative pair");
+    assert_eq!(
+        deps.verdicts[k].class,
+        VerdictClass::OrderProtected(Proof::Enumerated)
+    );
+    let synth = prevv::ir::synthesize(&spec).expect("synthesizes");
+    assert_eq!(synth.bypassed, vec![pair]);
+
+    // PV004 and PV301 both anchor at the load `a[i]`.
+    let report = analyze::analyze(&spec, &AnalyzeOptions::default());
+    for code in [Code::DisjointPair, Code::ProvenDisjoint] {
+        let found = report.with_code(code);
+        assert_eq!(found.len(), 1, "{code:?}: {:?}", report.diagnostics);
+        let span = found[0].span.expect("spanned");
+        assert_eq!(&source[span.start..span.end], "a[i]");
+    }
+    // The other two pairs reach dead guarded statements (PV502), so no pair
+    // is left for the horizon.
+    assert_eq!(report.with_code(Code::InvariantDischarge).len(), 2);
+    assert!(report.with_code(Code::SeparationHorizon).is_empty());
+
+    let checked = analyze::check_protocol(&spec, &ProtocolOptions::default()).expect("checks");
+    let stats = checked.stats.pairs;
+    assert_eq!(
+        (
+            stats.conservative,
+            stats.discharged,
+            stats.must_alias,
+            stats.residual
+        ),
+        (3, 3, 0, 0)
+    );
+}
