@@ -11,12 +11,13 @@
 //! * **bram** — on-chip memory timing (3-cycle reads) and an aliasing-heavy
 //!   index vector: nearly every cycle some channel fires, so the dirty set
 //!   stays large and event-driven scheduling buys little (it may even trail
-//!   the dense sweep slightly — the honest worst case).
+//!   the dense sweep — the honest worst case).
 //! * **dram** — external-memory timing (200-cycle reads) and a fully
 //!   serializing index vector (`b[i] = 0` with forwarding off): the RAW
-//!   chain keeps the circuit quiescent most cycles, which is exactly the
-//!   regime an event-driven scheduler exploits. The dense sweep re-evaluates
-//!   every stalled component every fixpoint iteration regardless.
+//!   chain keeps the circuit quiet most cycles, which is exactly the regime
+//!   an event-driven scheduler exploits — it crosses each memory wait in one
+//!   quiet-run skip. The dense sweep steps and re-evaluates every stalled
+//!   component every cycle regardless.
 //!
 //! Only `Simulator::run` is timed — synthesis and controller construction
 //! are one-time setup, not per-cycle scheduler work.
@@ -134,28 +135,34 @@ fn best_cycles_per_sec(
 }
 
 /// Full end-to-end correctness check of one workload under both schedulers
-/// (untimed): identical cycle counts and golden memory images.
+/// (untimed): identical engine reports, memory images, controller
+/// statistics and squash logs, and a golden match.
 fn check_workload(spec: &KernelSpec, config: &PrevvConfig) -> u64 {
-    let mut cycles = None;
-    for scheduler in [Scheduler::Dense, Scheduler::EventDriven] {
+    let [dense, event] = [Scheduler::Dense, Scheduler::EventDriven].map(|scheduler| {
         let sim = SimConfig {
             scheduler,
             ..SimConfig::default()
         };
-        let result = run_kernel_with(
+        run_kernel_with(
             spec,
             Controller::Prevv(config.clone()),
             &SynthOptions::default(),
             &sim,
         )
-        .expect("fig2a completes");
-        assert!(result.matches_golden, "bench run must stay correct");
-        let prev = cycles.replace(result.report.cycles);
-        if let Some(p) = prev {
-            assert_eq!(p, result.report.cycles, "schedulers must agree");
-        }
+        .expect("fig2a completes")
+    });
+    assert!(dense.matches_golden, "bench run must stay correct");
+    if let Some(diff) = dense.report.diff(&event.report) {
+        panic!("{}: schedulers disagree: {diff}", spec.name);
     }
-    cycles.expect("both schedulers ran")
+    assert_eq!(dense.arrays, event.arrays, "{}: final memory", spec.name);
+    assert_eq!(dense.prevv, event.prevv, "{}: PreVV stats", spec.name);
+    assert_eq!(
+        dense.squash_log, event.squash_log,
+        "{}: squash log",
+        spec.name
+    );
+    dense.report.cycles
 }
 
 /// Best-of-3 aggregate cycles/second over the whole generated sweep (one

@@ -30,7 +30,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use prevv_dataflow::{Component, Ports, Signals, SquashBus, Tag, Token};
+use prevv_dataflow::{Component, Ports, QuietRun, Signals, SquashBus, Tag, Token};
 use prevv_ir::{MemOpKind, MemoryInterface};
 use prevv_mem::{shared, DelayLine, PortIo, Ram, SharedRam};
 
@@ -174,17 +174,15 @@ pub struct PrevvMemory {
     eval_dirty: bool,
     /// Do the commit/retire cursors still have work (a commit-eligible
     /// store blocked on write bandwidth, or a retirement budget that ran
-    /// out)? A quiet cycle may only skip the protocol pipeline when false.
+    /// out)? Our commits are only skippable when false.
     backlog: bool,
     /// Stall-counter deltas `(queue_full, predictor, conservative)` of the
-    /// last fully-stalled slow cycle — one where the pipeline admitted,
-    /// completed, committed, and retired nothing. While no channel fires,
-    /// no read completes, and no backlog or squash appears, every
-    /// hold-relevant input to `process_inputs` is provably unchanged, so
-    /// the next cycle's slow path would recompute exactly these deltas;
-    /// the fast path replays them instead of re-deriving each hold (which
-    /// costs predictor probes and premature-queue scans per cycle).
-    /// Invalidated by any cycle that moves state, and by `flush`.
+    /// last fully-stalled commit — one that admitted, completed, committed,
+    /// and retired nothing. While no channel fires, no read completes, and
+    /// no backlog or squash appears, every hold-relevant input to
+    /// `process_inputs` is provably unchanged, so each following commit
+    /// recomputes exactly these deltas; `skip_quiet` books them in bulk.
+    /// `None` after any commit that moves state, and after `flush`.
     hold_replay: Option<(u64, u64, u64)>,
 }
 
@@ -659,68 +657,6 @@ impl Component for PrevvMemory {
         // must not count, or a wedged circuit would never trip the watchdog.
         let ticking = !self.reads.is_empty();
 
-        // Quiet-cycle fast paths: none of our channels fired and no squash
-        // or commit/retire backlog is pending. Two tiers: (a) the input
-        // FIFOs are empty, so only the RAM delay line can move; (b) inputs
-        // are buffered but every head token proved held on the last slow
-        // cycle (`hold_replay`) and nothing a hold reads has changed since,
-        // so the stall counters are replayed instead of re-derived. Both
-        // tests are pure functions of the fixpoint wires and committed
-        // controller state, so both schedulers take the same path on the
-        // same cycle.
-        if self.pending_squash.is_none() && !self.backlog && !self.trace && !self.io.any_fired(sig)
-        {
-            let quiet_inputs = !self.io.has_pending_inputs();
-            if (quiet_inputs || self.hold_replay.is_some()) && !self.reads.due() {
-                // Keep the port round-robin in lockstep with the slow path
-                // (process_inputs rotates once per commit).
-                let n = self.io.port_count();
-                if n > 0 {
-                    self.rr_start = (self.rr_start + 1) % n;
-                }
-                self.reads.tick_quiet();
-                self.cycles_seen += 1;
-                if !quiet_inputs {
-                    let (qf, ph, ch) = self.hold_replay.expect("guarded above");
-                    self.local.queue_full_stalls += qf;
-                    self.local.predictor_holds += ph;
-                    self.local.conservative_holds += ch;
-                    // The mirror is synced by every counter-moving path, so
-                    // patching the three hold counters is equivalent to (and
-                    // much cheaper than) a full publish.
-                    let mut s = self.stats.borrow_mut();
-                    s.queue_full_stalls = self.local.queue_full_stalls;
-                    s.predictor_holds = self.local.predictor_holds;
-                    s.conservative_holds = self.local.conservative_holds;
-                }
-                self.eval_dirty = false;
-                // Exactly the slow path's verdict for this cycle: counters
-                // and the stats mirror moved, but only the delay line is
-                // watchdog progress.
-                return ticking;
-            }
-            if quiet_inputs {
-                // Completions are due (each pushes a result into the io
-                // adapter); run the pipeline on them. There are no pending
-                // inputs, so process_inputs stays a no-op and is skipped.
-                let n = self.io.port_count();
-                if n > 0 {
-                    self.rr_start = (self.rr_start + 1) % n;
-                }
-                self.cycles_seen += 1;
-                self.process_read_completions();
-                self.advance_frontier();
-                self.commit_stores();
-                let retired = self.retire();
-                self.note_backlog(retired);
-                self.post_squash();
-                self.publish_stats();
-                self.hold_replay = None;
-                self.eval_dirty = self.io.take_dirty();
-                return true;
-            }
-        }
-
         let stalls = (
             self.local.queue_full_stalls,
             self.local.predictor_holds,
@@ -764,8 +700,8 @@ impl Component for PrevvMemory {
         // A fully-stalled cycle — nothing admitted, completed, committed,
         // retired, or squashed — deterministically recomputes the same
         // stall-counter deltas next cycle (until some channel fires, a read
-        // completes, or a backlog appears, all of which the fast-path guard
-        // watches). Cache the deltas so those cycles can be replayed.
+        // completes, or a backlog appears). Cache the deltas so a quiet run
+        // of such cycles can be skipped.
         let moved =
             self.eval_dirty || used > 0 || retired > 0 || self.backlog || proto != proto_now;
         self.hold_replay = if moved {
@@ -787,8 +723,8 @@ impl Component for PrevvMemory {
         // invariants (squashes never reach committed state), so neither
         // cursor moves (asserted inside the protocol flush).
         self.protocol.flush(from_iter);
-        // A flush rewrites queues behind the fast-path bookkeeping's back:
-        // force the next commit down the full pipeline.
+        // A flush rewrites queues behind the skip bookkeeping's back: the
+        // next commit must run the full pipeline before any skip.
         self.backlog = true;
         self.eval_dirty = true;
         self.hold_replay = None;
@@ -796,6 +732,47 @@ impl Component for PrevvMemory {
 
     fn eval_invalidated(&self) -> bool {
         self.eval_dirty
+    }
+
+    /// After a quiet cycle, with no squash or commit/retire backlog pending,
+    /// the pipeline stays stalled until the next read completes as long as
+    /// the input FIFOs are empty or every head token is held
+    /// (`hold_replay`): each commit only rotates the round-robin start,
+    /// counts the read delay line down and repeats the hold counters.
+    fn quiet_horizon(&self) -> Option<QuietRun> {
+        if self.pending_squash.is_some()
+            || self.backlog
+            || self.trace
+            || (self.hold_replay.is_none() && self.io.has_pending_inputs())
+        {
+            return None;
+        }
+        Some(match self.reads.next_due() {
+            // In-flight reads count down: progress for the watchdog.
+            Some(due) => QuietRun {
+                cycles: u64::from(due - 1),
+                changed: true,
+            },
+            None => QuietRun {
+                cycles: u64::MAX,
+                changed: false,
+            },
+        })
+    }
+
+    fn skip_quiet(&mut self, k: u64) {
+        let n = self.io.port_count() as u64;
+        if n > 0 {
+            self.rr_start = ((self.rr_start as u64 + k % n) % n) as usize;
+        }
+        self.reads.skip(k);
+        self.cycles_seen += k;
+        if let Some((qf, ph, ch)) = self.hold_replay {
+            self.local.queue_full_stalls += k * qf;
+            self.local.predictor_holds += k * ph;
+            self.local.conservative_holds += k * ch;
+        }
+        self.publish_stats();
     }
 
     fn is_idle(&self) -> bool {

@@ -20,6 +20,18 @@ impl Ports {
     }
 }
 
+/// How many of a component's next commits the engine may apply in one step;
+/// see [`Component::quiet_horizon`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QuietRun {
+    /// Number of further commits that are pure countdowns (`u64::MAX`:
+    /// unbounded).
+    pub cycles: u64,
+    /// What each of those commits returns — whether they are progress for
+    /// the no-progress watchdog.
+    pub changed: bool,
+}
+
 /// A hardware element of an elastic circuit.
 ///
 /// Components follow the standard two-phase synchronous discipline:
@@ -36,6 +48,12 @@ impl Ports {
 /// Squash support: [`flush`](Component::flush) drops every internally held
 /// token belonging to iteration `from_iter` or later; the engine invokes it
 /// on all components when a pipeline squash is posted.
+///
+/// Quiet runs: a component whose commits are a pure countdown while the
+/// circuit waits (a memory controller with reads in flight) can let
+/// [`Simulator::run`](crate::Simulator::run) cross the wait in one step
+/// through [`quiet_horizon`](Component::quiet_horizon) and
+/// [`skip_quiet`](Component::skip_quiet).
 pub trait Component {
     /// Static name of the component kind (for diagnostics and area reports).
     fn type_name(&self) -> &'static str;
@@ -86,6 +104,29 @@ pub trait Component {
     /// `true` each cycle until it settles).
     fn fire_driven_commit(&self) -> bool {
         false
+    }
+
+    /// Queried right after a *quiet* cycle — no channel fired, nothing was
+    /// flushed, and no commit invalidated an `eval` — on every component
+    /// the engine would commit next. The wires of the following cycles are
+    /// then those of the quiet cycle. Returns how many of this component's
+    /// next commits, under those wires, are pure countdowns: each mutates
+    /// only state that [`eval`](Component::eval),
+    /// [`is_idle`](Component::is_idle) and
+    /// [`occupancy`](Component::occupancy) do not read, posts no squash,
+    /// and returns [`QuietRun::changed`].
+    ///
+    /// Defaults to `None` (cannot skip), which is always sound.
+    fn quiet_horizon(&self) -> Option<QuietRun> {
+        None
+    }
+
+    /// Applies `k` commits at once, leaving exactly the state `k`
+    /// successive [`commit`](Component::commit) calls would. Called only
+    /// with `k` no larger than the [`QuietRun::cycles`] of the
+    /// [`quiet_horizon`](Component::quiet_horizon) just queried.
+    fn skip_quiet(&mut self, k: u64) {
+        let _ = k;
     }
 
     /// Drops all internally held tokens of iterations `>= from_iter`.

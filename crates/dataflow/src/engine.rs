@@ -35,6 +35,20 @@
 //! its owner would re-derive — the worklist converges to the same unique
 //! fixpoint the dense sweep computes from reset.
 //!
+//! ## Quiet runs
+//!
+//! A *quiet* cycle fires no channel, flushes nothing, and seeds no
+//! re-evaluation. The event scheduler's next fixpoint then reproduces the
+//! same wires, so the only thing that can differ between the cycles that
+//! follow is what the committed components do with them. [`Simulator::run`]
+//! asks each node it would commit for its
+//! [`quiet_horizon`](crate::Component::quiet_horizon) — how many of its next
+//! commits are pure countdowns — and crosses the shortest such run in one
+//! step: [`skip_quiet`](crate::Component::skip_quiet) on those nodes, plus
+//! the stall and watchdog bookkeeping those cycles would have done. A long
+//! memory wait costs one step instead of hundreds. [`Scheduler::Dense`] and
+//! runs with a [`TraceRecorder`] attached step every cycle.
+//!
 //! The run ends when every component is idle (quiescence), when the cycle
 //! budget is exhausted, or when the no-progress watchdog declares deadlock —
 //! the condition the paper's fake tokens exist to prevent (§V-C).
@@ -54,11 +68,12 @@ use crate::trace::TraceRecorder;
 ///
 /// Both schedulers reach the same fixpoint on every well-formed (buffered)
 /// netlist, so they produce identical [`SimReport`]s; the event-driven one
-/// skips re-evaluating the (typically large) stalled part of the circuit.
+/// skips re-evaluating the (typically large) stalled part of the circuit,
+/// and lets [`Simulator::run`] cross quiet runs in one step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
     /// Reset every wire and sweep every component until convergence — the
-    /// reference algorithm, O(components) per sweep.
+    /// reference algorithm, O(components) per sweep. Steps every cycle.
     Dense,
     /// Dirty-set worklist seeded by the components whose previous commit
     /// changed state, propagating wake-ups along the channel graph; wires
@@ -140,6 +155,13 @@ pub struct Simulator {
     snap_in: Vec<bool>,
     /// Scratch list of the channels that fired this cycle.
     fired_scratch: Vec<usize>,
+    /// Was the last cycle quiet (no fire, no flush, no seed)? Only then may
+    /// `run` skip ahead.
+    quiet: bool,
+    /// Scratch `(node, changed)` horizons of the nodes a quiet run commits.
+    quiet_nodes: Vec<(usize, bool)>,
+    /// Cycles crossed by quiet-run skips rather than stepped.
+    skipped: u64,
 }
 
 impl Simulator {
@@ -201,6 +223,9 @@ impl Simulator {
             snap_out: Vec::new(),
             snap_in: Vec::new(),
             fired_scratch: Vec::new(),
+            quiet: false,
+            quiet_nodes: Vec::new(),
+            skipped: 0,
         })
     }
 
@@ -231,6 +256,12 @@ impl Simulator {
         self.cycle
     }
 
+    /// Cycles [`run`](Simulator::run) crossed in quiet-run skips instead of
+    /// stepping them (always 0 under [`Scheduler::Dense`]).
+    pub fn skipped_cycles(&self) -> u64 {
+        self.skipped
+    }
+
     /// Read access to the simulated netlist.
     pub fn netlist(&self) -> &Netlist {
         &self.netlist
@@ -257,9 +288,9 @@ impl Simulator {
         // Sample transfer/stall statistics at the fixpoint, in one pass that
         // also collects the fired channel set for the commit scheduler.
         self.fired_scratch.clear();
-        let (fired, stalled) = self
-            .signals
-            .sample_cycle(&mut self.channel_stalls, &mut self.fired_scratch);
+        let (fired, stalled) =
+            self.signals
+                .sample_cycle(1, &mut self.channel_stalls, &mut self.fired_scratch);
         self.transfers += fired;
         self.stall_cycles += stalled;
         if let Some(rec) = &mut self.recorder {
@@ -332,9 +363,61 @@ impl Simulator {
         } else {
             self.idle_streak += 1;
         }
+        self.quiet = !flushed && fired == 0 && self.seed_list.is_empty();
 
         self.cycle += 1;
         Ok(())
+    }
+
+    /// After a quiet cycle, crosses the run of cycles in which every node
+    /// the engine would commit is a pure countdown (see the module docs).
+    /// The run is capped by the cycle budget and, when its commits are not
+    /// progress, by the watchdog, so both fire on the cycle stepping would.
+    fn skip_quiet_run(&mut self) {
+        if !self.quiet
+            || self.active == 0
+            || self.config.scheduler == Scheduler::Dense
+            || self.recorder.is_some()
+        {
+            return;
+        }
+        let mut k = self.config.max_cycles.saturating_sub(self.cycle);
+        let mut changed = false;
+        self.quiet_nodes.clear();
+        for (i, comp) in self.netlist.components().iter().enumerate() {
+            if self.fire_driven[i] && !self.restless[i] {
+                continue;
+            }
+            let Some(run) = comp.quiet_horizon() else {
+                return;
+            };
+            k = k.min(run.cycles);
+            if k == 0 {
+                return;
+            }
+            changed |= run.changed;
+            self.quiet_nodes.push((i, run.changed));
+        }
+        if !changed {
+            k = k.min(self.config.watchdog.saturating_sub(self.idle_streak));
+            if k == 0 {
+                return;
+            }
+        }
+        let comps = self.netlist.components_mut();
+        for &(i, node_changed) in &self.quiet_nodes {
+            comps[i].skip_quiet(k);
+            self.restless[i] = node_changed;
+        }
+        // The wires are those of the quiet cycle: the same channels stall,
+        // nothing fires.
+        let (_, stalled) =
+            self.signals
+                .sample_cycle(k, &mut self.channel_stalls, &mut self.fired_scratch);
+        self.stall_cycles += k * stalled;
+        self.idle_streak = if changed { 0 } else { self.idle_streak + k };
+        self.cycle += k;
+        self.skipped += k;
     }
 
     /// Reference fixpoint: reset all wires, sweep every component until
@@ -490,7 +573,9 @@ impl Simulator {
         self.active == 0
     }
 
-    /// Runs until quiescence.
+    /// Runs until quiescence. Under [`Scheduler::EventDriven`] without a
+    /// recorder, quiet runs are crossed in one step (see the module docs);
+    /// the report is the one stepping every cycle would give.
     ///
     /// # Errors
     ///
@@ -507,6 +592,9 @@ impl Simulator {
                 });
             }
             self.step()?;
+            if self.idle_streak < self.config.watchdog {
+                self.skip_quiet_run();
+            }
             if self.idle_streak >= self.config.watchdog {
                 return Err(SimError::Deadlock {
                     cycle: self.cycle,

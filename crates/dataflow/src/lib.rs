@@ -64,7 +64,7 @@ mod token;
 pub mod trace;
 pub mod viz;
 
-pub use component::{Component, Ports};
+pub use component::{Component, Ports, QuietRun};
 pub use engine::{Scheduler, SimConfig, Simulator};
 pub use error::{NetlistError, SimError};
 pub use netlist::{ChannelEndpoints, Netlist, NodeId};

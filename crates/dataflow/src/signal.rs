@@ -40,9 +40,9 @@ impl std::fmt::Display for ChannelId {
     }
 }
 
-/// One bit per channel, packed 64 to a word: the whole-netlist scans the
-/// engine performs every cycle (fired/stall sampling, fast-path fired
-/// masks) reduce to word-wise boolean algebra and popcounts.
+/// One bit per channel, packed 64 to a word: the whole-netlist scan the
+/// engine performs every cycle (fired/stall sampling) reduces to word-wise
+/// boolean algebra and popcounts.
 #[inline]
 fn bit_get(words: &[u64], i: usize) -> bool {
     (words[i >> 6] >> (i & 63)) & 1 != 0
@@ -245,13 +245,16 @@ impl Signals {
         }
     }
 
-    /// One-pass fixpoint sample: returns `(fired, stalled)` counts, adds 1
-    /// to `stall_counts[ch]` for every stalled channel (the pinned stall
-    /// semantics: valid-and-not-ready at the fixpoint), and appends the
-    /// index of every fired channel to `fired_out`. Fused and word-parallel
-    /// because the engine takes this sample every cycle.
+    /// One-pass fixpoint sample: returns `(fired, stalled)` counts, adds
+    /// `cycles` to `stall_counts[ch]` for every stalled channel (the pinned
+    /// stall semantics: valid-and-not-ready at the fixpoint), and appends the
+    /// index of every fired channel to `fired_out`. `cycles` is 1 except
+    /// when the engine books a run of repeats of a cycle where nothing
+    /// fired. Fused and word-parallel because the engine takes this sample
+    /// every cycle.
     pub(crate) fn sample_cycle(
         &self,
+        cycles: u64,
         stall_counts: &mut [u64],
         fired_out: &mut Vec<usize>,
     ) -> (u64, u64) {
@@ -267,37 +270,11 @@ impl Signals {
                 f &= f - 1;
             }
             while st != 0 {
-                stall_counts[(w << 6) | st.trailing_zeros() as usize] += 1;
+                stall_counts[(w << 6) | st.trailing_zeros() as usize] += cycles;
                 st &= st - 1;
             }
         }
         (fired, stalled)
-    }
-
-    /// True when any channel in `mask` (a packed bitmap as produced by
-    /// [`fired_mask`](Signals::fired_mask)) fired this cycle. The mask may
-    /// be shorter than the channel space; missing words are treated as zero.
-    pub fn any_masked_fired(&self, mask: &[u64]) -> bool {
-        self.valid
-            .iter()
-            .zip(&self.ready)
-            .zip(mask)
-            .any(|((v, r), m)| v & r & m != 0)
-    }
-
-    /// Builds a packed bitmap covering `channels`, for
-    /// [`any_masked_fired`](Signals::any_masked_fired). Independent of any
-    /// `Signals` instance; associated here to keep the bit layout private.
-    pub fn fired_mask(channels: impl IntoIterator<Item = ChannelId>) -> Vec<u64> {
-        let mut mask = Vec::new();
-        for ch in channels {
-            let w = ch.index() >> 6;
-            if w >= mask.len() {
-                mask.resize(w + 1, 0);
-            }
-            mask[w] |= 1 << (ch.index() & 63);
-        }
-        mask
     }
 }
 
@@ -360,24 +337,11 @@ mod tests {
         s.drive(ch(1), Token::new(2, 0));
         let mut counts = vec![0u64; 3];
         let mut fired = Vec::new();
-        assert_eq!(s.sample_cycle(&mut counts, &mut fired), (1, 1));
+        assert_eq!(s.sample_cycle(1, &mut counts, &mut fired), (1, 1));
         assert_eq!(fired, vec![0]);
         assert_eq!(counts, vec![0, 1, 0], "stalled = valid && !ready");
-    }
-
-    #[test]
-    fn masked_fired_matches_per_channel_fired() {
-        let mut s = Signals::new(70);
-        s.drive(ch(69), Token::new(1, 0));
-        let mask = Signals::fired_mask([ch(2), ch(69)]);
-        assert!(!s.any_masked_fired(&mask), "valid but not ready");
-        s.accept(ch(69));
-        assert!(s.any_masked_fired(&mask));
-        let other = Signals::fired_mask([ch(5)]);
-        assert!(!s.any_masked_fired(&other));
-        // A short mask (no high words) is treated as all-zero there.
-        let short = Signals::fired_mask([ch(3)]);
-        assert_eq!(short.len(), 1);
-        assert!(!s.any_masked_fired(&short));
+        // A run of repeats books its length on every stalled channel.
+        assert_eq!(s.sample_cycle(3, &mut counts, &mut fired), (1, 1));
+        assert_eq!(counts, vec![0, 4, 0]);
     }
 }

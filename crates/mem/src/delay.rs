@@ -54,18 +54,26 @@ impl<T> DelayLine<T> {
         done
     }
 
-    /// True when at least one item would emerge on the next [`tick`]
-    /// (its countdown is already at most one).
-    pub fn due(&self) -> bool {
-        self.slots.iter().any(|(c, _)| *c <= 1)
+    /// Ticks until the first in-flight item emerges — its [`tick`] returns
+    /// that item on exactly this many-th call — or `None` when nothing is in
+    /// flight. Every earlier tick is a pure countdown.
+    ///
+    /// [`tick`]: DelayLine::tick
+    pub fn next_due(&self) -> Option<u32> {
+        self.slots.iter().map(|(c, _)| (*c).max(1)).min()
     }
 
-    /// Advances one cycle known (via [`due`](DelayLine::due)) to complete
-    /// nothing: pure countdown, no drain, no allocation.
-    pub fn tick_quiet(&mut self) {
-        debug_assert!(!self.due(), "tick_quiet would drop a completed item");
+    /// Applies `k` ticks at once. They must all be pure countdowns:
+    /// `k` is below [`next_due`](DelayLine::next_due).
+    pub fn skip(&mut self, k: u64) {
+        debug_assert!(
+            self.next_due().is_none_or(|d| k < u64::from(d)),
+            "skip would drop a completed item"
+        );
+        // Every countdown exceeds `k`, so `k` fits in `u32` whenever the
+        // loop body runs.
         for (c, _) in self.slots.iter_mut() {
-            *c = c.saturating_sub(1);
+            *c -= k as u32;
         }
     }
 
@@ -111,6 +119,19 @@ mod tests {
         d.push(1, 1);
         d.push(1, 2);
         assert_eq!(d.tick(), vec![1, 2]);
+    }
+
+    #[test]
+    fn skip_matches_repeated_ticks() {
+        let mut d = DelayLine::new();
+        d.push(5, "a");
+        d.push(7, "b");
+        assert_eq!(d.next_due(), Some(5));
+        d.skip(4);
+        assert_eq!(d.next_due(), Some(1));
+        assert_eq!(d.tick(), vec!["a"]);
+        assert_eq!(d.next_due(), Some(2));
+        assert!(DelayLine::<u8>::new().next_due().is_none());
     }
 
     #[test]

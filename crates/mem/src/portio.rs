@@ -32,13 +32,6 @@ pub struct PortIo {
     out_rob: Vec<BTreeMap<u64, Token>>,
     next_out: Vec<u64>,
     alloc_q: VecDeque<Token>,
-    /// Cached total occupancy of the input FIFOs (`alloc_q`, `addr_q`,
-    /// `data_q`, `fake_q`) so [`has_pending_inputs`](PortIo::has_pending_inputs)
-    /// is O(1) on the controllers' per-cycle fast path.
-    pending: usize,
-    /// Packed bitmap of every channel this adapter touches, for the O(words)
-    /// fired test on the controllers' per-cycle fast path.
-    fired_mask: Vec<u64>,
     fakes_seen: u64,
     /// Set by every state-mutating operation since the last
     /// [`take_dirty`](PortIo::take_dirty); controllers fold it into their
@@ -61,14 +54,6 @@ impl PortIo {
     pub fn with_capacity(iface: MemoryInterface, cap: usize) -> Self {
         assert!(cap > 0, "port io capacity must be positive");
         let n = iface.ports.len();
-        let fired_mask = Signals::fired_mask(std::iter::once(iface.alloc_in).chain(
-            iface.ports.iter().flat_map(|p| {
-                std::iter::once(p.addr_in)
-                    .chain(p.data_in)
-                    .chain(p.fake_in)
-                    .chain(p.data_out)
-            }),
-        ));
         PortIo {
             iface,
             cap,
@@ -78,8 +63,6 @@ impl PortIo {
             out_rob: vec![BTreeMap::new(); n],
             next_out: vec![0; n],
             alloc_q: VecDeque::new(),
-            pending: 0,
-            fired_mask,
             fakes_seen: 0,
             dirty: false,
         }
@@ -150,23 +133,19 @@ impl PortIo {
     pub fn commit_io(&mut self, sig: &Signals) {
         if let Some(t) = sig.taken(self.iface.alloc_in) {
             self.alloc_q.push_back(t);
-            self.pending += 1;
             self.dirty = true;
         }
         for (i, p) in self.iface.ports.iter().enumerate() {
             if let Some(t) = sig.taken(p.addr_in) {
                 self.addr_q[i].push_back(t);
-                self.pending += 1;
                 self.dirty = true;
             }
             if let Some(t) = p.data_in.and_then(|d| sig.taken(d)) {
                 self.data_q[i].push_back(t);
-                self.pending += 1;
                 self.dirty = true;
             }
             if let Some(t) = p.fake_in.and_then(|f| sig.taken(f)) {
                 self.fake_q[i].push_back(t);
-                self.pending += 1;
                 self.fakes_seen += 1;
                 self.dirty = true;
             }
@@ -186,39 +165,21 @@ impl PortIo {
         std::mem::replace(&mut self.dirty, false)
     }
 
-    /// True when any of the adapter's channels fired this cycle, i.e.
-    /// [`commit_io`](PortIo::commit_io) would mutate a queue. Controllers
-    /// use this (with [`has_pending_inputs`](PortIo::has_pending_inputs)) to
-    /// fast-path commit on cycles where the adapter provably cannot move.
-    pub fn any_fired(&self, sig: &Signals) -> bool {
-        sig.any_masked_fired(&self.fired_mask)
-    }
-
     /// True when any input FIFO holds a token the controller has not yet
-    /// consumed (queued results awaiting delivery do not count — they leave
-    /// via channel fires, which [`any_fired`](PortIo::any_fired) observes).
+    /// consumed (queued results awaiting delivery do not count).
     pub fn has_pending_inputs(&self) -> bool {
-        debug_assert_eq!(self.pending, self.count_pending(), "pending cache drift");
-        self.pending != 0
-    }
-
-    /// Reference recount backing the `pending` cache (debug assertions and
-    /// the post-flush rebuild).
-    fn count_pending(&self) -> usize {
-        self.alloc_q.len()
-            + self
+        !self.alloc_q.is_empty()
+            || self
                 .addr_q
                 .iter()
                 .chain(&self.data_q)
                 .chain(&self.fake_q)
-                .map(VecDeque::len)
-                .sum::<usize>()
+                .any(|q| !q.is_empty())
     }
 
     /// Pops the next allocation token (one per iteration, program order).
     pub fn take_alloc(&mut self) -> Option<Token> {
         let t = self.alloc_q.pop_front();
-        self.pending -= t.is_some() as usize;
         self.dirty |= t.is_some();
         t
     }
@@ -231,7 +192,6 @@ impl PortIo {
     /// Pops the next address token of port `p`.
     pub fn take_addr(&mut self, p: usize) -> Option<Token> {
         let t = self.addr_q[p].pop_front();
-        self.pending -= t.is_some() as usize;
         self.dirty |= t.is_some();
         t
     }
@@ -252,7 +212,6 @@ impl PortIo {
     /// Pops the next store-data token of port `p`.
     pub fn take_data(&mut self, p: usize) -> Option<Token> {
         let t = self.data_q[p].pop_front();
-        self.pending -= t.is_some() as usize;
         self.dirty |= t.is_some();
         t
     }
@@ -265,7 +224,6 @@ impl PortIo {
     /// Pops the next fake token of port `p` (paper §V-C).
     pub fn take_fake(&mut self, p: usize) -> Option<Token> {
         let t = self.fake_q[p].pop_front();
-        self.pending -= t.is_some() as usize;
         self.dirty |= t.is_some();
         t
     }
@@ -321,7 +279,6 @@ impl PortIo {
                 self.dirty = true;
             }
         }
-        self.pending = self.count_pending();
         self.dirty |= self.occupancy() != before;
     }
 

@@ -8,7 +8,8 @@
 //! event-driven scheduler. The oracle's consistency contract (DESIGN.md §5):
 //!
 //! 1. Every disambiguating backend × scheduler must reproduce the golden
-//!    arrays exactly; the two schedulers must agree cycle-for-cycle.
+//!    arrays exactly; the two schedulers must agree cycle-for-cycle, on
+//!    the controller's statistics, and on the squash log.
 //! 2. A kernel the PV2xx checker proves clean (complete exploration, no
 //!    counterexamples) must complete on PreVV — no deadlock, no timeout.
 //! 3. An emitted counterexample must replay against the transition system
@@ -392,20 +393,29 @@ fn run_backend(
             }),
         }
     }
-    // Cross-scheduler determinism: identical arrays and identical engine
-    // reports (cycles, transfers, squashes — byte-identical outcome).
+    // Cross-scheduler determinism: identical arrays, engine reports
+    // (cycles, transfers, squashes), controller statistics and squash log
+    // — a byte-identical outcome.
     if let [(_, dense), (_, event)] = runs.as_slice() {
-        if dense.arrays != event.arrays {
-            verdict.failures.push(Failure {
-                kind: FailureKind::SchedulerDiverged,
-                backend: Some(name.clone()),
-                detail: "dense and event schedulers produced different arrays".into(),
-            });
+        let detail = if dense.arrays != event.arrays {
+            Some("dense and event schedulers produced different arrays".into())
         } else if let Some(d) = dense.report.diff(&event.report) {
+            Some(d)
+        } else if dense.prevv != event.prevv || dense.lsq != event.lsq {
+            Some(format!(
+                "controller stats differ: dense {:?} {:?}, event {:?} {:?}",
+                dense.prevv, dense.lsq, event.prevv, event.lsq
+            ))
+        } else if dense.squash_log != event.squash_log {
+            Some("dense and event schedulers logged different squashes".into())
+        } else {
+            None
+        };
+        if let Some(detail) = detail {
             verdict.failures.push(Failure {
                 kind: FailureKind::SchedulerDiverged,
                 backend: Some(name),
-                detail: d,
+                detail,
             });
         }
     }

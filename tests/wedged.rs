@@ -19,7 +19,7 @@ use prevv::dataflow::components::{Branch, Buffer, Fork, IterSource, Merge, Mux, 
 use prevv::dataflow::Simulator;
 use prevv::kernels::gen::{generate, GenConfig};
 use prevv::{
-    run_kernel_with, Controller, PrevvConfig, RunError, Scheduler, SimConfig, SimError,
+    run_kernel_with, Controller, MemTiming, PrevvConfig, RunError, Scheduler, SimConfig, SimError,
     SynthOptions,
 };
 
@@ -118,6 +118,54 @@ fn watchdog_catches_generated_premature_queue_deadlock() {
         }
     }
     panic!("no generated kernel wedged in 64 seeds; generator guards are degenerate");
+}
+
+/// One pinned wedge under 200/100-cycle memory, where the event scheduler
+/// crosses the memory waits in quiet-run skips: the watchdog must fire on
+/// the same cycle with the same diagnostic as the dense reference, and a
+/// cycle budget that runs out first must give the same `Timeout`.
+#[test]
+fn watchdog_fires_on_the_same_cycle_across_quiet_run_skips() {
+    let cfg = GenConfig {
+        require_guard: true,
+        allow_depth_hint: false,
+        ..GenConfig::corpus()
+    };
+    let spec = generate(56, &cfg);
+    assert_eq!(spec.name, "fuzz_0x38");
+    let starved = SynthOptions {
+        fake_tokens: false,
+        ..SynthOptions::default()
+    };
+    let mut config = PrevvConfig::prevv16();
+    config.timing = MemTiming {
+        read_latency: 200,
+        write_latency: 100,
+        read_ports: 1,
+        write_ports: 1,
+    };
+    let run = |scheduler, max_cycles| {
+        let sim = SimConfig {
+            max_cycles,
+            ..sim_config(scheduler)
+        };
+        match run_kernel_with(&spec, Controller::Prevv(config.clone()), &starved, &sim) {
+            Err(RunError::Sim(e)) => e,
+            other => panic!("{scheduler:?}: expected a wedge, got {other:?}"),
+        }
+    };
+    let dense = run(Scheduler::Dense, 200_000);
+    assert!(
+        matches!(dense, SimError::Deadlock { cycle: 933, .. }),
+        "{dense:?}"
+    );
+    assert_eq!(run(Scheduler::EventDriven, 200_000), dense);
+    let dense = run(Scheduler::Dense, 900);
+    assert!(
+        matches!(dense, SimError::Timeout { max_cycles: 900 }),
+        "{dense:?}"
+    );
+    assert_eq!(run(Scheduler::EventDriven, 900), dense);
 }
 
 /// Grafts the unbuffered merge→mux→fork feedback loop onto a synthesized
