@@ -1,5 +1,11 @@
 //! The individual analyses (PV001–PV006). Each lint pushes into a shared
 //! [`Report`]; the orchestration lives in [`crate::analyze`].
+//!
+//! Concrete values come from the IR's one kernel semantics: affine indices
+//! and guards through [`Expr::eval_affine`](prevv_ir::Expr::eval_affine) and
+//! [`Stmt::runs`](prevv_ir::Stmt::runs), and PV005's dead-store replay
+//! through [`golden::replay`] — the interpreter the simulator's results are
+//! checked against.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -7,36 +13,10 @@ use prevv_core::sizing::{expr_latency, recommend_depth, PairTiming};
 use prevv_dataflow::Value;
 use prevv_ir::depend::{Dependences, StaticMemOp, ENUM_LIMIT};
 use prevv_ir::symdep::{rect_bounds, AffineForm};
-use prevv_ir::{Expr, KernelSpec, MemOpKind, Span};
+use prevv_ir::{golden, KernelSpec, MemOpKind, Span};
 
 use crate::diag::{Code, Diagnostic, Report};
 use crate::AnalyzeOptions;
-
-/// Evaluates an affine expression over one iteration-space row.
-///
-/// # Panics
-///
-/// Panics on `Load`/`Opaque` nodes — callers must filter with
-/// [`Expr::is_runtime_dependent`] first.
-fn eval_affine(e: &Expr, row: &[Value]) -> Value {
-    match e {
-        Expr::Const(v) => *v,
-        Expr::IndVar(l) => row[*l],
-        Expr::Binary(op, l, r) => op.apply(eval_affine(l, row), eval_affine(r, row)),
-        Expr::Load(..) | Expr::Opaque(..) => {
-            unreachable!("affine evaluation reached a runtime-dependent node")
-        }
-    }
-}
-
-/// True when the statement's guard passes (or it has none) for this row.
-/// Guards are affine by [`KernelSpec::validate`].
-fn guard_passes(spec: &KernelSpec, stmt: usize, row: &[Value]) -> bool {
-    match &spec.body[stmt].guard {
-        None => true,
-        Some(g) => eval_affine(g, row) != 0,
-    }
-}
 
 /// Source span of each static op, aligned with `ops` (the `k`-th op of a
 /// statement maps to [`prevv_ir::Stmt::op_span`] with that ordinal).
@@ -77,9 +57,9 @@ pub(crate) fn check_bounds(spec: &KernelSpec, deps: &Dependences, report: &mut R
         let len = spec.arrays[op.array.0].len as Value;
         let hit = space
             .iter()
-            .filter(|row| guard_passes(spec, op.stmt, row))
+            .filter(|row| spec.body[op.stmt].runs(row))
             .find_map(|row| {
-                let raw = eval_affine(&op.index, row);
+                let raw = op.index.eval_affine(row);
                 (raw < 0 || raw >= len).then_some((raw, row.clone()))
             });
         if let Some((raw, row)) = hit {
@@ -302,9 +282,11 @@ pub(crate) fn check_disjoint(spec: &KernelSpec, deps: &Dependences, report: &mut
 }
 
 /// PV005 — dead stores and unused arrays. Unused arrays are purely
-/// declarative. Dead stores are found by exact replay of the canonical op
-/// order over the iteration space (guards evaluated, so this is precise);
-/// arrays with any runtime-dependent access are skipped conservatively.
+/// declarative. Dead stores are found by running the golden interpreter
+/// ([`golden::replay`]) over the iteration space and following the accesses
+/// of the arrays whose every index is affine (guards evaluated, so this is
+/// precise); arrays with any runtime-dependent access are skipped
+/// conservatively.
 /// A store is dead when none of its dynamic instances is read afterwards
 /// nor survives to the final array contents (the kernel's output). The
 /// replay is skipped (only the unused-array check runs) above
@@ -334,30 +316,29 @@ pub(crate) fn check_dead_stores(spec: &KernelSpec, deps: &Dependences, report: &
         }
     }
 
-    let space = spec.iteration_space();
     // `pending[array][addr]` = op id of the last store there, not yet read.
+    // An event's `seq` is its op id (the canonical order of `golden::replay`
+    // and `depend::enumerate_ops` agree).
     let mut pending: Vec<HashMap<usize, usize>> = vec![HashMap::new(); spec.arrays.len()];
     let mut observed = vec![false; deps.ops.len()];
     let mut executed = vec![false; deps.ops.len()];
-    for row in &space {
-        for op in &deps.ops {
-            if !exact[op.array.0] || !guard_passes(spec, op.stmt, row) {
-                continue;
+    golden::replay(spec, spec.iteration_count(), |ev| {
+        if !exact[ev.array.0] {
+            return;
+        }
+        let op = ev.seq as usize;
+        executed[op] = true;
+        match ev.kind {
+            MemOpKind::Load => {
+                if let Some(sid) = pending[ev.array.0].remove(&ev.index) {
+                    observed[sid] = true;
+                }
             }
-            executed[op.id] = true;
-            let addr = spec.resolve_index(op.array, eval_affine(&op.index, row));
-            match op.kind {
-                MemOpKind::Load => {
-                    if let Some(sid) = pending[op.array.0].remove(&addr) {
-                        observed[sid] = true;
-                    }
-                }
-                MemOpKind::Store => {
-                    pending[op.array.0].insert(addr, op.id);
-                }
+            MemOpKind::Store => {
+                pending[ev.array.0].insert(ev.index, op);
             }
         }
-    }
+    });
     // Values still in place at the end are the kernel's output.
     for per_array in pending {
         for (_, sid) in per_array {

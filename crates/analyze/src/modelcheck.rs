@@ -24,6 +24,12 @@
 //!   capacity on some interleaving, and
 //!   [`PV204`](Code::ReductionUnsound) a §V-B-eliminated operation whose
 //!   full-set validation verdict is a squash the reduced set would miss.
+//! * **Semantics** — an arriving op computes its address and store value
+//!   with [`Expr::eval`](prevv_ir::Expr::eval), fed the values its operand
+//!   loads recorded, and a completed interleaving must leave the RAM image
+//!   of [`golden::replay`] over the same iteration prefix (laid out at the
+//!   interface's array bases; asserted in debug builds). The checker reads
+//!   the kernel's one sequential semantics rather than a copy of it.
 //!
 //! # The exploration engine
 //!
@@ -70,7 +76,7 @@ use prevv_dataflow::{Tag, Value};
 use prevv_ir::symdep::{classify_accesses, PairClass};
 use prevv_ir::{
     depend::{AmbiguousPair, DischargeReason, Proof, StaticMemOp},
-    Expr, KernelSpec, MemOpKind, Span,
+    golden, KernelSpec, MemOpKind, Span,
 };
 
 use crate::absint;
@@ -859,12 +865,7 @@ impl<'a> Model<'a> {
             .collect();
         let guard_taken: Vec<Vec<bool>> = rows
             .iter()
-            .map(|row| {
-                spec.body
-                    .iter()
-                    .map(|s| s.guard.as_ref().is_none_or(|g| eval_affine(g, row) != 0))
-                    .collect()
-            })
+            .map(|row| spec.body.iter().map(|s| s.runs(row)).collect())
             .collect();
 
         // Horizon-box invariant discharge (PV502): the per-level min/max of
@@ -1000,7 +1001,13 @@ impl<'a> Model<'a> {
             opts.threads
         };
 
-        let expected_ram = sequential_ram(spec, &bases, &init_ram, &rows, &guard_taken);
+        // What every successful interleaving must leave in RAM: the golden
+        // execution of the bounded prefix, laid out at the array bases.
+        let mut expected_ram = init_ram.clone();
+        let (arrays, _) = golden::replay(spec, rows.len(), |_| {});
+        for (layout, values) in iface.arrays.iter().zip(&arrays) {
+            expected_ram[layout.base..layout.base + layout.len].copy_from_slice(values);
+        }
 
         Ok(Model {
             spec,
@@ -1121,27 +1128,6 @@ impl<'a> Model<'a> {
         }
     }
 
-    /// Evaluates `e` over induction-variable `row`, consuming the recorded
-    /// operand load values in canonical (depth-first) order.
-    fn eval_consume(&self, e: &Expr, row: &[Value], vals: &[Value], cur: &mut usize) -> Value {
-        match e {
-            Expr::Const(v) => *v,
-            Expr::IndVar(l) => row[*l],
-            Expr::Load(_, idx) => {
-                let _ = self.eval_consume(idx, row, vals, cur);
-                let v = vals[*cur];
-                *cur += 1;
-                v
-            }
-            Expr::Binary(op, l, r) => {
-                let a = self.eval_consume(l, row, vals, cur);
-                let b = self.eval_consume(r, row, vals, cur);
-                op.apply(a, b)
-            }
-            Expr::Opaque(f, x) => f.apply(self.eval_consume(x, row, vals, cur)),
-        }
-    }
-
     fn operand_values(&self, st: &McState, range: std::ops::Range<usize>, iter: u64) -> Vec<Value> {
         range
             .map(|q| {
@@ -1160,10 +1146,13 @@ impl<'a> Model<'a> {
         let o = &self.ops[op];
         let row = &self.rows[iter as usize];
         let vals = self.operand_values(st, self.operands(op), iter);
+        // The operand records hold the op's nested load values in canonical
+        // order, which is the order `Expr::eval` asks for them.
+        let mut operands = vals.iter().copied();
+        let mut load = |_, _| operands.next().expect("recorded operand value");
         match o.kind {
             MemOpKind::Load => {
-                let mut cur = 0;
-                let raw = self.eval_consume(&o.index, row, &vals, &mut cur);
+                let raw = o.index.eval(row, &mut load);
                 let addr = self.bases[o.array.0] + self.spec.resolve_index(o.array, raw);
                 // Issue-time bypass: a resident older store to the same
                 // address supplies the value when forwarding is on, or
@@ -1177,11 +1166,8 @@ impl<'a> Model<'a> {
             }
             MemOpKind::Store => {
                 let stmt = &self.spec.body[o.stmt];
-                let mi = stmt.index.loads().len();
-                let mut cur = 0;
-                let raw = self.eval_consume(&stmt.index, row, &vals[..mi], &mut cur);
-                let mut cur = 0;
-                let value = self.eval_consume(&stmt.value, row, &vals[mi..], &mut cur);
+                let raw = stmt.index.eval(row, &mut load);
+                let value = stmt.value.eval(row, &mut load);
                 let addr = self.bases[o.array.0] + self.spec.resolve_index(o.array, raw);
                 (addr, value)
             }
@@ -1949,54 +1935,6 @@ fn render_events(events: &[TraceEvent], cycle_from: Option<usize>) -> String {
         cycle_from,
     }
     .render()
-}
-
-/// Guards are validated affine (no loads, no opaque calls).
-fn eval_affine(e: &Expr, row: &[Value]) -> Value {
-    match e {
-        Expr::Const(v) => *v,
-        Expr::IndVar(l) => row[*l],
-        Expr::Binary(op, l, r) => op.apply(eval_affine(l, row), eval_affine(r, row)),
-        Expr::Load(..) | Expr::Opaque(..) => unreachable!("guards are validated affine"),
-    }
-}
-
-/// The sequential (golden) RAM image after the bounded prefix of
-/// iterations — what every successful interleaving must produce.
-fn sequential_ram(
-    spec: &KernelSpec,
-    bases: &[usize],
-    init: &[Value],
-    rows: &[Vec<Value>],
-    guard_taken: &[Vec<bool>],
-) -> Vec<Value> {
-    fn eval(spec: &KernelSpec, bases: &[usize], e: &Expr, row: &[Value], ram: &[Value]) -> Value {
-        match e {
-            Expr::Const(v) => *v,
-            Expr::IndVar(l) => row[*l],
-            Expr::Load(a, idx) => {
-                let raw = eval(spec, bases, idx, row, ram);
-                ram[bases[a.0] + spec.resolve_index(*a, raw)]
-            }
-            Expr::Binary(op, l, r) => op.apply(
-                eval(spec, bases, l, row, ram),
-                eval(spec, bases, r, row, ram),
-            ),
-            Expr::Opaque(f, x) => f.apply(eval(spec, bases, x, row, ram)),
-        }
-    }
-    let mut ram = init.to_vec();
-    for (it, row) in rows.iter().enumerate() {
-        for (si, stmt) in spec.body.iter().enumerate() {
-            if !guard_taken[it][si] {
-                continue;
-            }
-            let raw = eval(spec, bases, &stmt.index, row, &ram);
-            let value = eval(spec, bases, &stmt.value, row, &ram);
-            ram[bases[stmt.array.0] + spec.resolve_index(stmt.array, raw)] = value;
-        }
-    }
-    ram
 }
 
 #[cfg(test)]

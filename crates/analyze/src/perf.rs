@@ -23,6 +23,10 @@
 //! analytic per-cycle budgets (read/write ports, arbiter validations,
 //! retirements) and — for the *predicted* interval, not the sound bound —
 //! as the RAW-forwarding recurrence and premature-queue residency terms.
+//! The predicted interval's memory-traffic terms (RAM round-trips, store
+//! commits, estimated squashes) come from replaying the kernel's accesses
+//! through the golden interpreter ([`golden::replay`]) — the sequential
+//! semantics the simulator is checked against, not a copy of it.
 //! See DESIGN.md ("Timed marked graph") for the soundness argument and its
 //! caveats.
 //!
@@ -44,9 +48,9 @@
 use std::collections::HashSet;
 
 use prevv_core::PrevvConfig;
-use prevv_dataflow::{Netlist, Value};
+use prevv_dataflow::Netlist;
 use prevv_ir::depend::{VerdictClass, ENUM_LIMIT};
-use prevv_ir::{ArrayId, Expr, KernelSpec, MemOpKind, SynthesizedKernel};
+use prevv_ir::{golden, ArrayId, Expr, KernelSpec, MemOpKind, SynthesizedKernel};
 
 use crate::diag::{json_string, Code, Diagnostic, Report, Suggestion};
 
@@ -227,26 +231,25 @@ struct CycleRatio {
 
 impl MarkedGraph {
     fn from_netlist(net: &Netlist) -> Self {
-        let ends = net.channel_endpoints();
         let mut g = MarkedGraph {
             chan_desc: vec![None; net.channel_count()],
             ..MarkedGraph::default()
         };
         for (_, label, comp) in net.iter() {
+            let ports = comp.ports();
             g.add_stage(
                 format!("{label}({})", comp.type_name()),
                 comp.latency() as f64,
                 comp.capacity() as f64,
                 comp.occupancy() as f64,
                 0.0,
-                comp.ports().inputs.iter().map(|c| c.index()).collect(),
-                comp.ports().outputs.iter().map(|c| c.index()).collect(),
+                ports.inputs.iter().map(|c| c.index()).collect(),
+                ports.outputs.iter().map(|c| c.index()).collect(),
             );
         }
         // Channel wiring is deferred to `build_edges`, which only connects
         // channels with both endpoints present — open memory-port channels
         // stay dangling until the virtual controller stages close them.
-        let _ = ends; // endpoints are re-derived from stage port lists
         g
     }
 
@@ -517,22 +520,8 @@ fn controller_graph(synth: &SynthesizedKernel, cfg: &PrevvConfig) -> MarkedGraph
 }
 
 // ---------------------------------------------------------------------------
-// Guard densities and the address-stream interpreter
+// Guard densities and the address-stream replay
 // ---------------------------------------------------------------------------
-
-/// Evaluates an expression for one iteration row against a memory image.
-fn eval(spec: &KernelSpec, e: &Expr, row: &[Value], mem: &[Vec<Value>]) -> Value {
-    match e {
-        Expr::Const(v) => *v,
-        Expr::IndVar(l) => row[*l],
-        Expr::Binary(op, l, r) => op.apply(eval(spec, l, row, mem), eval(spec, r, row, mem)),
-        Expr::Opaque(f, x) => f.apply(eval(spec, x, row, mem)),
-        Expr::Load(a, idx) => {
-            let addr = spec.resolve_index(*a, eval(spec, idx, row, mem));
-            mem[a.0][addr]
-        }
-    }
-}
 
 /// Exact per-statement guard execution densities (1.0 for unguarded
 /// statements). `None` when the space is too large to enumerate.
@@ -542,19 +531,12 @@ fn guard_densities(spec: &KernelSpec) -> Option<Vec<f64>> {
     }
     let space = spec.iteration_space();
     let n = space.len().max(1);
-    let empty: Vec<Vec<Value>> = Vec::new();
     Some(
         spec.body
             .iter()
             .map(|stmt| match &stmt.guard {
                 None => 1.0,
-                Some(g) => {
-                    let taken = space
-                        .iter()
-                        .filter(|row| eval(spec, g, row, &empty) != 0)
-                        .count();
-                    taken as f64 / n as f64
-                }
+                Some(_) => space.iter().filter(|row| stmt.runs(row)).count() as f64 / n as f64,
             })
             .collect(),
     )
@@ -571,8 +553,9 @@ struct TraceStats {
     est_squashes: f64,
 }
 
-/// Replays the kernel's exact address streams (golden program order) and
-/// classifies every load against the controller's forwarding window. This
+/// Replays the kernel's exact address streams through the golden
+/// interpreter ([`golden::replay`], program order) and classifies every
+/// load against the controller's forwarding window. This
 /// is still *static* analysis — the kernel's address streams are fully
 /// determined by its spec — but it is average-case with respect to timing,
 /// so its outputs feed only the predicted interval, never the sound bound.
@@ -584,63 +567,49 @@ fn trace_memory(spec: &KernelSpec, cfg: &PrevvConfig, skew_iters: u64) -> Option
     }
     let ops = spec.mem_ops_per_iter().max(1);
     let window = ((cfg.depth / ops).max(1)) as u64;
-    let mut mem: Vec<Vec<Value>> = spec.arrays.iter().map(|a| a.initial()).collect();
     // (iteration, array, address) of recent committed stores.
     let mut recent: Vec<(u64, usize, usize)> = Vec::new();
     let mut predictor: HashSet<(usize, usize)> = HashSet::new();
     let mut stats = TraceStats::default();
-    for (it, row) in spec.iteration_space().into_iter().enumerate() {
-        let it = it as u64;
-        recent.retain(|&(j, _, _)| it.saturating_sub(j) <= window);
-        for stmt in &spec.body {
-            let taken = match &stmt.guard {
-                None => true,
-                Some(g) => eval(spec, g, &row, &mem) != 0,
-            };
-            if !taken {
-                continue; // a fake token: arrives and retires, no traffic
-            }
-            let loads: Vec<(ArrayId, &Expr)> = stmt
-                .index
-                .loads()
-                .into_iter()
-                .chain(stmt.value.loads())
-                .collect();
-            for (array, idx) in loads {
-                let addr = spec.resolve_index(array, eval(spec, idx, &row, &mem));
-                let key = (array.0, addr);
-                let hit = |lo: u64, hi: u64| {
-                    recent.iter().any(|&(j, a, ad)| {
-                        a == array.0 && ad == addr && {
-                            let d = it.saturating_sub(j);
-                            (lo..=hi).contains(&d) || (j == it && lo == 0)
-                        }
-                    })
-                };
-                if hit(0, 0) {
-                    // Same-iteration older store: the bypass always covers it.
-                } else if skew_iters > 0 && hit(1, skew_iters) {
-                    // The racing store has typically not arrived yet: the
-                    // first collision on this address reads RAM prematurely
-                    // and squashes; afterwards the predictor holds the load
-                    // and it forwards.
-                    if predictor.insert(key) {
-                        stats.est_squashes += 1.0;
-                        stats.ram_reads += 1.0;
-                    }
-                } else if cfg.forwarding && hit(skew_iters + 1, window) {
-                    // Resident older store: queue bypass, no RAM round-trip.
-                } else {
-                    stats.ram_reads += 1.0;
-                }
-            }
-            let addr = spec.resolve_index(stmt.array, eval(spec, &stmt.index, &row, &mem));
-            let value = eval(spec, &stmt.value, &row, &mem);
-            mem[stmt.array.0][addr] = value;
-            recent.push((it, stmt.array.0, addr));
-            stats.taken_stores += 1.0;
+    let mut current = None;
+    // A guard-suppressed statement sends a fake token: it arrives and
+    // retires without traffic, so the replay reports no access for it.
+    golden::replay(spec, spec.iteration_count(), |ev| {
+        let it = ev.iter;
+        if current != Some(it) {
+            current = Some(it);
+            recent.retain(|&(j, _, _)| it.saturating_sub(j) <= window);
         }
-    }
+        let (array, addr) = (ev.array.0, ev.index);
+        if ev.kind == MemOpKind::Store {
+            recent.push((it, array, addr));
+            stats.taken_stores += 1.0;
+            return;
+        }
+        let hit = |lo: u64, hi: u64| {
+            recent.iter().any(|&(j, a, ad)| {
+                a == array && ad == addr && {
+                    let d = it.saturating_sub(j);
+                    (lo..=hi).contains(&d) || (j == it && lo == 0)
+                }
+            })
+        };
+        if hit(0, 0) {
+            // Same-iteration older store: the bypass always covers it.
+        } else if skew_iters > 0 && hit(1, skew_iters) {
+            // The racing store has typically not arrived yet: the first
+            // collision on this address reads RAM prematurely and squashes;
+            // afterwards the predictor holds the load and it forwards.
+            if predictor.insert((array, addr)) {
+                stats.est_squashes += 1.0;
+                stats.ram_reads += 1.0;
+            }
+        } else if cfg.forwarding && hit(skew_iters + 1, window) {
+            // Resident older store: queue bypass, no RAM round-trip.
+        } else {
+            stats.ram_reads += 1.0;
+        }
+    });
     Some(stats)
 }
 

@@ -6,7 +6,7 @@
 //! runtime-indexed read-modify-write streams, where every interleaving of
 //! the premature queue is semantically distinct and the engine must brute
 //! its way through the space). `scripts/verify.sh` records the same
-//! throughput figure into `BENCH_modelcheck.json` per PR.
+//! throughput figure into `target/BENCH_modelcheck.json`, a CI artifact.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use prevv::analyze::{check_protocol, ProtocolOptions};

@@ -2,9 +2,9 @@
 //! the dense reference sweep versus the event-driven dirty-set fixpoint, on
 //! the paper's fig2a kernel under the default PreVV controller. The final
 //! `BENCH_SIM_JSON` line is machine-readable; `scripts/verify.sh` runs this
-//! bench, records the best-of-5 figures into `BENCH_sim.json`, and fails the
-//! build if the event-driven default ever drops below dense throughput on
-//! the latency-bound workload.
+//! bench, records the best-of-5 figures into `target/BENCH_sim.json` (a CI
+//! artifact, never a tracked file), and fails the build if the event-driven
+//! default ever drops below dense throughput on the latency-bound workload.
 //!
 //! Two regimes of the same kernel are measured:
 //!

@@ -14,8 +14,6 @@
 
 use std::collections::HashSet;
 
-use prevv_dataflow::Value;
-
 use crate::expr::{ArrayId, Expr};
 use crate::golden::MemOpKind;
 use crate::kernel::KernelSpec;
@@ -268,7 +266,7 @@ pub fn analyze(spec: &KernelSpec) -> Dependences {
             (small && !op.index.is_runtime_dependent()).then(|| {
                 space
                     .iter()
-                    .map(|row| spec.resolve_index(op.array, eval_affine(&op.index, row)))
+                    .map(|row| spec.resolve_index(op.array, op.index.eval_affine(row)))
                     .collect()
             })
         })
@@ -389,17 +387,6 @@ fn collisions(loads: &[usize], stores: &[(usize, usize)], protected: bool) -> Op
         }
     }
     collides.then_some(best)
-}
-
-fn eval_affine(e: &Expr, row: &[Value]) -> Value {
-    match e {
-        Expr::Const(v) => *v,
-        Expr::IndVar(l) => row[*l],
-        Expr::Binary(op, l, r) => op.apply(eval_affine(l, row), eval_affine(r, row)),
-        Expr::Load(..) | Expr::Opaque(..) => {
-            unreachable!("runtime-dependent indices are filtered before evaluation")
-        }
-    }
 }
 
 #[cfg(test)]

@@ -117,6 +117,46 @@ impl Expr {
         Expr::Opaque(f, Box::new(self))
     }
 
+    /// Evaluates the expression for one iteration-space `row` — the one
+    /// concrete semantics of a kernel expression.
+    ///
+    /// Evaluation is depth-first, left to right: a load's index is evaluated
+    /// before the load, and a left operand before the right one — the order
+    /// of [`Expr::loads`]. `load(array, raw)` supplies each loaded value; it
+    /// receives the raw index, before
+    /// [`KernelSpec::resolve_index`](crate::KernelSpec::resolve_index) wraps
+    /// it.
+    pub fn eval(&self, row: &[Value], load: &mut impl FnMut(ArrayId, Value) -> Value) -> Value {
+        match self {
+            Expr::Const(v) => *v,
+            Expr::IndVar(l) => row[*l],
+            Expr::Load(a, idx) => {
+                let raw = idx.eval(row, load);
+                load(*a, raw)
+            }
+            Expr::Binary(op, l, r) => {
+                let lv = l.eval(row, load);
+                let rv = r.eval(row, load);
+                op.apply(lv, rv)
+            }
+            Expr::Opaque(f, x) => f.apply(x.eval(row, load)),
+        }
+    }
+
+    /// [`Expr::eval`] for memory-free expressions: guards and statically
+    /// evaluable indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a `Load` node; callers filter with
+    /// [`Expr::is_runtime_dependent`] first (guards are affine by
+    /// [`KernelSpec::validate`](crate::KernelSpec::validate)).
+    pub fn eval_affine(&self, row: &[Value]) -> Value {
+        self.eval(row, &mut |a, _| {
+            unreachable!("affine evaluation reached a load of {a}")
+        })
+    }
+
     /// Collects the array loads in this expression in canonical
     /// (depth-first, left-to-right) order — the order in which they receive
     /// program-order sequence numbers.

@@ -9,8 +9,8 @@
 
 use prevv_dataflow::Value;
 
-use crate::expr::{ArrayId, Expr};
-use crate::kernel::{KernelSpec, Stmt};
+use crate::expr::ArrayId;
+use crate::kernel::KernelSpec;
 
 /// Whether a memory event reads or writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,34 +68,10 @@ impl GoldenResult {
 
 /// Executes the kernel sequentially.
 ///
-/// The canonical intra-iteration order of memory operations is: for each
-/// statement in body order — index-expression loads (depth-first,
-/// left-to-right), value-expression loads, then the store. Guarded
-/// statements that are skipped contribute no events (their sequence numbers
-/// are still reserved, so `seq` values match the synthesized circuit's port
-/// numbering exactly).
+/// [`replay`] over the whole iteration space, recording every access.
 pub fn execute(spec: &KernelSpec) -> GoldenResult {
-    let mut arrays: Vec<Vec<Value>> = spec.arrays.iter().map(|a| a.initial()).collect();
     let mut trace = Vec::new();
-    let mut guards_skipped = 0;
-
-    for (iter, row) in spec.iteration_space().into_iter().enumerate() {
-        let iter = iter as u64;
-        let mut seq: u32 = 0;
-        for stmt in &spec.body {
-            let taken = match &stmt.guard {
-                None => true,
-                Some(g) => eval_pure(g, &row) != 0,
-            };
-            if !taken {
-                guards_skipped += 1;
-                seq += stmt.mem_op_count() as u32;
-                continue;
-            }
-            exec_stmt(spec, stmt, &row, iter, &mut seq, &mut arrays, &mut trace);
-        }
-    }
-
+    let (arrays, guards_skipped) = replay(spec, spec.iteration_count(), |ev| trace.push(*ev));
     GoldenResult {
         arrays,
         trace,
@@ -103,88 +79,73 @@ pub fn execute(spec: &KernelSpec) -> GoldenResult {
     }
 }
 
-fn exec_stmt(
+/// Executes the first `iterations` iterations of the kernel sequentially —
+/// the one execution loop every consumer of the sequential semantics runs.
+/// Returns the final array contents and the number of guard-suppressed
+/// statement instances.
+///
+/// `on_access` sees every memory access in program order, as it happens.
+/// The canonical intra-iteration order is: for each statement in body
+/// order, the index-expression loads, the value-expression loads (each
+/// depth-first, left to right, as [`Expr::eval`](crate::Expr::eval)
+/// evaluates them), then the store. An event's `seq` is therefore the op id
+/// `depend::enumerate_ops` assigns the access. Guarded statements that are skipped contribute no
+/// events, but their sequence numbers are still reserved, so `seq` values
+/// match the synthesized circuit's port numbering exactly.
+pub fn replay(
     spec: &KernelSpec,
-    stmt: &Stmt,
-    row: &[Value],
-    iter: u64,
-    seq: &mut u32,
-    arrays: &mut [Vec<Value>],
-    trace: &mut Vec<MemEvent>,
-) {
-    let idx_raw = eval(spec, &stmt.index, row, iter, seq, arrays, trace);
-    let value = eval(spec, &stmt.value, row, iter, seq, arrays, trace);
-    let index = spec.resolve_index(stmt.array, idx_raw);
-    arrays[stmt.array.0][index] = value;
-    trace.push(MemEvent {
-        iter,
-        seq: *seq,
-        kind: MemOpKind::Store,
-        array: stmt.array,
-        index,
-        value,
-    });
-    *seq += 1;
-}
-
-/// Evaluates an expression, recording loads in the trace.
-fn eval(
-    spec: &KernelSpec,
-    e: &Expr,
-    row: &[Value],
-    iter: u64,
-    seq: &mut u32,
-    arrays: &mut [Vec<Value>],
-    trace: &mut Vec<MemEvent>,
-) -> Value {
-    match e {
-        Expr::Const(v) => *v,
-        Expr::IndVar(l) => row[*l],
-        Expr::Load(a, idx) => {
-            let raw = eval(spec, idx, row, iter, seq, arrays, trace);
-            let index = spec.resolve_index(*a, raw);
-            let value = arrays[a.0][index];
-            trace.push(MemEvent {
+    iterations: usize,
+    mut on_access: impl FnMut(&MemEvent),
+) -> (Vec<Vec<Value>>, u64) {
+    let mut arrays: Vec<Vec<Value>> = spec.arrays.iter().map(|a| a.initial()).collect();
+    let mut guards_skipped = 0;
+    let space = spec.iteration_space();
+    for (iter, row) in space.iter().take(iterations).enumerate() {
+        let iter = iter as u64;
+        let mut seq: u32 = 0;
+        for stmt in &spec.body {
+            if !stmt.runs(row) {
+                guards_skipped += 1;
+                seq += stmt.mem_op_count() as u32;
+                continue;
+            }
+            let mut load = |array: ArrayId, raw: Value| {
+                let index = spec.resolve_index(array, raw);
+                let value = arrays[array.0][index];
+                on_access(&MemEvent {
+                    iter,
+                    seq,
+                    kind: MemOpKind::Load,
+                    array,
+                    index,
+                    value,
+                });
+                seq += 1;
+                value
+            };
+            let raw = stmt.index.eval(row, &mut load);
+            let value = stmt.value.eval(row, &mut load);
+            let index = spec.resolve_index(stmt.array, raw);
+            arrays[stmt.array.0][index] = value;
+            on_access(&MemEvent {
                 iter,
-                seq: *seq,
-                kind: MemOpKind::Load,
-                array: *a,
+                seq,
+                kind: MemOpKind::Store,
+                array: stmt.array,
                 index,
                 value,
             });
-            *seq += 1;
-            value
-        }
-        Expr::Binary(op, l, r) => {
-            let lv = eval(spec, l, row, iter, seq, arrays, trace);
-            let rv = eval(spec, r, row, iter, seq, arrays, trace);
-            op.apply(lv, rv)
-        }
-        Expr::Opaque(f, x) => f.apply(eval(spec, x, row, iter, seq, arrays, trace)),
-    }
-}
-
-/// Evaluates a memory-free expression (guards).
-///
-/// # Panics
-///
-/// Panics on `Load`/`Opaque` nodes; [`KernelSpec::validate`] rejects such
-/// guards up front.
-fn eval_pure(e: &Expr, row: &[Value]) -> Value {
-    match e {
-        Expr::Const(v) => *v,
-        Expr::IndVar(l) => row[*l],
-        Expr::Binary(op, l, r) => op.apply(eval_pure(l, row), eval_pure(r, row)),
-        Expr::Load(..) | Expr::Opaque(..) => {
-            unreachable!("guards are validated to be affine")
+            seq += 1;
         }
     }
+    (arrays, guards_skipped)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::ArrayDecl;
+    use crate::expr::Expr;
+    use crate::kernel::{ArrayDecl, Stmt};
     use prevv_dataflow::components::BinOp;
     use prevv_dataflow::components::LoopLevel;
 
@@ -248,6 +209,65 @@ mod tests {
         assert_eq!(store.array, ArrayId(0));
         assert_eq!(store.index, 2);
         assert_eq!(store.value, 1);
+    }
+
+    #[test]
+    fn empty_prefix_leaves_the_initial_arrays() {
+        let k = fig2a();
+        let mut events = 0;
+        let (arrays, skipped) = replay(&k, 0, |_| events += 1);
+        let initial: Vec<Vec<Value>> = k.arrays.iter().map(|a| a.initial()).collect();
+        assert_eq!(arrays, initial);
+        assert_eq!((events, skipped), (0, 0));
+    }
+
+    #[test]
+    fn full_prefix_equals_execute() {
+        let k = fig2a();
+        let mut trace = Vec::new();
+        let (arrays, guards_skipped) = replay(&k, k.iteration_count(), |ev| trace.push(*ev));
+        let replayed = GoldenResult {
+            arrays,
+            trace,
+            guards_skipped,
+        };
+        assert_eq!(replayed, execute(&k));
+    }
+
+    #[test]
+    fn two_iteration_prefix_matches_hand_execution() {
+        let k = fig2a();
+        let mut trace = Vec::new();
+        let (arrays, skipped) = replay(&k, 2, |ev| trace.push(*ev));
+        // i=0: a[b[0]=2] = 0+1; b[0] = 2+2. i=1: a[b[1]=2] = 1+1; b[1] = 2+2.
+        assert_eq!(arrays[0], [0, 0, 2, 0, 0, 0, 0, 0]);
+        assert_eq!(arrays[1], [4, 4, 5, 2]);
+        assert_eq!(skipped, 0);
+        let (a, b) = (ArrayId(0), ArrayId(1));
+        let ev = |iter, seq, kind, array, index, value| MemEvent {
+            iter,
+            seq,
+            kind,
+            array,
+            index,
+            value,
+        };
+        use MemOpKind::{Load, Store};
+        let expected: Vec<MemEvent> = [0, 1]
+            .into_iter()
+            .flat_map(|i| {
+                let old = i as Value; // a[2] before iteration i
+                [
+                    ev(i, 0, Load, b, i as usize, 2),
+                    ev(i, 1, Load, b, i as usize, 2),
+                    ev(i, 2, Load, a, 2, old),
+                    ev(i, 3, Store, a, 2, old + 1),
+                    ev(i, 4, Load, b, i as usize, 2),
+                    ev(i, 5, Store, b, i as usize, 4),
+                ]
+            })
+            .collect();
+        assert_eq!(trace, expected);
     }
 
     #[test]

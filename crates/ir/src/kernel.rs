@@ -169,6 +169,12 @@ impl Stmt {
         }
     }
 
+    /// True when the statement executes for this iteration-space row: it
+    /// has no guard, or its (affine) guard evaluates nonzero.
+    pub fn runs(&self, row: &[Value]) -> bool {
+        self.guard.as_ref().is_none_or(|g| g.eval_affine(row) != 0)
+    }
+
     /// Memory operations of this statement in canonical program order:
     /// loads of the index expression, loads of the value expression, then
     /// the store itself. Guard-expression loads are not supported (guards

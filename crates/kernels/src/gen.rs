@@ -669,41 +669,28 @@ mod tests {
     #[test]
     fn generated_addresses_stay_in_bounds() {
         // The interval tracking plus in-range inits must keep every runtime
-        // address inside its array without relying on the Euclidean wrap.
+        // address, load or store, inside its array without relying on the
+        // Euclidean wrap.
         let cfg = GenConfig::default();
         for seed in 0..64u64 {
             let k = generate(seed, &cfg);
+            let checked = |a: ArrayId, raw: Value| {
+                let len = k.arrays[a.0].len as Value;
+                assert!(
+                    (0..len).contains(&raw),
+                    "seed {seed}: raw address {raw} outside [0, {len})"
+                );
+                raw as usize
+            };
             let mut ram: Vec<Vec<Value>> = k.arrays.iter().map(|a| a.initial()).collect();
             for iter in k.iteration_space() {
-                for stmt in &k.body {
-                    if let Some(g) = &stmt.guard {
-                        if eval(g, &iter, &ram, &k) == 0 {
-                            continue;
-                        }
-                    }
-                    let raw = eval(&stmt.index, &iter, &ram, &k);
-                    let len = k.arrays[stmt.array.0].len as Value;
-                    assert!(
-                        (0..len).contains(&raw),
-                        "seed {seed}: raw address {raw} outside [0, {len})"
-                    );
-                    let v = eval(&stmt.value, &iter, &ram, &k);
-                    ram[stmt.array.0][raw as usize] = v;
+                for stmt in k.body.iter().filter(|s| s.runs(&iter)) {
+                    let mut load = |a: ArrayId, raw: Value| ram[a.0][checked(a, raw)];
+                    let raw = stmt.index.eval(&iter, &mut load);
+                    let v = stmt.value.eval(&iter, &mut load);
+                    ram[stmt.array.0][checked(stmt.array, raw)] = v;
                 }
             }
-        }
-    }
-
-    fn eval(e: &Expr, iter: &[Value], ram: &[Vec<Value>], k: &KernelSpec) -> Value {
-        match e {
-            Expr::Const(v) => *v,
-            Expr::IndVar(l) => iter[*l],
-            Expr::Load(a, idx) => {
-                let raw = eval(idx, iter, ram, k);
-                ram[a.0][k.resolve_index(*a, raw)]
-            }
-            Expr::Binary(op, l, r) => op.apply(eval(l, iter, ram, k), eval(r, iter, ram, k)),
-            Expr::Opaque(f, x) => f.apply(eval(x, iter, ram, k)),
         }
     }
 
