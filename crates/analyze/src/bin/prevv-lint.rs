@@ -30,8 +30,13 @@
 //! as a timed marked graph and its steady-state initiation-interval bound,
 //! critical cycle, and binding resource are reported (PV400) together with
 //! buffer-insertion (PV401) and queue-sizing (PV402) suggestions.
-//! Findings from all passes fold into one report per file, rendered
-//! rustc-style (default) or as one JSON document for the whole run:
+//!
+//! Each file runs through the analyzer's one driver,
+//! `prevv_analyze::lint_text`, so a kernel's `depth_q = N;` directive
+//! overrides `--depth` for every pass alike: the kernel lints, the `prevv`
+//! circuit model, the perf model and the model-checked queue. Findings
+//! from all passes fold into one report per file, rendered rustc-style
+//! (default) or as one JSON document for the whole run:
 //!
 //! ```json
 //! {"files":[{"file":"...","report":{...}}, ...],
@@ -70,9 +75,9 @@
 //! `--deny-warnings`, any warning.
 
 use prevv_analyze::{
-    check_protocol, diag::Code, diag::Diagnostic, diag::Report, diag::Suggestion, explain_code,
-    lint_source, lint_source_with_circuit, lint_source_with_perf, AnalyzeOptions, CheckStats,
-    CircuitOptions, ControllerModel, PerfOptions, PerfSummary, ProtocolOptions, Severity,
+    diag::Code, diag::Report, diag::Suggestion, explain_code, lint_text, AnalyzeOptions,
+    CheckStats, CircuitOptions, ControllerModel, PerfOptions, PerfSummary, ProtocolOptions,
+    Severity,
 };
 use prevv_core::PrevvConfig;
 use prevv_dataflow::sweep;
@@ -87,8 +92,6 @@ struct Args {
     format: Format,
     opts: AnalyzeOptions,
     circuit: Option<CircuitOptions>,
-    protocol: Option<ProtocolOptions>,
-    perf: Option<PerfOptions>,
     fix: bool,
     deny_warnings: bool,
     jobs: usize,
@@ -137,19 +140,23 @@ fn parse_states(v: &str) -> Option<usize> {
     digits.parse::<usize>().ok()?.checked_mul(mult)
 }
 
+/// The next argument as a number, or the usage message.
+fn number<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>) -> T {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage())
+}
+
 fn parse_args() -> Args {
     let mut files = Vec::new();
     let mut format = Format::Text;
-    let mut opts = AnalyzeOptions::default();
+    // The one controller configuration every pass checks against.
+    let mut cfg = PrevvConfig::default();
+    let mut fake_tokens = true;
     let mut want_circuit = false;
     let mut controller = None;
     let mut want_protocol = false;
-    let mut mc_depth = 0u64;
-    let mut mc_states = 0usize;
-    let mut mc_threads = 0usize;
-    let mut mc_audit = false;
-    let mut mc_por = true;
-    let mut forwarding = true;
+    let mut protocol = ProtocolOptions::default();
     let mut want_perf = false;
     let mut fix = false;
     let mut deny_warnings = false;
@@ -165,14 +172,9 @@ fn parse_args() -> Args {
                     _ => usage(),
                 };
             }
-            "--depth" => {
-                opts.depth = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--no-fake-tokens" => opts.fake_tokens = false,
-            "--no-pair-reduction" => opts.pair_reduction = false,
+            "--depth" => cfg.depth = number(&mut it),
+            "--no-fake-tokens" => fake_tokens = false,
+            "--no-pair-reduction" => cfg.pair_reduction = false,
             "--circuit" => want_circuit = true,
             "--controller" => {
                 controller = match it.next().as_deref() {
@@ -185,44 +187,36 @@ fn parse_args() -> Args {
             }
             "--protocol" => want_protocol = true,
             "--mc-depth" => {
-                mc_depth = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                protocol.iterations = number(&mut it);
                 want_protocol = true;
             }
             "--mc-states" => {
-                mc_states = it
+                let states = it
                     .next()
                     .and_then(|v| parse_states(&v))
                     .unwrap_or_else(|| usage());
+                if states > 0 {
+                    protocol.max_states = states;
+                }
                 want_protocol = true;
             }
             "--mc-threads" => {
-                mc_threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                protocol.threads = number(&mut it);
                 want_protocol = true;
             }
             "--mc-audit" => {
-                mc_audit = true;
+                protocol.audit = true;
                 want_protocol = true;
             }
             "--mc-no-por" => {
-                mc_por = false;
+                protocol.por = false;
                 want_protocol = true;
             }
-            "--no-forwarding" => forwarding = false,
+            "--no-forwarding" => cfg.forwarding = false,
             "--perf" => want_perf = true,
             "--fix" => fix = true,
             "--deny-warnings" => deny_warnings = true,
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
+            "--jobs" => jobs = number(&mut it),
             "--help" | "-h" => usage(),
             f if !f.starts_with('-') => files.push(f.to_string()),
             _ => usage(),
@@ -233,59 +227,29 @@ fn parse_args() -> Args {
     }
     let circuit = want_circuit.then(|| CircuitOptions {
         controller: controller.unwrap_or(ControllerModel::Queue {
-            capacity: opts.depth,
+            capacity: cfg.depth,
         }),
     });
-    let protocol = want_protocol.then(|| {
-        let mut p = ProtocolOptions::for_config(&PrevvConfig {
-            depth: opts.depth,
-            pair_reduction: opts.pair_reduction,
-            forwarding,
-            ..PrevvConfig::default()
-        });
-        p.fake_tokens = opts.fake_tokens;
-        p.iterations = mc_depth;
-        if mc_states > 0 {
-            p.max_states = mc_states;
-        }
-        p.threads = mc_threads;
-        p.audit = mc_audit;
-        p.por = mc_por;
-        p
-    });
-    let perf = want_perf.then(|| PerfOptions {
-        config: PrevvConfig {
-            depth: opts.depth,
-            pair_reduction: opts.pair_reduction,
-            forwarding,
-            ..PrevvConfig::default()
-        },
-    });
+    let opts = AnalyzeOptions {
+        fake_tokens,
+        protocol: want_protocol.then(|| ProtocolOptions {
+            config: cfg.clone(),
+            fake_tokens,
+            ..protocol
+        }),
+        perf: want_perf.then(|| PerfOptions {
+            config: cfg.clone(),
+        }),
+        ..AnalyzeOptions::for_config(&cfg)
+    };
     Args {
         files,
         format,
         opts,
         circuit,
-        protocol,
-        perf,
         fix,
         deny_warnings,
         jobs,
-    }
-}
-
-/// Runs the parse/kernel/circuit/perf passes (everything except the model
-/// checker, whose diagnostics never carry fixes) over one source text.
-fn lint_once(name: &str, source: &str, args: &Args) -> (Report, Option<PerfSummary>) {
-    match (&args.perf, &args.circuit) {
-        (Some(perf), circuit) => {
-            lint_source_with_perf(name, source, &args.opts, circuit.as_ref(), perf)
-        }
-        (None, Some(circuit)) => (
-            lint_source_with_circuit(name, source, &args.opts, circuit),
-            None,
-        ),
-        (None, None) => (lint_source(name, source, &args.opts), None),
     }
 }
 
@@ -321,7 +285,12 @@ fn fix_file(path: &str, name: &str, source: &str, report: &Report, args: &Args) 
     if applied.is_empty() {
         return true;
     }
-    let (recheck, _) = lint_once(name, &fixed, args);
+    // The model checker's diagnostics never carry fixes: skip it.
+    let opts = AnalyzeOptions {
+        protocol: None,
+        ..args.opts.clone()
+    };
+    let recheck = lint_text(name, &fixed, &opts, args.circuit.as_ref()).report;
     let stale: Vec<&Code> = applied
         .iter()
         .filter(|c| recheck.diagnostics.iter().any(|d| d.code == **c))
@@ -443,28 +412,28 @@ fn main() {
             (name, source)
         })
         .collect();
-    // The parse/kernel/circuit/perf passes are independent per file: shard
-    // them across `--jobs` workers (0 = all cores). Results come back in
-    // file order, so the rendered output is byte-identical at any job
-    // count. Fixing, the protocol checker (which shards internally via
-    // `--mc-threads`), and printing stay sequential below.
-    let linted: Vec<(Report, Option<PerfSummary>)> = if args.jobs == 1 {
-        sources
-            .iter()
-            .map(|(name, source)| lint_once(name, source, &args))
-            .collect()
-    } else if args.jobs == 0 {
-        sweep::run(&sources, |(name, source)| lint_once(name, source, &args))
-    } else {
-        sweep::run_with_threads(&sources, args.jobs, |(name, source)| {
-            lint_once(name, source, &args)
-        })
+    // Files are independent: shard them across `--jobs` workers (0 = all
+    // cores; the checker shards internally via `--mc-threads`). Results
+    // come back in file order, so the rendered output is byte-identical at
+    // any job count. Fixing and printing stay sequential below.
+    let lint = |(name, source): &(String, String)| {
+        let analysis = lint_text(name, source, &args.opts, args.circuit.as_ref());
+        (
+            analysis.report,
+            analysis.perf,
+            analysis.protocol.map(|r| r.stats),
+        )
     };
-    for ((path, (name, source)), (mut report, summary)) in
+    let linted: Vec<(Report, Option<PerfSummary>, Option<CheckStats>)> = match args.jobs {
+        1 => sources.iter().map(lint).collect(),
+        0 => sweep::run(&sources, lint),
+        jobs => sweep::run_with_threads(&sources, jobs, lint),
+    };
+    for ((path, (name, source)), (report, perf, protocol)) in
         args.files.iter().zip(&sources).zip(linted)
     {
         // summary.perf keeps the worst verdict across the run.
-        if let Some(s) = summary {
+        if let Some(s) = perf {
             let worse = perf_summary
                 .as_ref()
                 .is_none_or(|prev| s.ii_bound > prev.ii_bound);
@@ -472,28 +441,13 @@ fn main() {
                 perf_summary = Some(s);
             }
         }
+        if let Some(stats) = &protocol {
+            protocol_summary
+                .get_or_insert_with(ProtocolSummary::default)
+                .fold(stats);
+        }
         if args.fix && !fix_file(path, name, source, &report, &args) {
             fix_failures += 1;
-        }
-        if let Some(protocol) = &args.protocol {
-            // The protocol pass needs a parsed kernel; a PV000 in the base
-            // report means there is nothing to check. `check_protocol` is
-            // called directly (rather than via `protocol_report`) so the
-            // exploration statistics reach the JSON summary.
-            if let Ok(spec) = prevv_ir::parse::parse_kernel(name, source) {
-                match check_protocol(&spec, protocol) {
-                    Ok(result) => {
-                        protocol_summary
-                            .get_or_insert_with(ProtocolSummary::default)
-                            .fold(&result.stats);
-                        report.diagnostics.extend(result.report.diagnostics);
-                    }
-                    Err(e) => report.push(Diagnostic::warning(
-                        Code::ProtocolBound,
-                        format!("protocol model checker could not run: {e}"),
-                    )),
-                }
-            }
         }
         total_errors += report.count(Severity::Error);
         total_warnings += report.count(Severity::Warning);

@@ -37,9 +37,9 @@
 //! PV101 vacuously. [`lint_circuit`] therefore closes them with a virtual
 //! controller node per [`ControllerModel`]: `Direct` is a combinational
 //! memory (capacity 0 — a load result that feeds a store input of the same
-//! memory forms a zero-slack loop), `Queue` is a premature queue / LSQ of
-//! the given capacity, and `None` leaves the ports open and exempts exactly
-//! those channels from PV101/PV105.
+//! memory forms a zero-slack loop), `Queue` is a premature queue and `Lsq`
+//! a load/store queue of the given capacity, and `None` leaves the ports
+//! open and exempts exactly those channels from PV101/PV105.
 
 use std::collections::HashSet;
 
@@ -60,9 +60,17 @@ pub enum ControllerModel {
     /// answer in the same handshake instant, so the virtual node does not
     /// break cycles through memory.
     Direct,
-    /// A premature queue / LSQ holding up to `capacity` operations.
+    /// A premature queue holding up to `capacity` operations. A kernel's
+    /// `depth_q = N;` directive resizes it in the analysis driver
+    /// ([`crate::lint_kernel`]).
     Queue {
-        /// Operation slots (`depth_q` for PreVV, load+store depth for LSQ).
+        /// Operation slots (`depth_q`).
+        capacity: usize,
+    },
+    /// A load/store queue holding up to `capacity` operations; the
+    /// `depth_q` directive does not apply to it.
+    Lsq {
+        /// Operation slots (load plus store depth).
         capacity: usize,
     },
 }
@@ -111,7 +119,7 @@ impl CircuitGraph {
         CircuitGraph {
             names: net
                 .iter()
-                .map(|(_, l, c)| format!("{l}({})", c.type_name()))
+                .map(|(node, _, _)| net.display_name(node))
                 .collect(),
             caps: net.iter().map(|(_, _, c)| c.capacity()).collect(),
             is_source: net
@@ -411,7 +419,7 @@ pub fn lint_circuit(synth: &SynthesizedKernel, opts: &CircuitOptions) -> Report 
             g.check_cycles(&mut report);
             g.check_reachability(&mut report);
         }
-        ControllerModel::Queue { capacity } => {
+        ControllerModel::Queue { capacity } | ControllerModel::Lsq { capacity } => {
             g.add_virtual(CONTROLLER, capacity, &inputs, &outputs);
             g.check_channels(&mut report);
             g.check_cycles(&mut report);

@@ -58,11 +58,16 @@
 //! [`explain`] documents every code with a minimal triggering example
 //! (`prevv-lint --explain PVxxx`).
 //!
-//! [`synthesize`] is the checked front door: it runs the analyzer and
-//! refuses kernels with any error-severity finding, attaching the report.
-//! It then runs the circuit lints on the synthesized netlist and refuses
-//! error-severity circuit findings too (and, when
-//! [`AnalyzeOptions::protocol`] is set, the protocol findings).
+//! [`lint_kernel`] is the one analysis driver every front end runs: it
+//! resolves `depth_q` once ([`PrevvConfig::for_kernel`]), runs the kernel
+//! lints, synthesizes once when the circuit or perf pass is requested, runs
+//! those passes and the protocol checker on the same depth, and returns one
+//! normalized report with the netlist, the [`PerfSummary`] and the
+//! checker's [`CheckResult`] ([`Analysis`]). [`lint_text`] runs it on
+//! source text; [`analyze`], [`lint_source`] and [`lint_source_with_perf`]
+//! are narrower views of it. [`synthesize`] is the checked front door: the
+//! driver with the circuit pass on, refusing kernels with any
+//! error-severity finding and attaching the report.
 //!
 //! ```
 //! use prevv_analyze::{analyze, AnalyzeOptions, Code};
@@ -81,8 +86,7 @@
 use std::fmt;
 
 use prevv_core::PrevvConfig;
-use prevv_ir::depend::{self, AmbiguousPair, Dependences};
-use prevv_ir::{KernelError, KernelSpec, SynthOptions, SynthesizedKernel};
+use prevv_ir::{depend, KernelError, KernelSpec, SynthOptions, SynthesizedKernel};
 
 pub mod absint;
 pub mod circuit;
@@ -113,21 +117,18 @@ pub struct AnalyzeOptions {
     /// Mirrors [`SynthOptions::fake_tokens`]; disabling turns PV002 into an
     /// error.
     pub fake_tokens: bool,
-    /// Configured premature-queue depth (`depth_q`) for PV003.
+    /// Configured premature-queue depth (`depth_q`). A kernel's
+    /// `depth_q = N;` directive overrides it ([`PrevvConfig::for_kernel`]).
     pub depth: usize,
     /// Whether the controller applies the §V-B pair reduction; when false,
     /// PV006 reports the missed opportunity.
     pub pair_reduction: bool,
-    /// Controller model for the PV1xx circuit lints in checked synthesis.
-    /// `None` derives [`ControllerModel::Queue`] from [`Self::depth`] — the
-    /// premature queue the kernel will actually run against.
-    pub circuit_controller: Option<ControllerModel>,
     /// Run the PV2xx protocol model checker ([`modelcheck::check`]) as an
-    /// additional pass in checked synthesis. `None` (the default) skips it —
-    /// exhaustive exploration costs far more than the static lints.
+    /// additional pass. `None` (the default) skips it — exhaustive
+    /// exploration costs far more than the static lints.
     pub protocol: Option<ProtocolOptions>,
     /// Run the PV4xx static throughput pass ([`lint_perf`]) as an
-    /// additional pass in checked synthesis. `None` (the default) skips it.
+    /// additional pass. `None` (the default) skips it.
     pub perf: Option<PerfOptions>,
 }
 
@@ -138,7 +139,6 @@ impl Default for AnalyzeOptions {
             fake_tokens: SynthOptions::default().fake_tokens,
             depth: cfg.depth,
             pair_reduction: cfg.pair_reduction,
-            circuit_controller: None,
             protocol: None,
             perf: None,
         }
@@ -154,32 +154,68 @@ impl AnalyzeOptions {
             ..Self::default()
         }
     }
+
+    /// These options with the PV2xx and PV4xx passes switched off.
+    fn kernel_only(&self) -> Self {
+        AnalyzeOptions {
+            protocol: None,
+            perf: None,
+            ..self.clone()
+        }
+    }
 }
 
-/// Runs every lint over a validated kernel and returns the findings in
-/// deterministic order: by source span, then code ([`Report::normalize`]).
+/// What one [`lint_kernel`] run found.
+#[derive(Debug)]
+pub struct Analysis {
+    /// The findings of every pass that ran, normalized once
+    /// ([`Report::normalize`]).
+    pub report: Report,
+    /// The synthesized netlist the circuit and perf passes read, built as
+    /// `prevv::run_kernel` builds the netlist it simulates (`runkernel`
+    /// simulates this one). `None` when no netlist pass was
+    /// requested; an error when structural synthesis failed, in which case
+    /// those passes did not run.
+    pub synth: Option<Result<SynthesizedKernel, KernelError>>,
+    /// The PV4xx throughput verdict, when [`AnalyzeOptions::perf`] is set
+    /// and synthesis succeeded.
+    pub perf: Option<PerfSummary>,
+    /// The PV2xx checker's result, when [`AnalyzeOptions::protocol`] is set
+    /// and the checker could run (its findings are also in
+    /// [`Self::report`]). A checker that cannot run reports a `PV200`
+    /// warning instead.
+    pub protocol: Option<CheckResult>,
+}
+
+/// The analysis driver: every front end (`prevv-lint`, `runkernel`, checked
+/// synthesis and the `lint_*` entry points) runs this one chain.
 ///
-/// A `depth_q = N;` directive in the kernel source overrides
-/// [`AnalyzeOptions::depth`] for every depth-sensitive lint — the file
-/// records the configuration it was authored for.
-pub fn analyze(spec: &KernelSpec, opts: &AnalyzeOptions) -> Report {
-    analyze_with_verdicts(spec, opts).0
-}
-
-/// [`analyze`], also returning the dependence verdicts the lints read: the
-/// [`depend::analyze`] chain, upgraded once by the value domains over the
-/// iteration hull ([`absint::upgrade_verdicts`]).
-fn analyze_with_verdicts(spec: &KernelSpec, opts: &AnalyzeOptions) -> (Report, Dependences) {
+/// 1. Resolves `depth_q` once: [`AnalyzeOptions::depth`], or the kernel's
+///    `depth_q = N;` directive ([`PrevvConfig::for_kernel`]). The kernel
+///    lints and the perf and protocol configurations (whose `config.depth`
+///    it replaces) read it, and a directive resizes a
+///    [`ControllerModel::Queue`] circuit model — the premature queue.
+/// 2. Runs the kernel lints (PV0xx, PV3xx, PV5xx).
+/// 3. When `circuit` or [`AnalyzeOptions::perf`] is set, synthesizes the
+///    netlist once (unchecked — the point is to report, not refuse) and
+///    runs the PV1xx circuit pass against `circuit` and the PV4xx perf pass.
+/// 4. Runs the PV2xx checker when [`AnalyzeOptions::protocol`] is set.
+/// 5. Normalizes the folded report once.
+pub fn lint_kernel(
+    spec: &KernelSpec,
+    opts: &AnalyzeOptions,
+    circuit: Option<&CircuitOptions>,
+) -> Analysis {
+    let depth = PrevvConfig::with_depth(opts.depth).for_kernel(spec).depth;
+    let opts = &AnalyzeOptions {
+        depth,
+        ..opts.clone()
+    };
     let mut deps = depend::analyze(spec);
     let invariants = absint::analyze_kernel(spec);
     if let Some(hull) = absint::hull_box(spec) {
         absint::upgrade_verdicts(spec, &mut deps, &invariants, &hull);
     }
-    let mut effective = opts.clone();
-    if let Some((depth, _)) = spec.depth_hint() {
-        effective.depth = depth;
-    }
-    let opts = &effective;
     let mut report = Report::default();
     lints::check_bounds(spec, &deps, &mut report);
     lints::check_deadlock(spec, &deps, opts, &mut report);
@@ -189,86 +225,114 @@ fn analyze_with_verdicts(spec: &KernelSpec, opts: &AnalyzeOptions) -> (Report, D
     lints::check_pair_reduction(spec, &deps, opts, &mut report);
     seplog::check_separation(spec, &deps, &mut report);
     absint::check_values(spec, &deps, &invariants, &mut report);
-    absint::check_occupancy(spec, opts.depth, &mut report);
-    report.normalize();
-    (report, deps)
-}
+    absint::check_occupancy(spec, depth, &mut report);
 
-/// Lints kernel source text: parses it and runs [`analyze`]; a parse
-/// failure becomes a single `PV000` error diagnostic carrying the failure
-/// offset. This is what `prevv-lint` runs per file.
-pub fn lint_source(name: &str, source: &str, opts: &AnalyzeOptions) -> Report {
-    match prevv_ir::parse::parse_kernel(name, source) {
-        Ok(spec) => analyze(&spec, opts),
-        Err(e) => {
-            let mut r = Report::default();
-            r.push(
-                Diagnostic::error(Code::Parse, e.message.clone())
-                    .with_span(Some(prevv_ir::Span::point(e.at))),
-            );
-            r
+    let mut perf = None;
+    let synth = (circuit.is_some() || opts.perf.is_some()).then(|| {
+        let synth_opts = SynthOptions {
+            fake_tokens: opts.fake_tokens,
+            ..SynthOptions::default()
+        };
+        let synth = prevv_ir::synthesize_with(spec, &synth_opts)?;
+        if let Some(circuit) = circuit {
+            let mut circuit = circuit.clone();
+            if let ControllerModel::Queue { capacity } = &mut circuit.controller {
+                *capacity = PrevvConfig::with_depth(*capacity).for_kernel(spec).depth;
+            }
+            report
+                .diagnostics
+                .extend(lint_circuit(&synth, &circuit).diagnostics);
         }
+        if let Some(p) = &opts.perf {
+            let p = PerfOptions {
+                config: PrevvConfig {
+                    depth,
+                    ..p.config.clone()
+                },
+            };
+            perf = Some(lint_perf(&synth, &p, &mut report));
+        }
+        Ok(synth)
+    });
+
+    let protocol = opts.protocol.as_ref().and_then(|p| {
+        let p = ProtocolOptions {
+            config: PrevvConfig {
+                depth,
+                ..p.config.clone()
+            },
+            ..p.clone()
+        };
+        match modelcheck::check(spec, &p) {
+            Ok(result) => {
+                report
+                    .diagnostics
+                    .extend(result.report.diagnostics.iter().cloned());
+                Some(result)
+            }
+            Err(e) => {
+                report.push(Diagnostic::warning(
+                    Code::ProtocolBound,
+                    format!("protocol model checker could not run: {e}"),
+                ));
+                None
+            }
+        }
+    });
+    report.normalize();
+    Analysis {
+        report,
+        synth,
+        perf,
+        protocol,
     }
 }
 
-/// Applies a kernel's `depth_q = N;` directive to the circuit pass: a
-/// queue-modeled controller takes the in-source capacity, mirroring the
-/// override [`analyze`] performs for the kernel-level lints.
-fn circuit_for(spec: &prevv_ir::KernelSpec, circuit: &CircuitOptions) -> CircuitOptions {
-    let mut eff = circuit.clone();
-    if let (Some((depth, _)), ControllerModel::Queue { capacity }) =
-        (spec.depth_hint(), &mut eff.controller)
-    {
-        *capacity = depth;
-    }
-    eff
-}
-
-/// Lints kernel source text including the PV1xx circuit lints: parses the
-/// source, runs [`analyze`], then synthesizes the netlist (unchecked — the
-/// point is to report, not refuse) and appends the [`lint_circuit`]
-/// findings. Kernels that fail to parse report `PV000`; kernels that fail
-/// structural synthesis keep their kernel-level findings only. This is what
-/// `prevv-lint --circuit` runs per file.
-pub fn lint_source_with_circuit(
+/// [`lint_kernel`] over kernel source text: a parse failure becomes a single
+/// `PV000` error diagnostic carrying the failure offset, and no pass runs.
+/// This is what `prevv-lint` runs per file.
+pub fn lint_text(
     name: &str,
     source: &str,
     opts: &AnalyzeOptions,
-    circuit: &CircuitOptions,
-) -> Report {
+    circuit: Option<&CircuitOptions>,
+) -> Analysis {
     match prevv_ir::parse::parse_kernel(name, source) {
-        Ok(spec) => {
-            let mut report = analyze(&spec, opts);
-            let synth_opts = SynthOptions {
-                fake_tokens: opts.fake_tokens,
-                ..SynthOptions::default()
-            };
-            if let Ok(synth) = prevv_ir::synthesize_with(&spec, &synth_opts) {
-                report
-                    .diagnostics
-                    .extend(lint_circuit(&synth, &circuit_for(&spec, circuit)).diagnostics);
-            }
-            report.normalize();
-            report
-        }
+        Ok(spec) => lint_kernel(&spec, opts, circuit),
         Err(e) => {
-            let mut r = Report::default();
-            r.push(
+            let mut report = Report::default();
+            report.push(
                 Diagnostic::error(Code::Parse, e.message.clone())
                     .with_span(Some(prevv_ir::Span::point(e.at))),
             );
-            r
+            Analysis {
+                report,
+                synth: None,
+                perf: None,
+                protocol: None,
+            }
         }
     }
 }
 
+/// Runs the kernel lints (PV0xx, PV3xx, PV5xx) over a validated kernel and
+/// returns the findings in deterministic order: by source span, then code
+/// ([`Report::normalize`]). [`lint_kernel`] without the netlist and
+/// protocol passes.
+pub fn analyze(spec: &KernelSpec, opts: &AnalyzeOptions) -> Report {
+    lint_kernel(spec, &opts.kernel_only(), None).report
+}
+
+/// Lints kernel source text: [`lint_text`] without the netlist and protocol
+/// passes.
+pub fn lint_source(name: &str, source: &str, opts: &AnalyzeOptions) -> Report {
+    lint_text(name, source, &opts.kernel_only(), None).report
+}
+
 /// Lints kernel source text including the PV4xx throughput pass (and,
-/// when `circuit` is set, the PV1xx circuit lints): parses, runs
-/// [`analyze`], synthesizes unchecked, and appends the perf findings.
-/// Returns the report together with the [`PerfSummary`] when synthesis
-/// succeeded. A `depth_q = N;` directive overrides the configured queue
-/// depth here too, so `--fix`'s directive rewrite converges under the
-/// same CLI flags. This is what `prevv-lint --perf` runs per file.
+/// when `circuit` is set, the PV1xx circuit lints): [`lint_text`] with
+/// [`AnalyzeOptions::perf`] set to `perf_opts`. Returns the report together
+/// with the [`PerfSummary`] when synthesis succeeded.
 pub fn lint_source_with_perf(
     name: &str,
     source: &str,
@@ -276,38 +340,12 @@ pub fn lint_source_with_perf(
     circuit: Option<&CircuitOptions>,
     perf_opts: &PerfOptions,
 ) -> (Report, Option<PerfSummary>) {
-    match prevv_ir::parse::parse_kernel(name, source) {
-        Ok(spec) => {
-            let mut report = analyze(&spec, opts);
-            let synth_opts = SynthOptions {
-                fake_tokens: opts.fake_tokens,
-                ..SynthOptions::default()
-            };
-            let mut perf_eff = perf_opts.clone();
-            if let Some((depth, _)) = spec.depth_hint() {
-                perf_eff.config.depth = depth;
-            }
-            let mut summary = None;
-            if let Ok(synth) = prevv_ir::synthesize_with(&spec, &synth_opts) {
-                if let Some(circuit) = circuit {
-                    report
-                        .diagnostics
-                        .extend(lint_circuit(&synth, &circuit_for(&spec, circuit)).diagnostics);
-                }
-                summary = Some(lint_perf(&synth, &perf_eff, &mut report));
-            }
-            report.normalize();
-            (report, summary)
-        }
-        Err(e) => {
-            let mut r = Report::default();
-            r.push(
-                Diagnostic::error(Code::Parse, e.message.clone())
-                    .with_span(Some(prevv_ir::Span::point(e.at))),
-            );
-            (r, None)
-        }
-    }
+    let opts = AnalyzeOptions {
+        perf: Some(perf_opts.clone()),
+        ..opts.kernel_only()
+    };
+    let analysis = lint_text(name, source, &opts, circuit);
+    (analysis.report, analysis.perf)
 }
 
 /// Why checked synthesis refused a kernel.
@@ -347,9 +385,10 @@ impl From<KernelError> for AnalyzeError {
     }
 }
 
-/// Checked synthesis with explicit options: runs [`analyze`], refuses the
-/// kernel on any error-severity finding, otherwise synthesizes and returns
-/// the circuit together with the (non-fatal) report.
+/// Checked synthesis: runs [`lint_kernel`] with the circuit pass against
+/// `circuit` (plus whatever passes `opts` requests) and refuses the kernel
+/// on any error-severity finding; otherwise returns the driver's netlist
+/// together with the (non-fatal) report.
 ///
 /// # Errors
 ///
@@ -357,88 +396,26 @@ impl From<KernelError> for AnalyzeError {
 /// [`AnalyzeError::Kernel`] when the spec fails structural validation.
 pub fn synthesize_with(
     spec: &KernelSpec,
-    synth_opts: &SynthOptions,
-    analyze_opts: &AnalyzeOptions,
+    opts: &AnalyzeOptions,
+    circuit: &CircuitOptions,
 ) -> Result<(SynthesizedKernel, Report), AnalyzeError> {
     spec.validate()?;
-    let (mut report, deps) = analyze_with_verdicts(spec, analyze_opts);
-    if report.has_errors() {
-        return Err(AnalyzeError::Rejected(report));
+    let analysis = lint_kernel(spec, opts, Some(circuit));
+    if analysis.report.has_errors() {
+        return Err(AnalyzeError::Rejected(analysis.report));
     }
-    let mut synth = prevv_ir::synthesize_with(spec, synth_opts)?;
-    // Value-invariant discharge (PV502): pairs the hull upgrade proved safe
-    // leave the arbiter's validated set too — the attached controller never
-    // compares them. Soundness rides on the abstract domains (cross-checked
-    // against enumeration by the property tests); the discharged pairs join
-    // `bypassed` so tooling sees them.
-    if synth_opts.bypass_safe_pairs {
-        let discharged: Vec<AmbiguousPair> = deps
-            .pairs
-            .iter()
-            .zip(&deps.verdicts)
-            .filter(|(_, v)| matches!(v.proof(), Some(depend::Proof::Invariant(_))))
-            .map(|(&p, _)| p)
-            .collect();
-        synth.interface.pairs.retain(|p| !discharged.contains(p));
-        synth.bypassed.extend(discharged);
-    }
-    synth.deps = deps;
-    let controller = analyze_opts
-        .circuit_controller
-        .unwrap_or(ControllerModel::Queue {
-            capacity: analyze_opts.depth,
-        });
-    let circuit_report = lint_circuit(&synth, &CircuitOptions { controller });
-    report.diagnostics.extend(circuit_report.diagnostics);
-    if report.has_errors() {
-        return Err(AnalyzeError::Rejected(report));
-    }
-    if let Some(protocol) = &analyze_opts.protocol {
-        report
-            .diagnostics
-            .extend(protocol_report(spec, protocol).diagnostics);
-        if report.has_errors() {
-            return Err(AnalyzeError::Rejected(report));
-        }
-    }
-    if let Some(perf_opts) = &analyze_opts.perf {
-        lint_perf(&synth, perf_opts, &mut report);
-    }
-    report.normalize();
-    Ok((synth, report))
+    let synth = analysis.synth.expect("the circuit pass synthesizes")?;
+    Ok((synth, analysis.report))
 }
 
-/// Runs the PV2xx bounded model checker over an already-validated kernel
-/// and returns its findings as a plain [`Report`]. An internal checker
-/// failure (a kernel the abstract model cannot represent) is reported as a
-/// `PV200` warning rather than a panic, so callers can always fold the
-/// result into a larger report. This is what `prevv-lint --protocol` and
-/// checked synthesis with [`AnalyzeOptions::protocol`] run.
-pub fn protocol_report(spec: &KernelSpec, opts: &ProtocolOptions) -> Report {
-    match modelcheck::check(spec, opts) {
-        Ok(result) => {
-            let mut r = result.report;
-            r.normalize();
-            r
-        }
-        Err(e) => {
-            let mut r = Report::default();
-            r.push(Diagnostic::warning(
-                Code::ProtocolBound,
-                format!("protocol model checker could not run: {e}"),
-            ));
-            r
-        }
-    }
-}
-
-/// Checked synthesis with default options; see [`synthesize_with`].
+/// Checked synthesis with default options against the default
+/// premature-queue circuit model; see [`synthesize_with`].
 ///
 /// # Errors
 ///
 /// See [`synthesize_with`].
 pub fn synthesize(spec: &KernelSpec) -> Result<(SynthesizedKernel, Report), AnalyzeError> {
-    synthesize_with(spec, &SynthOptions::default(), &AnalyzeOptions::default())
+    synthesize_with(spec, &AnalyzeOptions::default(), &CircuitOptions::default())
 }
 
 #[cfg(test)]

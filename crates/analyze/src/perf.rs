@@ -235,10 +235,10 @@ impl MarkedGraph {
             chan_desc: vec![None; net.channel_count()],
             ..MarkedGraph::default()
         };
-        for (_, label, comp) in net.iter() {
+        for (node, _, comp) in net.iter() {
             let ports = comp.ports();
             g.add_stage(
-                format!("{label}({})", comp.type_name()),
+                net.display_name(node),
                 comp.latency() as f64,
                 comp.capacity() as f64,
                 comp.occupancy() as f64,

@@ -7,9 +7,7 @@
 //! because no lint-clean kernel synthesizes a value-rewriting unbuffered
 //! loop.
 
-use prevv_analyze::{
-    lint_source_with_circuit, AnalyzeOptions, CircuitOptions, Code, ControllerModel, Severity,
-};
+use prevv_analyze::{lint_text, AnalyzeOptions, CircuitOptions, Code, ControllerModel, Severity};
 
 fn fixture(name: &str) -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../kernels/bad/");
@@ -22,12 +20,13 @@ fn combinational_loop_fixture_is_refused_by_pv103_under_direct_controller() {
     let circuit = CircuitOptions {
         controller: ControllerModel::Direct,
     };
-    let report = lint_source_with_circuit(
+    let report = lint_text(
         "combinational_loop.pvk",
         &source,
         &AnalyzeOptions::default(),
-        &circuit,
-    );
+        Some(&circuit),
+    )
+    .report;
     assert!(report.has_errors(), "the fixture must not lint clean");
     let pv103 = report.with_code(Code::UnbufferedCycle);
     assert!(
@@ -50,12 +49,13 @@ fn combinational_loop_fixture_lints_clean_with_queued_controller() {
     // The same netlist is fine once an elastic (queued) controller breaks
     // the loop — the fixture documents exactly this contrast.
     let source = fixture("combinational_loop.pvk");
-    let report = lint_source_with_circuit(
+    let report = lint_text(
         "combinational_loop.pvk",
         &source,
         &AnalyzeOptions::default(),
-        &CircuitOptions::default(),
-    );
+        Some(&CircuitOptions::default()),
+    )
+    .report;
     assert!(
         report.with_code(Code::UnbufferedCycle).is_empty(),
         "queued controller must break the cycle: {}",

@@ -432,20 +432,71 @@ fn main() {
     };
     println!("parsed `{name}`:\n{}", prevv::ir::pretty::render(&spec));
 
-    // Static analysis before synthesis: print the findings, refuse kernels
-    // with error-severity diagnostics (run `prevv-lint` for details/JSON).
-    let lint_opts = match &args.controller {
-        Controller::Prevv(cfg) => prevv::AnalyzeOptions::for_config(cfg),
-        _ => prevv::AnalyzeOptions::default(),
+    // The PreVV controller runs at the kernel's own `depth_q`, when the
+    // source records one.
+    let controller = match args.controller.clone() {
+        Controller::Prevv(cfg) => Controller::Prevv(cfg.for_kernel(&spec)),
+        other => other,
     };
-    let lint = prevv::analyze::analyze(&spec, &lint_opts);
-    if lint.is_empty() {
+    // Other controllers are analyzed against the default PreVV
+    // configuration, without the PreVV-only throughput model.
+    let (cfg, is_prevv) = match &controller {
+        Controller::Prevv(cfg) => (cfg.clone(), true),
+        _ => (PrevvConfig::default(), false),
+    };
+
+    // Static analysis before simulating, through the analyzer's one driver:
+    // the kernel lints, the circuit lints (PV1xx) against the controller
+    // about to be attached, the PV4xx throughput prediction (only PreVV has
+    // a static model) and, with --protocol, the PV2xx bounded model check
+    // of the abstract premature-queue / arbiter / squash protocol. Print
+    // the findings and refuse on any error (run `prevv-lint` for JSON).
+    let opts = prevv::AnalyzeOptions {
+        perf: is_prevv.then(|| prevv::analyze::PerfOptions {
+            config: cfg.clone(),
+        }),
+        protocol: args.protocol.then(|| prevv::analyze::ProtocolOptions {
+            threads: args.mc_threads,
+            ..prevv::analyze::ProtocolOptions::for_config(&cfg)
+        }),
+        ..prevv::AnalyzeOptions::for_config(&cfg)
+    };
+    let circuit = prevv::CircuitOptions {
+        controller: controller.circuit_model(),
+    };
+    let analysis = prevv::analyze::lint_kernel(&spec, &opts, Some(&circuit));
+    if let Some(result) = &analysis.protocol {
+        println!(
+            "protocol: explored {} abstract state(s), horizon {} iteration(s){}",
+            result.states,
+            result.bound,
+            if result.complete { "" } else { " (truncated)" }
+        );
+        // Deterministic reduction stats on stdout (stable for CI diffs at
+        // any --mc-threads); wall-clock throughput on stderr where
+        // run-to-run jitter cannot churn diffs.
+        println!(
+            "protocol: {} of {} transition(s) explored after reduction (ratio {:.4}), \
+             {} pair(s) validated, {} discharged symbolically",
+            result.stats.transitions,
+            result.stats.enabled,
+            result.stats.reduction_ratio(),
+            result.stats.validated,
+            result.stats.pairs.discharged,
+        );
+        eprintln!(
+            "protocol: {:.0} states/s on {} thread(s)",
+            result.stats.states_per_sec(),
+            result.stats.threads
+        );
+    }
+    if analysis.report.is_empty() {
         println!("lint: clean\n");
     } else {
-        println!("{}", lint.render(&kpath, Some(&source)));
+        println!("{}", analysis.report.render(&kpath, Some(&source)));
     }
-    if lint.has_errors() {
-        eprintln!("refusing to synthesize: static analysis reported errors");
+    if analysis.report.has_errors() {
+        eprintln!("refusing to simulate: static analysis reported errors");
         std::process::exit(1);
     }
 
@@ -455,81 +506,13 @@ fn main() {
         run_sweep(&spec, &args);
     }
 
-    // PV2xx bounded model checking of the abstract premature-queue /
-    // arbiter / squash protocol (opt-in: exhaustive exploration is far more
-    // expensive than the static lints). Runs against the same controller
-    // configuration the simulation will attach.
-    if args.protocol {
-        let mut popts = match &args.controller {
-            Controller::Prevv(cfg) => prevv::analyze::ProtocolOptions::for_config(cfg),
-            _ => prevv::analyze::ProtocolOptions::default(),
-        };
-        popts.threads = args.mc_threads;
-        match prevv::analyze::check_protocol(&spec, &popts) {
-            Ok(result) => {
-                println!(
-                    "protocol: explored {} abstract state(s), horizon {} iteration(s){}",
-                    result.states,
-                    result.bound,
-                    if result.complete { "" } else { " (truncated)" }
-                );
-                // Deterministic reduction stats on stdout (stable for CI
-                // diffs at any --mc-threads); wall-clock throughput on
-                // stderr where run-to-run jitter cannot churn diffs.
-                println!(
-                    "protocol: {} of {} transition(s) explored after reduction (ratio {:.4}), \
-                     {} pair(s) validated, {} discharged symbolically",
-                    result.stats.transitions,
-                    result.stats.enabled,
-                    result.stats.reduction_ratio(),
-                    result.stats.validated,
-                    result.stats.pairs.discharged,
-                );
-                eprintln!(
-                    "protocol: {:.0} states/s on {} thread(s)",
-                    result.stats.states_per_sec(),
-                    result.stats.threads
-                );
-                if !result.report.is_empty() {
-                    println!("{}", result.report.render(&kpath, Some(&source)));
-                }
-                if result.report.has_errors() {
-                    eprintln!("refusing to simulate: protocol model checker reported errors");
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("protocol model checker could not run: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let mut synth = match prevv::ir::synthesize(&spec) {
+    let mut synth = match analysis.synth.expect("the circuit pass synthesizes") {
         Ok(s) => s,
         Err(e) => {
             eprintln!("synthesis failed: {e}");
             std::process::exit(1);
         }
     };
-
-    // Circuit-level lints (PV1xx) on the synthesized netlist, modeling the
-    // controller that is about to be attached. Errors are structural
-    // deadlocks or wiring faults: refuse before simulating.
-    let circuit_lint = prevv::analyze::lint_circuit(
-        &synth,
-        &prevv::CircuitOptions {
-            controller: args.controller.circuit_model(),
-        },
-    );
-    if !circuit_lint.is_empty() {
-        println!("{}", circuit_lint.render(&kpath, Some(&source)));
-    }
-    if circuit_lint.has_errors() {
-        eprintln!("refusing to attach controller: circuit lints reported errors");
-        std::process::exit(1);
-    }
-
     let deps = &synth.deps;
     println!(
         "{} memory ops/iteration, {} ambiguous pair(s) ({} bypassed), {} iterations\n",
@@ -538,28 +521,6 @@ fn main() {
         synth.bypassed.len(),
         spec.iteration_count()
     );
-
-    // PV4xx static throughput prediction — runs on the bare netlist (the
-    // perf pass models the premature queue itself), so it must happen
-    // before the controller component is attached below. Only the PreVV
-    // controller has a static model.
-    let perf = match &args.controller {
-        Controller::Prevv(cfg) => {
-            let mut perf_report = prevv::analyze::diag::Report::default();
-            let summary = prevv::analyze::lint_perf(
-                &synth,
-                &prevv::analyze::PerfOptions {
-                    config: cfg.clone(),
-                },
-                &mut perf_report,
-            );
-            if !perf_report.is_empty() {
-                println!("{}", perf_report.render(&kpath, Some(&source)));
-            }
-            Some(summary)
-        }
-        _ => None,
-    };
 
     // Watch memory-port channels if a VCD was requested.
     let watch: Vec<_> = synth
@@ -573,11 +534,10 @@ fn main() {
         })
         .collect();
 
-    let design = args
-        .controller
+    let design = controller
         .area_kind()
         .map(|k| prevv::area::estimate(&synth, k));
-    let attached = args.controller.attach(&mut synth).unwrap_or_else(|e| {
+    let attached = controller.attach(&mut synth).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(1);
     });
@@ -589,31 +549,6 @@ fn main() {
             println!("wrote {path}");
         }
     }
-
-    // Channel endpoint labels for the --stats stall table, captured before
-    // the netlist moves into the simulator.
-    let chan_desc: Vec<String> = {
-        let mut labels: Vec<String> = vec![String::from("?"); synth.netlist.node_count()];
-        for (n, label, comp) in synth.netlist.iter() {
-            labels[n.index()] = format!("{label}({})", comp.type_name());
-        }
-        let ends = synth.netlist.channel_endpoints();
-        (0..synth.netlist.channel_count())
-            .map(|ch| {
-                let name = |nodes: &[prevv::dataflow::NodeId]| {
-                    nodes
-                        .first()
-                        .map_or("<open>", |n| labels[n.index()].as_str())
-                        .to_string()
-                };
-                format!(
-                    "{} -> {}",
-                    name(&ends.producers[ch]),
-                    name(&ends.consumers[ch])
-                )
-            })
-            .collect()
-    };
 
     let mut sim = match Simulator::new(synth.netlist, synth.bus) {
         Ok(s) => s.with_config(SimConfig {
@@ -641,7 +576,7 @@ fn main() {
 
     println!("controller: {}", run.controller);
     println!("simulation: {report}");
-    if let Some(summary) = &perf {
+    if let Some(summary) = &analysis.perf {
         // Cycles against cycles: both include pipeline fill, whereas the
         // predicted II is steady-state only.
         println!(
@@ -662,12 +597,20 @@ fn main() {
     }
     if args.stats && !report.stalled_channels.is_empty() {
         println!("most-stalled channels (top {TOP_STALLED}):");
+        let net = sim.netlist();
+        let ends = net.channel_endpoints();
+        let name = |nodes: &[prevv::dataflow::NodeId]| {
+            nodes
+                .first()
+                .map_or_else(|| "<open>".to_string(), |&n| net.display_name(n))
+        };
         for (ch, stalls) in report.top_stalled(TOP_STALLED) {
             println!(
-                "  c{:<4} {:>7} stall-cycle(s)  {}",
+                "  c{:<4} {:>7} stall-cycle(s)  {} -> {}",
                 ch.index(),
                 stalls,
-                chan_desc.get(ch.index()).map_or("?", String::as_str)
+                name(&ends.producers[ch.index()]),
+                name(&ends.consumers[ch.index()])
             );
         }
     }

@@ -1,5 +1,6 @@
 //! PreVV configuration and presets.
 
+use prevv_ir::KernelSpec;
 use prevv_mem::MemTiming;
 
 /// Configuration of the PreVV memory controller.
@@ -72,6 +73,18 @@ impl PrevvConfig {
             ..Self::default()
         }
     }
+
+    /// This configuration as `spec` runs it: a `depth_q = N;` directive in
+    /// the kernel source overrides [`Self::depth`] — the file records the
+    /// queue it was sized for (paper §V-A). This is the one place the
+    /// directive is applied; the analyzer's passes, the attached controller
+    /// and the differential oracle all read its result.
+    pub fn for_kernel(mut self, spec: &KernelSpec) -> Self {
+        if let Some((depth, _)) = spec.depth_hint() {
+            self.depth = depth;
+        }
+        self
+    }
 }
 
 #[cfg(test)]
@@ -91,5 +104,14 @@ mod tests {
         assert!(c.forwarding, "queue bypass is part of the architecture");
         assert!(c.pair_reduction);
         assert!(c.livelock_threshold > 0);
+    }
+
+    #[test]
+    fn depth_directive_overrides_the_configured_depth() {
+        let src = "depth_q = 4;\nint a[8];\nfor (int i = 0; i < 8; ++i) { a[i] += 1; }\n";
+        let spec = prevv_ir::parse::parse_kernel("hinted", src).expect("parses");
+        assert_eq!(PrevvConfig::prevv64().for_kernel(&spec).depth, 4);
+        let plain = prevv_ir::parse::parse_kernel("plain", &src[13..]).expect("parses");
+        assert_eq!(PrevvConfig::prevv64().for_kernel(&plain).depth, 64);
     }
 }

@@ -101,73 +101,25 @@ pub fn cap_depth_by_occupancy(recommended: usize, occupancy: Option<u64>) -> usi
     recommended.clamp(1, cap)
 }
 
-/// Recurrence-constrained initiation interval: a dependence chain that
-/// takes `chain_latency` cycles and recurs every `distance` iterations
-/// bounds the pipeline at `II >= chain_latency / distance` (the classic
-/// modulo-scheduling recurrence bound). Distance 0 (same-iteration) chains
-/// do not constrain the *initiation* interval — they lengthen the
-/// iteration, not the interval.
-pub fn recurrence_ii(chain_latency: f64, distance: u64) -> f64 {
-    if distance == 0 {
-        1.0
-    } else {
-        (chain_latency / distance as f64).max(1.0)
-    }
-}
-
 /// Estimates the latency (cycles) of computing an expression with the
 /// simulator's default functional-unit latencies — the `t_org` feed for the
 /// matched-pair model.
 pub fn expr_latency(e: &prevv_ir::Expr, ram_read_latency: u32) -> f64 {
-    use prevv_ir::{BinOp, Expr};
+    use prevv_ir::Expr;
     match e {
         Expr::Const(_) | Expr::IndVar(_) => 0.0,
         Expr::Load(_, idx) => expr_latency(idx, ram_read_latency) + ram_read_latency as f64 + 1.0,
         Expr::Binary(op, l, r) => {
-            let unit = match op {
-                BinOp::Mul => 4.0,
-                BinOp::Div | BinOp::Rem => 8.0,
-                _ => 1.0,
-            };
-            unit + expr_latency(l, ram_read_latency).max(expr_latency(r, ram_read_latency))
+            f64::from(op.default_latency())
+                + expr_latency(l, ram_read_latency).max(expr_latency(r, ram_read_latency))
         }
         Expr::Opaque(_, x) => 2.0 + expr_latency(x, ram_read_latency),
     }
 }
 
-/// The tightest recurrence II bound over a kernel's affine ambiguous pairs:
-/// for each pair with a known minimum conflict distance, the store's value
-/// chain recurs at that distance. Runtime-dependent pairs contribute no
-/// static bound (their cost appears as squashes instead).
-pub fn kernel_recurrence_ii(spec: &prevv_ir::KernelSpec, ram_read_latency: u32) -> f64 {
-    let deps = prevv_ir::depend::analyze(spec);
-    deps.pairs
-        .iter()
-        .zip(&deps.verdicts)
-        .filter_map(|(pair, v)| {
-            let d = v.min_distance?;
-            let store = &deps.ops[pair.store];
-            let stmt = &spec.body[store.stmt];
-            let chain = expr_latency(&stmt.value, ram_read_latency) + 1.0;
-            Some(recurrence_ii(chain, d))
-        })
-        .fold(1.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn recurrence_bound_basics() {
-        assert_eq!(recurrence_ii(8.0, 2), 4.0);
-        assert_eq!(recurrence_ii(8.0, 16), 1.0, "long distances do not bind");
-        assert_eq!(
-            recurrence_ii(8.0, 0),
-            1.0,
-            "same-iteration chains do not bind II"
-        );
-    }
 
     #[test]
     fn expr_latency_follows_unit_latencies() {
@@ -178,28 +130,6 @@ mod tests {
         // i * i: one multiplier.
         let m = Expr::var(0).mul(Expr::var(0));
         assert_eq!(expr_latency(&m, 2), 4.0);
-    }
-
-    #[test]
-    fn accumulation_kernel_has_a_recurrence_bound() {
-        use prevv_dataflow::components::LoopLevel;
-        use prevv_ir::{ArrayDecl, ArrayId, Expr, KernelSpec, Stmt};
-        let c = ArrayId(0);
-        // c[i] += 1 over (i, k): reuse distance 1 along k.
-        let spec = KernelSpec::new(
-            "accum",
-            vec![LoopLevel::upto(2), LoopLevel::upto(4)],
-            vec![ArrayDecl::zeroed("c", 4)],
-            vec![Stmt::store(
-                c,
-                Expr::var(0),
-                Expr::load(c, Expr::var(0)).add(Expr::lit(1)),
-            )],
-        )
-        .expect("valid");
-        let ii = kernel_recurrence_ii(&spec, 2);
-        // Chain: load(3) + add(1) + store arrival(1) = 5, distance 1 → II >= 5.
-        assert!(ii >= 4.0, "accumulation must be recurrence-bound, got {ii}");
     }
 
     #[test]

@@ -108,6 +108,17 @@ impl Netlist {
         &self.labels[node.index()]
     }
 
+    /// A node's display name, `label(type)`: the instance label and the
+    /// component type, as deadlock reports, circuit and perf diagnostics and
+    /// stall tables print it.
+    pub fn display_name(&self, node: NodeId) -> String {
+        format!(
+            "{}({})",
+            self.labels[node.index()],
+            self.components[node.index()].type_name()
+        )
+    }
+
     /// Immutable access to a node's component.
     pub fn component(&self, node: NodeId) -> &dyn Component {
         self.components[node.index()].as_ref()
@@ -229,10 +240,10 @@ impl Netlist {
     /// Describes where tokens are currently held, for deadlock diagnostics.
     pub fn occupancy_report(&self) -> String {
         let mut parts = Vec::new();
-        for (c, l) in self.components.iter().zip(&self.labels) {
+        for (node, _, c) in self.iter() {
             let occ = c.occupancy();
             if occ > 0 || !c.is_idle() {
-                parts.push(format!("{l}({}): {occ} token(s)", c.type_name()));
+                parts.push(format!("{}: {occ} token(s)", self.display_name(node)));
             }
         }
         if parts.is_empty() {

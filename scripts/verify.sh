@@ -28,6 +28,26 @@ if ! ./target/release/runkernel --fuzz 200 --seed 0xPREVV \
   exit 1
 fi
 
+echo "==> runkernel smoke (every stock kernel file simulates and matches golden)"
+for k in kernels/*.pvk; do
+  if ! out=$(./target/release/runkernel "$k"); then
+    echo "error: runkernel $k exited nonzero" >&2
+    exit 1
+  fi
+  if ! grep -qx 'result matches golden model: true' <<<"$out"; then
+    echo "error: runkernel $k did not match the golden model" >&2
+    exit 1
+  fi
+done
+echo "    $(ls kernels/*.pvk | wc -l) kernels match the golden model"
+# The depth_q directive reaches the simulated controller and the PV4xx pass.
+out=$(./target/release/runkernel kernels/bad/throughput_cliff.pvk)
+if ! grep -qx 'controller: PreVV4' <<<"$out" || ! grep -q 'PV402' <<<"$out"; then
+  echo "error: throughput_cliff.pvk must run as PreVV4 and report PV402" >&2
+  exit 1
+fi
+echo "    throughput_cliff.pvk: depth_q = 4 runs as PreVV4 with PV402"
+
 echo "==> reproduce (every headline paper claim, exit 1 on any FAIL)"
 cargo run -q --release -p prevv-bench --bin reproduce
 

@@ -143,16 +143,18 @@ impl Default for DiffOptions {
 
 /// The backend set the oracle differentiates: the three LSQ baselines and
 /// PreVV, all sized to fit the kernel's widest iteration. The depth hint
-/// (`depth_q`), when present, pins the PreVV premature-queue depth.
+/// (`depth_q`), when present, pins the PreVV premature-queue depth
+/// ([`PrevvConfig::for_kernel`]), still floored at one iteration's ops.
 pub fn backends(spec: &KernelSpec) -> Vec<Controller> {
     let per_iter = spec.mem_ops_per_iter();
     let depth = 16usize.max(per_iter);
-    let prevv_depth = spec.depth_hint().map_or(depth, |(d, _)| d.max(per_iter));
+    let mut prevv = PrevvConfig::with_depth(depth).for_kernel(spec);
+    prevv.depth = prevv.depth.max(per_iter);
     vec![
         Controller::Dynamatic { depth },
         Controller::FastLsq { depth },
         Controller::SpecLsq { depth },
-        Controller::Prevv(PrevvConfig::with_depth(prevv_depth)),
+        Controller::Prevv(prevv),
     ]
 }
 

@@ -111,7 +111,7 @@ impl Controller {
             | Controller::FastLsq { depth }
             | Controller::SpecLsq { depth } => {
                 // An LSQ holds `depth` loads plus `depth` stores.
-                ControllerModel::Queue {
+                ControllerModel::Lsq {
                     capacity: 2 * depth,
                 }
             }

@@ -4,10 +4,15 @@
 //! (`kernels/*.pvk`), every negative fixture (`kernels/bad/*.pvk`) and every
 //! corpus kernel (`tests/fuzz_corpus/*.pvk`), two digests:
 //!
-//! - the `prevv-lint --circuit --perf` pass: each diagnostic (code,
-//!   severity, span, message, help, suggestion) and the [`PerfSummary`];
-//! - the `prevv-lint --protocol --mc-threads 1` pass: the checker's
-//!   diagnostics and its states / transitions / enabled counts.
+//! - the `prevv-lint --circuit --perf` pass (`lint_source_with_perf` with
+//!   the default options): each diagnostic (code, severity, span, message,
+//!   help, suggestion) and the [`PerfSummary`];
+//! - a direct `check_protocol` call at the default queue depth 16 on one
+//!   thread, whatever `depth_q` directive the file carries: the checker's
+//!   diagnostics and its states / transitions / enabled counts. This is
+//!   not what `prevv-lint --protocol` checks on a directive kernel — that
+//!   runs the checker at the kernel's own depth (e.g. `gen_27` at depth
+//!   32: 208,299 states, several seconds in release).
 //!
 //! Timings and thread counts are excluded, so the digests are exact and
 //! deterministic. A refactor that changes any PV0xx–PV5xx finding, any

@@ -155,14 +155,15 @@ fn combinational_loop_fixture_is_pv103_under_direct_memory_only() {
 
     // Against a combinational direct memory, the load→store value path
     // closes a zero-slack handshake cycle: exactly one PV103, as an error.
-    let direct = analyze::lint_source_with_circuit(
+    let direct = analyze::lint_text(
         &name,
         &source,
         &AnalyzeOptions::default(),
-        &CircuitOptions {
+        Some(&CircuitOptions {
             controller: ControllerModel::Direct,
-        },
-    );
+        }),
+    )
+    .report;
     assert!(direct.has_errors());
     let d = direct.with_code(Code::UnbufferedCycle);
     assert_eq!(d.len(), 1, "exactly one PV103: {:?}", direct.diagnostics);
@@ -171,12 +172,13 @@ fn combinational_loop_fixture_is_pv103_under_direct_memory_only() {
     // A queued controller has elastic slots on the same cycle, so the
     // identical netlist lints clean under the default (premature-queue)
     // controller model.
-    let queued = analyze::lint_source_with_circuit(
+    let queued = analyze::lint_text(
         &name,
         &source,
         &AnalyzeOptions::default(),
-        &CircuitOptions::default(),
-    );
+        Some(&CircuitOptions::default()),
+    )
+    .report;
     assert!(
         !queued.has_errors(),
         "queued controller breaks the cycle:\n{}",
@@ -186,11 +188,10 @@ fn combinational_loop_fixture_is_pv103_under_direct_memory_only() {
     // Checked synthesis refuses the kernel when the target memory model is
     // combinational, with PV103 in the rejection report.
     let spec = parse_kernel(&name, &source).expect("parses");
-    let opts = AnalyzeOptions {
-        circuit_controller: Some(ControllerModel::Direct),
-        ..AnalyzeOptions::default()
+    let direct = CircuitOptions {
+        controller: ControllerModel::Direct,
     };
-    match analyze::synthesize_with(&spec, &SynthOptions::default(), &opts) {
+    match analyze::synthesize_with(&spec, &AnalyzeOptions::default(), &direct) {
         Err(analyze::AnalyzeError::Rejected(r)) => {
             assert!(!r.with_code(Code::UnbufferedCycle).is_empty());
         }
@@ -204,12 +205,13 @@ fn undersized_queue_fixture_is_pv104_and_refused_by_synthesis() {
 
     // 17 memory ops per iteration against the default capacity of 16:
     // PV104 fires as an error, anchored to the offending statement.
-    let report = analyze::lint_source_with_circuit(
+    let report = analyze::lint_text(
         &name,
         &source,
         &AnalyzeOptions::default(),
-        &CircuitOptions::default(),
-    );
+        Some(&CircuitOptions::default()),
+    )
+    .report;
     assert!(report.has_errors());
     let d = report.with_code(Code::FrontierCapacity);
     assert_eq!(d.len(), 1, "exactly one PV104: {:?}", report.diagnostics);
@@ -222,10 +224,12 @@ fn undersized_queue_fixture_is_pv104_and_refused_by_synthesis() {
     let spec = parse_kernel(&name, &source).expect("parses");
     let opts = AnalyzeOptions {
         depth: 32,
-        circuit_controller: Some(ControllerModel::Queue { capacity: 16 }),
         ..AnalyzeOptions::default()
     };
-    match analyze::synthesize_with(&spec, &SynthOptions::default(), &opts) {
+    let undersized = CircuitOptions {
+        controller: ControllerModel::Queue { capacity: 16 },
+    };
+    match analyze::synthesize_with(&spec, &opts, &undersized) {
         Err(analyze::AnalyzeError::Rejected(r)) => {
             assert!(r.with_code(Code::QueueDepth).is_empty(), "PV003 passes");
             assert!(!r.with_code(Code::FrontierCapacity).is_empty());
@@ -247,12 +251,13 @@ fn all_stock_kernels_are_circuit_clean() {
         }
         let source = std::fs::read_to_string(&path).expect("readable");
         let name = path.file_stem().and_then(|s| s.to_str()).expect("stem");
-        let report = analyze::lint_source_with_circuit(
+        let report = analyze::lint_text(
             name,
             &source,
             &AnalyzeOptions::default(),
-            &CircuitOptions::default(),
-        );
+            Some(&CircuitOptions::default()),
+        )
+        .report;
         let circuit_findings: Vec<_> = report
             .diagnostics
             .iter()
