@@ -1,23 +1,27 @@
 //! Engine-scheduler throughput: simulated cycles per wall-clock second for
-//! the dense reference sweep versus the event-driven dirty-set fixpoint, on
-//! the paper's fig2a kernel under the default PreVV controller. The final
+//! the dense reference sweep versus the levelized dirty-sweep fixpoint
+//! (`Scheduler::EventDriven`), under the PreVV controller. The final
 //! `BENCH_SIM_JSON` line is machine-readable; `scripts/verify.sh` runs this
-//! bench, records the best-of-5 figures into `target/BENCH_sim.json` (a CI
-//! artifact, never a tracked file), and fails the build if the event-driven
-//! default ever drops below dense throughput on the latency-bound workload.
+//! bench, records the figures into `target/BENCH_sim.json` (a CI artifact,
+//! never a tracked file), and fails the build if the levelized default
+//! drops below dense throughput on the paper set, the latency-bound
+//! workload or the generated sweep.
 //!
-//! Two regimes of the same kernel are measured:
+//! Four workloads are measured:
 //!
-//! * **bram** — on-chip memory timing (3-cycle reads) and an aliasing-heavy
-//!   index vector: nearly every cycle some channel fires, so the dirty set
-//!   stays large and event-driven scheduling buys little (it may even trail
-//!   the dense sweep — the honest worst case).
-//! * **dram** — external-memory timing (200-cycle reads) and a fully
-//!   serializing index vector (`b[i] = 0` with forwarding off): the RAW
-//!   chain keeps the circuit quiet most cycles, which is exactly the regime
-//!   an event-driven scheduler exploits — it crosses each memory wait in one
-//!   quiet-run skip. The dense sweep steps and re-evaluates every stalled
-//!   component every cycle regardless.
+//! * **paper** — the five paper kernels at their default sizes under
+//!   PreVV16 with on-chip memory timing, best-of-3 over the whole set: the
+//!   busy regime, where some channel fires nearly every cycle and every
+//!   node is evaluated every cycle.
+//! * **bram** — fig2a (13 nodes) with on-chip memory timing (3-cycle
+//!   reads) and an aliasing-heavy index vector, best-of-5. Reported, not
+//!   gated: on a netlist this small the two schedulers run at parity.
+//! * **dram** — fig2a with external-memory timing (200-cycle reads) and a
+//!   fully serializing index vector (`b[i] = 0` with forwarding off): the
+//!   RAW chain keeps the circuit quiet most cycles, and the levelized
+//!   scheduler crosses each memory wait in one quiet-run skip. The dense
+//!   sweep steps and re-evaluates every stalled component every cycle.
+//! * **gen** — eight generated kernels under the dram timing regime.
 //!
 //! Only `Simulator::run` is timed — synthesis and controller construction
 //! are one-time setup, not per-cycle scheduler work.
@@ -30,8 +34,8 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use prevv::dataflow::components::{BinOp, BinaryAlu, Buffer, Constant, Fork, IterSource, Sink};
 use prevv::dataflow::{Netlist, SquashBus};
-use prevv::kernels::extra;
 use prevv::kernels::gen::{generate, GenConfig};
+use prevv::kernels::{extra, paper};
 use prevv::{
     run_kernel_with, Controller, KernelSpec, MemTiming, PrevvConfig, Scheduler, SimConfig,
     Simulator, SynthOptions,
@@ -75,9 +79,18 @@ fn dram_workload() -> (KernelSpec, PrevvConfig) {
     (extra::fig2a(N, b), config)
 }
 
+/// The paper kernels at their default sizes under PreVV16 and on-chip
+/// timing: the busy regime the Table II reproduction runs in.
+fn paper_workloads() -> Vec<(KernelSpec, PrevvConfig)> {
+    paper::all_default()
+        .into_iter()
+        .map(|spec| (spec, PrevvConfig::prevv16()))
+        .collect()
+}
+
 /// Generated-kernel sweep: `GEN_KERNELS` irregular shapes from the fuzzer's
 /// bench profile, each under the latency-bound regime (external-memory
-/// timing, forwarding off) where the dirty-set scheduler has to earn its
+/// timing, forwarding off) where the levelized scheduler has to earn its
 /// keep on loop nests it has never seen hand-tuned.
 fn gen_workloads() -> Vec<(KernelSpec, PrevvConfig)> {
     let cfg = GenConfig::bench();
@@ -101,7 +114,7 @@ fn gen_workloads() -> Vec<(KernelSpec, PrevvConfig)> {
 /// One engine run under `scheduler`, timing `Simulator::run` only.
 /// Returns (simulated cycles, seconds).
 fn run_once(spec: &KernelSpec, config: &PrevvConfig, scheduler: Scheduler) -> (u64, f64) {
-    let mut synth = prevv::ir::synthesize(spec).expect("fig2a synthesizes");
+    let mut synth = prevv::ir::synthesize(spec).expect("kernel synthesizes");
     Controller::Prevv(config.clone())
         .attach(&mut synth)
         .expect("valid config");
@@ -112,26 +125,9 @@ fn run_once(spec: &KernelSpec, config: &PrevvConfig, scheduler: Scheduler) -> (u
             ..SimConfig::default()
         });
     let start = Instant::now();
-    let report = sim.run().expect("fig2a completes");
+    let report = sim.run().expect("kernel completes");
     let secs = start.elapsed().as_secs_f64();
     (report.cycles, secs)
-}
-
-/// Best-of-5 cycles/second — best-of suppresses scheduler noise on a
-/// shared box, mirroring the modelcheck bench.
-fn best_cycles_per_sec(
-    spec: &KernelSpec,
-    config: &PrevvConfig,
-    scheduler: Scheduler,
-) -> (u64, f64) {
-    let mut best = 0.0f64;
-    let mut cycles = 0;
-    for _ in 0..5 {
-        let (c, secs) = run_once(spec, config, scheduler);
-        cycles = c;
-        best = best.max(c as f64 / secs);
-    }
-    (cycles, best)
 }
 
 /// Full end-to-end correctness check of one workload under both schedulers
@@ -149,7 +145,7 @@ fn check_workload(spec: &KernelSpec, config: &PrevvConfig) -> u64 {
             &SynthOptions::default(),
             &sim,
         )
-        .expect("fig2a completes")
+        .expect("kernel completes")
     });
     assert!(dense.matches_golden, "bench run must stay correct");
     if let Some(diff) = dense.report.diff(&event.report) {
@@ -165,26 +161,35 @@ fn check_workload(spec: &KernelSpec, config: &PrevvConfig) -> u64 {
     dense.report.cycles
 }
 
-/// Best-of-3 aggregate cycles/second over the whole generated sweep (one
-/// timing sample = every sweep kernel back to back, so slow shapes cannot
-/// hide behind fast ones).
-fn sweep_cycles_per_sec(
-    workloads: &[(KernelSpec, PrevvConfig)],
-    scheduler: Scheduler,
-) -> (u64, f64) {
-    let mut best = 0.0f64;
-    let mut total_cycles = 0u64;
-    for _ in 0..3 {
-        total_cycles = 0;
-        let mut total_secs = 0.0f64;
-        for (spec, config) in workloads {
-            let (c, secs) = run_once(spec, config, scheduler);
-            total_cycles += c;
-            total_secs += secs;
+/// Best-of-`reps` aggregate cycles/second of the dense and the levelized
+/// scheduler over a set of workloads, after checking every kernel
+/// untimed. One timing sample = every kernel of the set back to back, so
+/// slow shapes cannot hide behind fast ones. The two schedulers are sampled
+/// alternately, so a slow stretch of a shared host hits both, and best-of
+/// suppresses the rest of the noise. Returns (cycles, dense, levelized).
+fn compare_schedulers(workloads: &[(KernelSpec, PrevvConfig)], reps: usize) -> (u64, f64, f64) {
+    let cycles: u64 = workloads
+        .iter()
+        .map(|(spec, config)| check_workload(spec, config))
+        .sum();
+    let mut best = [0.0f64; 2];
+    for _ in 0..reps {
+        for (k, scheduler) in [Scheduler::Dense, Scheduler::EventDriven]
+            .into_iter()
+            .enumerate()
+        {
+            let mut total_cycles = 0u64;
+            let mut total_secs = 0.0f64;
+            for (spec, config) in workloads {
+                let (c, secs) = run_once(spec, config, scheduler);
+                total_cycles += c;
+                total_secs += secs;
+            }
+            assert_eq!(total_cycles, cycles);
+            best[k] = best[k].max(total_cycles as f64 / total_secs);
         }
-        best = best.max(total_cycles as f64 / total_secs);
     }
-    (total_cycles, best)
+    (cycles, best[0], best[1])
 }
 
 fn bench_schedulers(c: &mut Criterion) {
@@ -267,33 +272,13 @@ fn bench_fixpoint_convergence(c: &mut Criterion) {
 
 /// Emits the machine-readable summary line `scripts/verify.sh` consumes.
 fn emit_summary(_c: &mut Criterion) {
-    let (bram_spec, bram_config) = bram_workload();
-    let (dram_spec, dram_config) = dram_workload();
-    let bram_cycles = check_workload(&bram_spec, &bram_config);
-    let dram_cycles = check_workload(&dram_spec, &dram_config);
-
-    let (c, bram_dense) = best_cycles_per_sec(&bram_spec, &bram_config, Scheduler::Dense);
-    assert_eq!(c, bram_cycles);
-    let (c, bram_event) = best_cycles_per_sec(&bram_spec, &bram_config, Scheduler::EventDriven);
-    assert_eq!(c, bram_cycles);
-    let (c, dram_dense) = best_cycles_per_sec(&dram_spec, &dram_config, Scheduler::Dense);
-    assert_eq!(c, dram_cycles);
-    let (c, dram_event) = best_cycles_per_sec(&dram_spec, &dram_config, Scheduler::EventDriven);
-    assert_eq!(c, dram_cycles);
-
-    // Generated-kernel sweep: correctness-check every shape untimed, then
-    // time the aggregate under each scheduler.
-    let sweep = gen_workloads();
-    let mut gen_cycles = 0u64;
-    for (spec, config) in &sweep {
-        gen_cycles += check_workload(spec, config);
-    }
-    let (c, gen_dense) = sweep_cycles_per_sec(&sweep, Scheduler::Dense);
-    assert_eq!(c, gen_cycles);
-    let (c, gen_event) = sweep_cycles_per_sec(&sweep, Scheduler::EventDriven);
-    assert_eq!(c, gen_cycles);
+    let (bram_cycles, bram_dense, bram_event) = compare_schedulers(&[bram_workload()], 5);
+    let (dram_cycles, dram_dense, dram_event) = compare_schedulers(&[dram_workload()], 5);
+    let (paper_cycles, paper_dense, paper_event) = compare_schedulers(&paper_workloads(), 3);
+    let (gen_cycles, gen_dense, gen_event) = compare_schedulers(&gen_workloads(), 3);
 
     let speedup = dram_event / dram_dense;
+    let paper_speedup = paper_event / paper_dense;
     let gen_speedup = gen_event / gen_dense;
     println!(
         "BENCH_SIM_JSON {{\"workload\": \"fig2a n=256 prevv16, engine-only, best of 5\", \
@@ -301,6 +286,9 @@ fn emit_summary(_c: &mut Criterion) {
          \"bram_event_cps\": {bram_event:.0}, \
          \"dram_cycles\": {dram_cycles}, \"dram_dense_cps\": {dram_dense:.0}, \
          \"dram_event_cps\": {dram_event:.0}, \"event_speedup\": {speedup:.2}, \
+         \"paper_workload\": \"paper::all_default() prevv16, best of 3\", \
+         \"paper_cycles\": {paper_cycles}, \"paper_dense_cps\": {paper_dense:.0}, \
+         \"paper_event_cps\": {paper_event:.0}, \"paper_event_speedup\": {paper_speedup:.2}, \
          \"gen_workload\": \"fuzz bench profile x{GEN_KERNELS} seed 0xPREVV, \
          dram timing, best of 3\", \
          \"gen_cycles\": {gen_cycles}, \"gen_dense_cps\": {gen_dense:.0}, \

@@ -23,7 +23,7 @@
 //! `tests/fuzz_corpus/` is (re)pinned.
 
 use prevv::dataflow::trace::{to_vcd, TraceRecorder};
-use prevv::dataflow::{sweep, viz, Scheduler, SimConfig, Simulator};
+use prevv::dataflow::{sweep, viz, Scheduler, SimConfig, SimReport, Simulator};
 use prevv::{Controller, MemTiming, PrevvConfig};
 use rand::{Rng, SeedableRng};
 
@@ -575,7 +575,15 @@ fn main() {
     let report = &run.report;
 
     println!("controller: {}", run.controller);
-    println!("simulation: {report}");
+    // The engine's squash bus books no replay span; the PreVV controller
+    // counts the iterations each squash replays.
+    let shown = SimReport {
+        replayed_iters: run
+            .prevv
+            .map_or(report.replayed_iters, |p| p.replayed_iters),
+        ..report.clone()
+    };
+    println!("simulation: {shown}");
     if let Some(summary) = &analysis.perf {
         // Cycles against cycles: both include pipeline fill, whereas the
         // predicted II is steady-state only.

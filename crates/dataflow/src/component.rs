@@ -69,9 +69,9 @@ pub trait Component {
     /// Returns `true` when the update changed internal state that future
     /// [`eval`](Component::eval) outputs, [`is_idle`](Component::is_idle) or
     /// [`occupancy`](Component::occupancy) depend on. The engine uses this
-    /// both to seed the event-driven scheduler's dirty set for the next cycle
-    /// and as a progress signal for the no-progress watchdog, so the flag
-    /// must be honest: pure bookkeeping (cycle counters, statistics
+    /// to pick the next cycle's commit set, to decide whether a cycle was
+    /// quiet, and as a progress signal for the no-progress watchdog, so the
+    /// flag must be honest: pure bookkeeping (cycle counters, statistics
     /// publication) must *not* report a change, while any internal token
     /// motion — even one with no channel transfer this cycle, such as a
     /// pipeline stage shifting — must.
@@ -82,10 +82,11 @@ pub trait Component {
     /// [`eval`](Component::eval) *reads*? Internal motion that is invisible
     /// to `eval` — a RAM delay line counting down, a reorder buffer waiting
     /// on an in-flight completion — is honest progress for the watchdog but
-    /// cannot alter any wire, so the event-driven scheduler need not re-seed
-    /// the component's evaluation. Defaults to `true` (every change is
-    /// assumed eval-visible), which is always sound; override only when the
-    /// commit body tracks the distinction exactly.
+    /// cannot alter any wire, so the cycle still counts as quiet and
+    /// [`Simulator::run`](crate::Simulator::run) may skip the wait that
+    /// follows. Defaults to `true` (every change is assumed eval-visible),
+    /// which is always sound; override only when the commit body tracks the
+    /// distinction exactly.
     fn eval_invalidated(&self) -> bool {
         true
     }

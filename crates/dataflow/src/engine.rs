@@ -2,46 +2,56 @@
 //!
 //! Each clock cycle proceeds in three phases:
 //!
-//! 1. **Wire fixpoint** — components' [`eval`](crate::Component::eval)
-//!    functions run until no `valid`/`ready`/data wire changes. `valid` and
-//!    `ready` are monotone within a cycle, so the fixpoint exists and the
-//!    iteration count is bounded; exceeding the bound means a combinational
-//!    cycle (a feedback path without an elastic buffer) and is reported as
+//! 1. **Wire fixpoint** — from all wires low, components'
+//!    [`eval`](crate::Component::eval) functions run until no
+//!    `valid`/`ready`/data wire changes. `valid` and `ready` are monotone
+//!    within a cycle, so the fixpoint exists and the iteration count is
+//!    bounded; exceeding the bound means a combinational cycle (a feedback
+//!    path without an elastic buffer) and is reported as
 //!    [`SimError::CombinationalCycle`], naming the channels that were still
 //!    churning. Two interchangeable schedulers compute the fixpoint (see
 //!    [`Scheduler`]); they produce bit-identical wire states.
 //! 2. **Commit** — every component's [`commit`](crate::Component::commit)
 //!    observes which channels fired and updates its registers, reporting
-//!    whether any eval-visible state changed. The changed set seeds the next
-//!    cycle's event-driven dirty set and feeds the no-progress watchdog.
+//!    whether any eval-visible state changed. The changed set picks the
+//!    next cycle's commit set, decides whether the cycle was quiet, and
+//!    feeds the no-progress watchdog.
 //! 3. **Squash application** — if a disambiguation controller posted a squash
 //!    on the [`SquashBus`], the engine bumps the epoch, calls
 //!    [`flush`](crate::Component::flush) on every component (dropping all
 //!    tokens of the squashed iterations), and lets the iteration source
 //!    rewind. This models the broadcast pipeline flush of the paper's mux +
-//!    squash signal. The cycle after a flush always runs the dense sweep:
-//!    a flush rewrites state (including the bus epoch some evals read)
-//!    behind the dirty-set bookkeeping's back.
+//!    squash signal.
 //!
-//! ## Why partial re-evaluation is sound
+//! ## The levelized fixpoint
+//!
+//! [`Scheduler::EventDriven`] evaluates the nodes in one static order,
+//! derived once from the netlist: a topological order over the channels
+//! whose producer is combinational (`capacity() == 0`), so a node comes
+//! after every node whose `valid`/data it reads within the cycle. Every
+//! cycle that does not follow a quiet one (below) it resets the wires,
+//! marks every node dirty, and sweeps the dirty nodes in that order,
+//! alternating forward passes (which settle `valid`/data) with backward
+//! ones (which settle `ready`), until no node is dirty. [`Signals`] lists
+//! each wire it raises or rewrites; the node that reads that wire becomes
+//! dirty.
 //!
 //! A component's `eval` is a pure function of its sequential state and the
-//! wires it reads (its inputs' `valid`/data, its outputs' `ready`). The
-//! event scheduler keeps the previous cycle's fixpoint wires and re-runs
-//! only components whose state changed at commit, clearing and re-deriving
-//! exactly the wires each re-run component owns (its outputs' `valid`/data,
-//! its inputs' `ready`). Any wire it changes wakes the one neighbor that
-//! reads that wire, so by induction every wire not re-derived is the value
-//! its owner would re-derive — the worklist converges to the same unique
-//! fixpoint the dense sweep computes from reset.
+//! wires it reads (its inputs' `valid`/data, its outputs' `ready`). A clean
+//! node has been evaluated since the last change to any of those wires, so
+//! evaluating it again would change nothing: when no node is dirty, every
+//! `eval` is a no-op — the condition the dense sweep stops on, reached from
+//! the same reset by raising the same monotone wires. Because every
+//! fixpoint starts from reset, a flush needs no special case.
 //!
 //! ## Quiet runs
 //!
-//! A *quiet* cycle fires no channel, flushes nothing, and seeds no
-//! re-evaluation. The event scheduler's next fixpoint then reproduces the
-//! same wires, so the only thing that can differ between the cycles that
-//! follow is what the committed components do with them. [`Simulator::run`]
-//! asks each node it would commit for its
+//! A *quiet* cycle fires no channel, flushes nothing, and changes no state
+//! an `eval` reads. The next fixpoint would then reproduce the same wires,
+//! so [`Scheduler::EventDriven`] keeps them instead of rebuilding them, and
+//! the only thing that can differ between the cycles that follow is what
+//! the committed components do with them. [`Simulator::run`] asks each node
+//! it would commit for its
 //! [`quiet_horizon`](crate::Component::quiet_horizon) — how many of its next
 //! commits are pure countdowns — and crosses the shortest such run in one
 //! step: [`skip_quiet`](crate::Component::skip_quiet) on those nodes, plus
@@ -53,31 +63,29 @@
 //! budget is exhausted, or when the no-progress watchdog declares deadlock —
 //! the condition the paper's fake tokens exist to prevent (§V-C).
 
-use std::collections::VecDeque;
-
-use crate::component::Ports;
 use crate::error::SimError;
 use crate::netlist::Netlist;
 use crate::signal::Signals;
 use crate::squash::SquashBus;
 use crate::stats::SimReport;
-use crate::token::Token;
 use crate::trace::TraceRecorder;
 
 /// Which algorithm computes the per-cycle wire fixpoint.
 ///
-/// Both schedulers reach the same fixpoint on every well-formed (buffered)
-/// netlist, so they produce identical [`SimReport`]s; the event-driven one
-/// skips re-evaluating the (typically large) stalled part of the circuit,
-/// and lets [`Simulator::run`] cross quiet runs in one step.
+/// Both schedulers rebuild the wires from reset every cycle and reach the
+/// same fixpoint on every well-formed (buffered) netlist, so they produce
+/// identical [`SimReport`]s; the levelized one evaluates each node about
+/// once per cycle instead of once per sweep, and lets [`Simulator::run`]
+/// cross quiet runs in one step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// Reset every wire and sweep every component until convergence — the
-    /// reference algorithm, O(components) per sweep. Steps every cycle.
+    /// Reset every wire and sweep every component in insertion order until
+    /// convergence — the reference algorithm, O(components) per sweep.
+    /// Steps every cycle.
     Dense,
-    /// Dirty-set worklist seeded by the components whose previous commit
-    /// changed state, propagating wake-ups along the channel graph; wires
-    /// warm-start from the previous cycle's fixpoint.
+    /// Reset every wire, then sweep only the dirty components in a static
+    /// topological order, alternating forward and backward passes; a
+    /// changed wire dirties the component that reads it.
     #[default]
     EventDriven,
 }
@@ -117,26 +125,24 @@ pub struct Simulator {
     idle_streak: u64,
     recorder: Option<TraceRecorder>,
     channel_stalls: Vec<u64>,
-    /// Static per-node port lists (`Component::ports` allocates; cache once).
-    ports: Vec<Ports>,
     /// `producer_of[ch]` / `consumer_of[ch]`: the unique endpoints of every
     /// channel, as raw node indices — the wake-up adjacency.
     producer_of: Vec<usize>,
     consumer_of: Vec<usize>,
+    /// The static evaluation order of the levelized fixpoint (see
+    /// [`levelize`]).
+    order: Vec<usize>,
+    /// `dirty[node]`: must the node be evaluated again this cycle?
+    dirty: Vec<bool>,
     /// `restless[node]`: did the node's last commit change internal state at
     /// all? Keeps the node in the next commit set (a settling pipeline
     /// shifts for several cycles after its last handshake) and feeds the
     /// no-progress watchdog.
     restless: Vec<bool>,
-    /// `eval_seed[node]`: did the node's last commit change state its `eval`
-    /// *reads* ([`Component::eval_invalidated`])? Strictly a subset of
-    /// `restless` — invisible internal motion (a RAM delay line ticking)
-    /// keeps a node restless without forcing a re-evaluation. Kept as a
-    /// list (ascending, at most one entry per node) rather than a bitmap so
-    /// seeding the worklist costs O(|seeds|), not O(nodes), per cycle.
-    seed_list: Vec<usize>,
-    /// Nodes whose [`Component::fire_driven_commit`] audit allows skipping
-    /// commit when settled; the complement is committed every cycle.
+    /// Nodes whose
+    /// [`fire_driven_commit`](crate::Component::fire_driven_commit) audit
+    /// allows skipping commit when settled; the complement is committed
+    /// every cycle.
     fire_driven: Vec<bool>,
     /// Scratch marks for the per-cycle commit set.
     commit_mark: Vec<bool>,
@@ -145,23 +151,49 @@ pub struct Simulator {
     /// never mutates) or on a flush, so quiescence is O(1) per cycle.
     idle_cache: Vec<bool>,
     active: usize,
-    /// Worklist state for the event-driven fixpoint.
-    queue: VecDeque<usize>,
-    queued: Vec<bool>,
-    /// Run the dense sweep next cycle (first cycle, and after every flush).
-    dense_next: bool,
-    /// Scratch buffers for per-node wire snapshots.
-    snap_out: Vec<(bool, Option<Token>)>,
-    snap_in: Vec<bool>,
     /// Scratch list of the channels that fired this cycle.
     fired_scratch: Vec<usize>,
-    /// Was the last cycle quiet (no fire, no flush, no seed)? Only then may
-    /// `run` skip ahead.
+    /// Was the last cycle quiet (no fire, no flush, and no commit changed
+    /// state an `eval` reads — see
+    /// [`eval_invalidated`](crate::Component::eval_invalidated))? Only then
+    /// may `step` keep the wires and `run` skip ahead.
     quiet: bool,
     /// Scratch `(node, changed)` horizons of the nodes a quiet run commits.
     quiet_nodes: Vec<(usize, bool)>,
     /// Cycles crossed by quiet-run skips rather than stepped.
     skipped: u64,
+}
+
+/// The levelized scheduler's node order: a forward topological order (Kahn,
+/// ready nodes in index order) over the channels whose producer is
+/// combinational (`capacity() == 0`) — a buffered producer drives from its
+/// registers, so its outputs start no combinational path. Nodes left on a
+/// residual cycle follow in index order; the pass budget still catches a
+/// genuinely divergent one.
+fn levelize(netlist: &Netlist, producer_of: &[usize], consumer_of: &[usize]) -> Vec<usize> {
+    let comps = netlist.components();
+    let mut indegree = vec![0usize; comps.len()];
+    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); comps.len()];
+    for (&p, &c) in producer_of.iter().zip(consumer_of) {
+        if comps[p].capacity() == 0 {
+            succ[p].push(c);
+            indegree[c] += 1;
+        }
+    }
+    let mut order: Vec<usize> = (0..comps.len()).filter(|&n| indegree[n] == 0).collect();
+    let mut head = 0;
+    while head < order.len() {
+        let n = order[head];
+        head += 1;
+        for &c in &succ[n] {
+            indegree[c] -= 1;
+            if indegree[c] == 0 {
+                order.push(c);
+            }
+        }
+    }
+    order.extend((0..comps.len()).filter(|&n| indegree[n] > 0));
+    order
 }
 
 impl Simulator {
@@ -179,8 +211,7 @@ impl Simulator {
         netlist.validate()?;
         let signals = Signals::new(netlist.channel_count());
         let channel_stalls = vec![0; netlist.channel_count()];
-        let ports: Vec<Ports> = netlist.components().iter().map(|c| c.ports()).collect();
-        let (producer_of, consumer_of) = netlist
+        let (producer_of, consumer_of): (Vec<usize>, Vec<usize>) = netlist
             .unique_endpoints()
             .map(|(p, c)| {
                 (
@@ -189,6 +220,7 @@ impl Simulator {
                 )
             })
             .expect("validated netlist has unique endpoints");
+        let order = levelize(&netlist, &producer_of, &consumer_of);
         let nodes = netlist.node_count();
         let fire_driven: Vec<bool> = netlist
             .components()
@@ -208,20 +240,15 @@ impl Simulator {
             idle_streak: 0,
             recorder: None,
             channel_stalls,
-            ports,
             producer_of,
             consumer_of,
+            order,
+            dirty: vec![false; nodes],
             restless: vec![true; nodes],
-            seed_list: (0..nodes).collect(),
             fire_driven,
             commit_mark: vec![false; nodes],
             idle_cache,
             active,
-            queue: VecDeque::new(),
-            queued: vec![false; nodes],
-            dense_next: true,
-            snap_out: Vec::new(),
-            snap_in: Vec::new(),
             fired_scratch: Vec::new(),
             quiet: false,
             quiet_nodes: Vec::new(),
@@ -278,11 +305,13 @@ impl Simulator {
     ///
     /// [`SimError::CombinationalCycle`] if the wire fixpoint diverges.
     pub fn step(&mut self) -> Result<(), SimError> {
-        if self.config.scheduler == Scheduler::Dense || self.dense_next {
-            self.fixpoint_dense()?;
-            self.dense_next = false;
-        } else {
-            self.fixpoint_event()?;
+        // After a quiet cycle the levelized fixpoint would rebuild the same
+        // wires (module docs), so they are kept as they are.
+        let quiet = std::mem::take(&mut self.quiet);
+        match self.config.scheduler {
+            Scheduler::Dense => self.fixpoint_dense()?,
+            Scheduler::EventDriven if !quiet => self.fixpoint_levelized()?,
+            Scheduler::EventDriven => {}
         }
 
         // Sample transfer/stall statistics at the fixpoint, in one pass that
@@ -311,6 +340,7 @@ impl Simulator {
             self.commit_mark[self.consumer_of[idx]] = true;
         }
         let mut any_changed = false;
+        let mut invalidated = false;
         let comps = self.netlist.components_mut();
         for (i, comp) in comps.iter_mut().enumerate() {
             if !self.commit_mark[i] {
@@ -320,9 +350,7 @@ impl Simulator {
             self.commit_mark[i] = false;
             let changed = comp.commit(&self.signals);
             self.restless[i] = changed;
-            if changed && comp.eval_invalidated() {
-                self.seed_list.push(i);
-            }
+            invalidated |= changed && comp.eval_invalidated();
             any_changed |= changed;
             if changed {
                 let idle = comp.is_idle();
@@ -341,14 +369,9 @@ impl Simulator {
             for c in self.netlist.components_mut() {
                 c.flush(from);
             }
-            // A flush rewrites state (and the bus epoch some evals read)
-            // behind the dirty set's back: rebuild densely next cycle and
-            // re-derive everything the incremental bookkeeping caches.
-            self.dense_next = true;
+            // A flush rewrites state behind commit's change reporting:
+            // re-derive everything the commit bookkeeping caches.
             self.restless.iter_mut().for_each(|r| *r = true);
-            // The seeds recorded above are stale; the forced dense cycle
-            // rebuilds all wires and re-derives the list from its commits.
-            self.seed_list.clear();
             self.refresh_idle_cache();
             true
         } else {
@@ -363,7 +386,7 @@ impl Simulator {
         } else {
             self.idle_streak += 1;
         }
-        self.quiet = !flushed && fired == 0 && self.seed_list.is_empty();
+        self.quiet = !flushed && fired == 0 && !invalidated;
 
         self.cycle += 1;
         Ok(())
@@ -420,17 +443,20 @@ impl Simulator {
         self.skipped += k;
     }
 
+    /// Fixpoint iteration budget, in whole sweeps (dense) or passes
+    /// (levelized). Each sweep or pass that does not converge raises a
+    /// `valid`/`ready` wire or rewrites data, so the count is bounded by the
+    /// number of wires plus slack for data rewrites by arbitrating
+    /// components.
+    fn sweep_budget(&self) -> usize {
+        2 * self.signals.len() + self.netlist.node_count() + 8
+    }
+
     /// Reference fixpoint: reset all wires, sweep every component until
     /// nothing changes.
     fn fixpoint_dense(&mut self) -> Result<(), SimError> {
-        // The dense sweep evaluates everything; pending seeds are subsumed.
-        self.seed_list.clear();
         self.signals.reset();
-        // Monotone fixpoint: each sweep can only raise valid/ready wires, so
-        // the sweep count is bounded by the number of wires plus slack for
-        // data rewrites by arbitrating components.
-        let budget = 2 * self.signals.len() + self.netlist.node_count() + 8;
-        for _ in 0..budget {
+        for _ in 0..self.sweep_budget() {
             for c in self.netlist.components() {
                 c.eval(&mut self.signals);
             }
@@ -441,77 +467,48 @@ impl Simulator {
         Err(self.diagnose_divergence())
     }
 
-    /// Event-driven fixpoint: warm-start from the previous cycle's wires and
-    /// re-evaluate only components reachable from the dirty set.
-    fn fixpoint_event(&mut self) -> Result<(), SimError> {
-        debug_assert!(self.queue.is_empty());
-        // Seed from the nodes whose last commit changed state their eval
-        // reads (drained here; the commit scheduler's companion `restless`
-        // set is untouched).
-        for k in 0..self.seed_list.len() {
-            let i = self.seed_list[k];
-            self.queue.push_back(i);
-            self.queued[i] = true;
-        }
-        self.seed_list.clear();
-        // Budget in *single-node evals*: the dense budget is in whole-netlist
-        // sweeps, so scale by the node count to give the worklist at least as
-        // much work before declaring divergence.
-        let nodes = self.netlist.node_count();
-        let sweep = 2 * self.signals.len() + nodes + 8;
-        let mut budget = sweep.saturating_mul(nodes.max(1));
-        while let Some(n) = self.queue.pop_front() {
-            self.queued[n] = false;
-            if budget == 0 {
-                self.queue.clear();
-                self.queued.iter_mut().for_each(|q| *q = false);
+    /// Levelized fixpoint: reset all wires and dirty every node, then sweep
+    /// the dirty nodes in the static order — forward passes settle
+    /// `valid`/data, backward passes settle `ready` — until none is left.
+    /// Every wire an `eval` touches dirties the node that reads it.
+    fn fixpoint_levelized(&mut self) -> Result<(), SimError> {
+        self.signals.reset();
+        self.dirty.iter_mut().for_each(|d| *d = true);
+        let mut pending = self.order.len();
+        let budget = self.sweep_budget();
+        let comps = self.netlist.components();
+        let mut pass = 0;
+        while pending > 0 {
+            if pass == budget {
                 return Err(self.diagnose_divergence());
             }
-            budget -= 1;
-            self.reeval_node(n);
+            for k in 0..self.order.len() {
+                let n = if pass % 2 == 0 {
+                    self.order[k]
+                } else {
+                    self.order[self.order.len() - 1 - k]
+                };
+                if !self.dirty[n] {
+                    continue;
+                }
+                self.dirty[n] = false;
+                pending -= 1;
+                comps[n].eval(&mut self.signals);
+                for t in self.signals.drain_touched() {
+                    let reader = if t & 1 == 0 {
+                        self.consumer_of[t >> 1]
+                    } else {
+                        self.producer_of[t >> 1]
+                    };
+                    if !self.dirty[reader] {
+                        self.dirty[reader] = true;
+                        pending += 1;
+                    }
+                }
+            }
+            pass += 1;
         }
-        // Re-derived wires set the global change flag; clear it so later
-        // dense cycles start clean.
-        self.signals.take_changed();
         Ok(())
-    }
-
-    /// Re-evaluates one node: snapshot the wires it owns (outputs' drive,
-    /// inputs' ready), clear them, run `eval`, and wake the unique neighbor
-    /// behind every wire that came out different.
-    fn reeval_node(&mut self, n: usize) {
-        self.snap_out.clear();
-        self.snap_in.clear();
-        for k in 0..self.ports[n].outputs.len() {
-            let ch = self.ports[n].outputs[k];
-            self.snap_out.push(self.signals.drive_state(ch));
-            self.signals.clear_drive(ch);
-        }
-        for k in 0..self.ports[n].inputs.len() {
-            let ch = self.ports[n].inputs[k];
-            self.snap_in.push(self.signals.is_ready(ch));
-            self.signals.clear_ready(ch);
-        }
-        self.netlist.components()[n].eval(&mut self.signals);
-        for k in 0..self.ports[n].outputs.len() {
-            let ch = self.ports[n].outputs[k];
-            if self.signals.drive_state(ch) != self.snap_out[k] {
-                self.wake(self.consumer_of[ch.index()]);
-            }
-        }
-        for k in 0..self.ports[n].inputs.len() {
-            let ch = self.ports[n].inputs[k];
-            if self.signals.is_ready(ch) != self.snap_in[k] {
-                self.wake(self.producer_of[ch.index()]);
-            }
-        }
-    }
-
-    fn wake(&mut self, n: usize) {
-        if !self.queued[n] {
-            self.queued[n] = true;
-            self.queue.push_back(n);
-        }
     }
 
     /// Shared divergence diagnosis: rerun the dense fixpoint from reset,
@@ -521,8 +518,7 @@ impl Simulator {
     /// set.
     fn diagnose_divergence(&mut self) -> SimError {
         self.signals.reset();
-        let budget = 2 * self.signals.len() + self.netlist.node_count() + 8;
-        for _ in 0..budget {
+        for _ in 0..self.sweep_budget() {
             for c in self.netlist.components() {
                 c.eval(&mut self.signals);
             }
@@ -530,15 +526,11 @@ impl Simulator {
                 break;
             }
         }
-        self.signals.record_changes();
         for c in self.netlist.components() {
             c.eval(&mut self.signals);
         }
+        let channels = self.signals.touched_channels();
         self.signals.take_changed();
-        let channels = self.signals.take_recorded();
-        // The warm-start wires are garbage now; any further step (a caller
-        // ignoring the error) must rebuild densely.
-        self.dense_next = true;
         SimError::CombinationalCycle {
             cycle: self.cycle,
             channels,
@@ -720,6 +712,20 @@ mod tests {
             report.cycles
         );
         assert!(report.cycles >= 64, "at least one cycle per iteration");
+    }
+
+    #[test]
+    fn levelized_order_follows_the_channels_not_insertion() {
+        // A source -> fork -> constant -> sink chain, inserted sink first.
+        let mut net = Netlist::new();
+        let bus = SquashBus::new();
+        let (a, b, c) = (net.channel(), net.channel(), net.channel());
+        net.add("sink", Sink::new(vec![c]));
+        net.add("one", Constant::new(1, b, c));
+        net.add("fork", Fork::new(a, vec![b]));
+        net.add("src", IterSource::new(vec![vec![0]], vec![a], bus.clone()));
+        let sim = Simulator::new(net, bus).expect("valid netlist");
+        assert_eq!(sim.order, vec![3, 2, 1, 0]);
     }
 
     #[test]

@@ -169,8 +169,8 @@ impl Netlist {
 
     /// Per-channel unique endpoint tables `(producer_of, consumer_of)`,
     /// indexed by [`ChannelId::index`] — the flattened form of
-    /// [`channel_endpoints`](Netlist::channel_endpoints) the event-driven
-    /// scheduler propagates wake-ups along.
+    /// [`channel_endpoints`](Netlist::channel_endpoints) the levelized
+    /// scheduler orders its nodes by and propagates wake-ups along.
     ///
     /// Returns `None` unless every channel has exactly one producer and one
     /// consumer (i.e. unless [`validate`](Netlist::validate) passes).

@@ -53,11 +53,6 @@ fn bit_set(words: &mut [u64], i: usize) {
     words[i >> 6] |= 1 << (i & 63);
 }
 
-#[inline]
-fn bit_clear(words: &mut [u64], i: usize) {
-    words[i >> 6] &= !(1 << (i & 63));
-}
-
 /// The combinational wire state of every channel during one clock cycle.
 ///
 /// Obtained by the engine; components interact with it inside
@@ -70,11 +65,11 @@ pub struct Signals {
     ready: Vec<u64>,
     data: Vec<Option<Token>>,
     channels: usize,
-    changed: bool,
-    /// When present, every wire raised/rewritten is marked here — used by the
-    /// engine's combinational-cycle diagnosis to name the channels that are
-    /// still churning after the sweep budget is exhausted.
-    record: Option<Vec<bool>>,
+    /// Every wire raised or rewritten since the last drain, as
+    /// `channel << 1 | side` (side 0: `valid`/data, read by the consumer;
+    /// side 1: `ready`, read by the producer). The engine wakes the reader
+    /// of each entry; its emptiness is the fixpoint's change flag.
+    touched: Vec<usize>,
 }
 
 impl Signals {
@@ -86,8 +81,7 @@ impl Signals {
             ready: vec![0; words],
             data: vec![None; n],
             channels: n,
-            changed: false,
-            record: None,
+            touched: Vec::new(),
         }
     }
 
@@ -106,63 +100,29 @@ impl Signals {
         self.valid.iter_mut().for_each(|v| *v = 0);
         self.ready.iter_mut().for_each(|r| *r = 0);
         self.data.iter_mut().for_each(|d| *d = None);
-        self.changed = false;
+        self.touched.clear();
     }
 
     /// Clears the change flag before one fixpoint sweep; returns the previous
     /// value.
     pub(crate) fn take_changed(&mut self) -> bool {
-        std::mem::replace(&mut self.changed, false)
+        let changed = !self.touched.is_empty();
+        self.touched.clear();
+        changed
     }
 
-    /// Starts marking every subsequently touched wire (divergence diagnosis).
-    pub(crate) fn record_changes(&mut self) {
-        self.record = Some(vec![false; self.len()]);
+    /// Drains the wires touched since the last drain (see `touched`).
+    pub(crate) fn drain_touched(&mut self) -> std::vec::Drain<'_, usize> {
+        self.touched.drain(..)
     }
 
-    /// Stops recording and returns the touched channels in id order.
-    pub(crate) fn take_recorded(&mut self) -> Vec<ChannelId> {
-        self.record
-            .take()
-            .unwrap_or_default()
-            .iter()
-            .enumerate()
-            .filter(|(_, &hit)| hit)
-            .map(|(i, _)| ChannelId::from_index(i))
-            .collect()
-    }
-
-    fn mark(&mut self, i: usize) {
-        self.changed = true;
-        if let Some(rec) = &mut self.record {
-            rec[i] = true;
-        }
-    }
-
-    /// Producer-side wire pair of `ch`: `(valid, data)`. The event scheduler
-    /// snapshots this before re-evaluating a producer and diffs afterwards to
-    /// decide whether the consumer must be woken.
-    pub(crate) fn drive_state(&self, ch: ChannelId) -> (bool, Option<Token>) {
-        (bit_get(&self.valid, ch.index()), self.data[ch.index()])
-    }
-
-    /// Lowers `valid` and clears the data of `ch`. Only the event scheduler
-    /// may call this, and only on the output channels of the component it is
-    /// about to re-evaluate: within a cycle wires are monotone, but across
-    /// warm-started cycles a producer's stale drive must be dropped before
-    /// its fresh `eval` re-asserts (or not) the offer. Valid and data are
-    /// cleared together so no consumer can observe a stale token behind a
-    /// fresh `valid`.
-    pub(crate) fn clear_drive(&mut self, ch: ChannelId) {
-        let i = ch.index();
-        bit_clear(&mut self.valid, i);
-        self.data[i] = None;
-    }
-
-    /// Lowers `ready` on `ch` (event scheduler, consumer side — see
-    /// [`clear_drive`](Signals::clear_drive)).
-    pub(crate) fn clear_ready(&mut self, ch: ChannelId) {
-        bit_clear(&mut self.ready, ch.index());
+    /// The channels touched since the last drain, in id order (divergence
+    /// diagnosis).
+    pub(crate) fn touched_channels(&self) -> Vec<ChannelId> {
+        let mut chans: Vec<usize> = self.touched.iter().map(|t| t >> 1).collect();
+        chans.sort_unstable();
+        chans.dedup();
+        chans.into_iter().map(ChannelId::from_index).collect()
     }
 
     /// Producer side: is a token offered on `ch` this cycle?
@@ -209,7 +169,7 @@ impl Signals {
         if !bit_get(&self.valid, i) || self.data[i] != Some(token) {
             bit_set(&mut self.valid, i);
             self.data[i] = Some(token);
-            self.mark(i);
+            self.touched.push(i << 1);
         }
     }
 
@@ -218,7 +178,7 @@ impl Signals {
         let i = ch.index();
         if !bit_get(&self.ready, i) {
             bit_set(&mut self.ready, i);
-            self.mark(i);
+            self.touched.push(i << 1 | 1);
         }
     }
 

@@ -1,7 +1,8 @@
-//! Scheduler equivalence and diagnostics: the event-driven dirty-set
-//! fixpoint must be observationally identical to the dense reference sweep —
-//! same cycle counts, same outputs, same stall attribution, and the same
-//! error (naming the same channels) when a circuit is genuinely divergent.
+//! Scheduler equivalence and diagnostics: the levelized dirty-sweep
+//! fixpoint (`Scheduler::EventDriven`) must be observationally identical to
+//! the dense reference sweep — same cycle counts, same outputs, same stall
+//! attribution, and the same error (naming the same channels) when a
+//! circuit is genuinely divergent.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -10,7 +11,8 @@ use prevv_dataflow::components::{
     BinOp, BinaryAlu, Branch, Buffer, Constant, Fork, IterSource, Join, Merge, Mux, Sink,
 };
 use prevv_dataflow::{
-    Netlist, Scheduler, SimConfig, SimError, SimReport, Simulator, SquashBus, Token,
+    ChannelId, Component, Netlist, Scheduler, SimConfig, SimError, SimReport, Simulator, SquashBus,
+    Token,
 };
 
 fn config(scheduler: Scheduler) -> SimConfig {
@@ -47,6 +49,59 @@ fn assert_equivalent(build: impl Fn() -> (Netlist, SquashBus, Rc<RefCell<Vec<Tok
     assert_eq!(dense_vals, event_vals, "collected outputs differ");
 }
 
+/// The order in which a test circuit's nodes enter its netlist.
+#[derive(Debug, Clone, Copy)]
+enum Insertion {
+    /// Source first, sink last: the order the builder names them in.
+    Given,
+    Reversed,
+    /// A Fisher–Yates shuffle driven by a xorshift generator seeded here.
+    Shuffled(u64),
+}
+
+/// A netlist under construction whose nodes are held back, so that they
+/// can be inserted in any [`Insertion`] order once the circuit is complete.
+struct Staged {
+    net: Netlist,
+    nodes: Vec<(&'static str, Box<dyn Component>)>,
+}
+
+impl Staged {
+    fn new() -> Self {
+        Staged {
+            net: Netlist::new(),
+            nodes: Vec::new(),
+        }
+    }
+
+    fn channel(&mut self) -> ChannelId {
+        self.net.channel()
+    }
+
+    fn add(&mut self, label: &'static str, component: impl Component + 'static) {
+        self.nodes.push((label, Box::new(component)));
+    }
+
+    fn finish(mut self, order: Insertion) -> Netlist {
+        match order {
+            Insertion::Given => {}
+            Insertion::Reversed => self.nodes.reverse(),
+            Insertion::Shuffled(mut x) => {
+                for i in (1..self.nodes.len()).rev() {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    self.nodes.swap(i, (x % (i as u64 + 1)) as usize);
+                }
+            }
+        }
+        for (label, component) in self.nodes {
+            self.net.add_boxed(label, component);
+        }
+        self.net
+    }
+}
+
 /// A multi-stage arithmetic pipeline: `(i + 1) * 2` through forked triggers,
 /// buffers, and two ALU latencies.
 fn pipeline(
@@ -55,8 +110,19 @@ fn pipeline(
     mul_latency: u32,
     buf_cap: usize,
 ) -> impl Fn() -> (Netlist, SquashBus, Rc<RefCell<Vec<Token>>>) {
+    pipeline_in(n, add_latency, mul_latency, buf_cap, Insertion::Given)
+}
+
+/// [`pipeline`] with its nodes inserted in `order`.
+fn pipeline_in(
+    n: i64,
+    add_latency: u32,
+    mul_latency: u32,
+    buf_cap: usize,
+    order: Insertion,
+) -> impl Fn() -> (Netlist, SquashBus, Rc<RefCell<Vec<Token>>>) {
     move || {
-        let mut net = Netlist::new();
+        let mut net = Staged::new();
         let bus = SquashBus::new();
         let src_out = net.channel();
         let f1 = net.channel();
@@ -85,7 +151,7 @@ fn pipeline(
         );
         let (sink, store) = Sink::collecting(vec![prod]);
         net.add("sink", sink);
-        (net, bus, store)
+        (net.finish(order), bus, store)
     }
 }
 
@@ -97,11 +163,11 @@ fn schedulers_agree_on_pipelines() {
     assert_equivalent(pipeline(0, 1, 1, 1));
 }
 
-#[test]
-fn schedulers_agree_on_routing_circuits() {
-    // Branch/Merge diamond: odd values detour through an extra adder.
-    let build = || {
-        let mut net = Netlist::new();
+/// A Branch/Merge diamond with its nodes inserted in `order`: odd values
+/// detour through an extra adder.
+fn routing(order: Insertion) -> impl Fn() -> (Netlist, SquashBus, Rc<RefCell<Vec<Token>>>) {
+    move || {
+        let mut net = Staged::new();
         let bus = SquashBus::new();
         let src_out = net.channel();
         let f_data = net.channel();
@@ -142,9 +208,51 @@ fn schedulers_agree_on_routing_circuits() {
         net.add("merge", Merge::new(vec![bumped, even], merged));
         let (sink, store) = Sink::collecting(vec![merged]);
         net.add("sink", sink);
-        (net, bus, store)
-    };
-    assert_equivalent(build);
+        (net.finish(order), bus, store)
+    }
+}
+
+#[test]
+fn schedulers_agree_on_routing_circuits() {
+    assert_equivalent(routing(Insertion::Given));
+}
+
+type Build = Box<dyn Fn() -> (Netlist, SquashBus, Rc<RefCell<Vec<Token>>>)>;
+
+/// The pipeline and routing circuits, their nodes inserted in `order`.
+fn circuits(order: Insertion) -> Vec<Build> {
+    vec![
+        Box::new(pipeline_in(32, 1, 3, 2, order)),
+        Box::new(pipeline_in(64, 2, 4, 1, order)),
+        Box::new(routing(order)),
+    ]
+}
+
+/// The levelized scheduler derives its order from the channels, not from
+/// the order nodes were added in: reversed and shuffled netlists agree
+/// across schedulers and give the same reports and outputs as the given
+/// order.
+#[test]
+fn evaluation_order_comes_from_structure() {
+    let given: Vec<_> = circuits(Insertion::Given)
+        .iter()
+        .map(|build| run_with(build, Scheduler::EventDriven))
+        .collect();
+    for order in [
+        Insertion::Reversed,
+        Insertion::Shuffled(0x9e37_79b9_7f4a_7c15),
+        Insertion::Shuffled(7),
+        Insertion::Shuffled(2024),
+    ] {
+        for (k, build) in circuits(order).iter().enumerate() {
+            assert_equivalent(build);
+            let (report, values) = run_with(build, Scheduler::EventDriven);
+            if let Some(diff) = given[k].0.diff(&report) {
+                panic!("{order:?}, circuit {k}: insertion order changed the run: {diff}");
+            }
+            assert_eq!(given[k].1, values, "{order:?}, circuit {k}: outputs");
+        }
+    }
 }
 
 /// Satellite 1: both schedulers must refuse a genuinely divergent circuit
@@ -155,7 +263,7 @@ fn schedulers_agree_on_routing_circuits() {
 /// different values (1 and 0): once a token enters the loop the select
 /// oscillates 0 -> 1 -> 0 within a single fixpoint and the data wires churn
 /// forever. A Branch gates loop entry on the *second* iteration, so cycle 0
-/// converges (exercising the event scheduler's warm-start path) and the
+/// converges (both schedulers then rebuild cycle 1 from reset) and the
 /// divergence is detected at cycle 1 by both schedulers.
 ///
 /// Note this has to be a hand-built netlist: the repo's divergence fixture

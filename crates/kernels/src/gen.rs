@@ -94,7 +94,7 @@ impl GenConfig {
     }
 
     /// Profile for throughput benchmarking: bigger, irregular iteration
-    /// spaces so the event-driven scheduler's sparse sweep is actually
+    /// spaces so the levelized scheduler's dirty sweep is actually
     /// exercised, without guards (which would add squash noise to timing).
     pub fn bench() -> Self {
         GenConfig {

@@ -47,6 +47,14 @@ if ! grep -qx 'controller: PreVV4' <<<"$out" || ! grep -q 'PV402' <<<"$out"; the
   exit 1
 fi
 echo "    throughput_cliff.pvk: depth_q = 4 runs as PreVV4 with PV402"
+# histogram squashes, so the simulation line must count replayed iterations.
+out=$(./target/release/runkernel kernels/histogram.pvk)
+replayed=$(sed -n 's/^simulation: .* \([0-9]*\) iter(s) replayed$/\1/p' <<<"$out")
+if [ -z "$replayed" ] || [ "$replayed" -eq 0 ]; then
+  echo "error: histogram.pvk must report a nonzero replayed-iteration count" >&2
+  exit 1
+fi
+echo "    histogram.pvk: $replayed iteration(s) replayed"
 
 echo "==> reproduce (every headline paper claim, exit 1 on any FAIL)"
 cargo run -q --release -p prevv-bench --bin reproduce
@@ -239,30 +247,40 @@ print(f"    {states} states at {best:.0f} states/s")
 '
 
 echo "==> simulator throughput -> target/BENCH_sim.json"
-# Engine-only cycles/sec, dense sweep vs event-driven dirty set, on fig2a
-# under the PreVV controller (see crates/bench/benches/sim.rs for the two
-# timing regimes). The bench itself does best-of-5 and cross-checks that
-# both schedulers agree on cycle counts and golden memory images. The gate:
-# the event-driven default must never drop below dense throughput on the
-# latency-bound (dram) workload, nor on the generated-kernel sweep
-# (irregular fuzzer shapes under the same timing regime).
+# Engine-only cycles/sec, dense sweep vs the levelized default, under the
+# PreVV controller (see crates/bench/benches/sim.rs for the workloads). The
+# bench itself takes best-of-N figures and cross-checks that both
+# schedulers agree on cycle counts and golden memory images. The gate: the
+# levelized default must never drop below dense throughput on the busy
+# paper set, on the latency-bound (dram) workload, nor on the
+# generated-kernel sweep (irregular fuzzer shapes under dram timing).
+# fig2a under bram timing (13 nodes) is reported, not gated.
 out=$(cargo bench -q -p prevv-bench --bench sim 2>/dev/null | grep '^BENCH_SIM_JSON ')
 echo "${out#BENCH_SIM_JSON }" | python3 -c '
 import json, sys
 doc = json.load(sys.stdin)
+pdense, pevent = doc["paper_dense_cps"], doc["paper_event_cps"]
+if pevent < pdense:
+    sys.exit(f"levelized scheduler slower than dense on the busy paper set: "
+             f"{pevent:.0f} < {pdense:.0f} cycles/s")
 dense, event = doc["dram_dense_cps"], doc["dram_event_cps"]
 if event < dense:
-    sys.exit(f"event-driven scheduler slower than dense on the latency-bound "
+    sys.exit(f"levelized scheduler slower than dense on the latency-bound "
              f"workload: {event:.0f} < {dense:.0f} cycles/s")
 gdense, gevent = doc["gen_dense_cps"], doc["gen_event_cps"]
 if gevent < gdense:
-    sys.exit(f"event-driven scheduler slower than dense on the generated "
+    sys.exit(f"levelized scheduler slower than dense on the generated "
              f"sweep: {gevent:.0f} < {gdense:.0f} cycles/s")
 bench = {"bench": "sim"}
 bench.update(doc)
 with open("target/BENCH_sim.json", "w") as f:
     json.dump(bench, f, indent=2)
     f.write("\n")
+bdense, bevent = doc["bram_dense_cps"], doc["bram_event_cps"]
+print(f"    paper set: dense {pdense:.0f} c/s, event {pevent:.0f} c/s "
+      f"({pevent / pdense:.2f}x)")
+print(f"    bram fig2a (not gated): dense {bdense:.0f} c/s, event {bevent:.0f} c/s "
+      f"({bevent / bdense:.2f}x)")
 print(f"    dram: dense {dense:.0f} c/s, event {event:.0f} c/s ({event / dense:.2f}x)")
 print(f"    gen sweep: dense {gdense:.0f} c/s, event {gevent:.0f} c/s "
       f"({gevent / gdense:.2f}x)")

@@ -1,7 +1,8 @@
-//! End-to-end scheduler equivalence: the event-driven dirty-set fixpoint
-//! must be observationally identical to the dense reference sweep through
-//! the whole stack — synthesized kernels, a PreVV controller that actually
-//! squashes and replays, and randomized memory timings. The substrate-level
+//! End-to-end scheduler equivalence: the levelized dirty-sweep fixpoint
+//! (`Scheduler::EventDriven`) must be observationally identical to the dense
+//! reference sweep through the whole stack — synthesized kernels, a PreVV
+//! controller that actually squashes and replays, and randomized memory
+//! timings. The substrate-level
 //! version of this property (hand-built netlists, divergence diagnostics)
 //! lives in `crates/dataflow/tests/scheduler.rs`; this file asserts it
 //! survives composition with real controllers.
