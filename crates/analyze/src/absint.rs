@@ -18,7 +18,7 @@
 //! Array contents are abstracted per array (one joined value per array,
 //! store-free arrays keep their exact initializer abstraction), and the
 //! body is iterated to a fixpoint with interval **widening** after
-//! [`WIDEN_AFTER`] rounds — accumulators like `a[0] += 1` jump to top
+//! `WIDEN_AFTER` rounds — accumulators like `a[0] += 1` jump to top
 //! instead of climbing forever.
 //!
 //! Four consumers ride on the inferred invariants:
@@ -623,7 +623,7 @@ pub fn eval(e: &Expr, env: &Env) -> AbsVal {
 }
 
 /// Enumerates the exact concrete value set of `e` under `env`, capped at
-/// [`SET_LIMIT`] members. `None` when exactness cannot be established.
+/// `SET_LIMIT` members. `None` when exactness cannot be established.
 /// This is the path that bounds indirect indices like `a[b[i]]` through a
 /// store-free `b`'s initializer data.
 pub fn eval_exact_set(e: &Expr, env: &Env, spec: &KernelSpec) -> Option<Vec<Value>> {

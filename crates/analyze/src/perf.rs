@@ -11,7 +11,7 @@
 //! contribute zero-weight handshake edges in both directions. The
 //! steady-state initiation interval of such a graph is its **maximum cycle
 //! ratio** — `max over cycles of (total latency / total tokens)` — which
-//! [`MarkedGraph::max_cycle_ratio`] computes exactly by iterated
+//! `MarkedGraph::max_cycle_ratio` computes exactly by iterated
 //! Bellman–Ford positive-cycle extraction (Lawler/Howard hybrid: each
 //! extracted cycle's ratio becomes the next λ; λ increases through the
 //! finite set of simple-cycle ratios and therefore terminates).

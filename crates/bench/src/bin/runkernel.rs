@@ -575,7 +575,7 @@ fn main() {
     let report = &run.report;
 
     println!("controller: {}", run.controller);
-    // The engine's squash bus books no replay span; the PreVV controller
+    // `SimReport::replayed_iters` always reads 0; the PreVV controller
     // counts the iterations each squash replays.
     let shown = SimReport {
         replayed_iters: run

@@ -26,10 +26,6 @@ pub struct PrevvConfig {
     /// keep the pure squash-on-mismatch variant as an ablation
     /// (`forwarding = false`).
     pub forwarding: bool,
-    /// After this many squashes blamed on a single iteration, its loads are
-    /// held back until all older stores have committed — the livelock guard
-    /// (DESIGN.md §4.5).
-    pub livelock_threshold: u32,
     /// Apply the §V-B pair reduction: only one representative of each run of
     /// consecutive same-kind ambiguous ops triggers validation.
     pub pair_reduction: bool,
@@ -43,7 +39,6 @@ impl Default for PrevvConfig {
             validations_per_cycle: 8,
             retire_per_cycle: 8,
             forwarding: true,
-            livelock_threshold: 8,
             pair_reduction: true,
         }
     }
@@ -103,7 +98,6 @@ mod tests {
         let c = PrevvConfig::default();
         assert!(c.forwarding, "queue bypass is part of the architecture");
         assert!(c.pair_reduction);
-        assert!(c.livelock_threshold > 0);
     }
 
     #[test]

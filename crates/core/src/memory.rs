@@ -27,7 +27,7 @@
 //!   the sizing experiments sweep.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use prevv_dataflow::{Component, Ports, QuietRun, Signals, SquashBus, Tag, Token};
@@ -61,7 +61,8 @@ pub struct PrevvStats {
     pub queue_high_water: usize,
     /// Cycles an arrival stalled because the queue was full (Fig. 4c).
     pub queue_full_stalls: u64,
-    /// Cycles a load was held back by the livelock guard.
+    /// Always 0; removed when the benchmark stops reading it (ROADMAP
+    /// item 4).
     pub conservative_holds: u64,
     /// Cycles a load was held back by the dependence predictor.
     pub predictor_holds: u64,
@@ -146,9 +147,6 @@ pub struct PrevvMemory {
     /// ROM-sequence numbers of the store ports, ascending.
     store_seqs: Vec<u32>,
     ports_per_iter: u32,
-    /// Iterations under the livelock guard: their loads wait until all
-    /// older stores committed.
-    conservative: HashSet<u64>,
     /// Memory dependence predictor (store-set style, cf. the paper's
     /// reference [3]): after a violation, the racing load port waits for
     /// each predicted store port's op of `iter - distance` to *arrive*
@@ -157,16 +155,13 @@ pub struct PrevvMemory {
     /// ports (e.g. a guarded store at distance 0 plus its own statement's
     /// store at distance 1), so the full set is kept.
     predictor: HashMap<usize, HashMap<usize, u64>>,
-
-    squash_blame: HashMap<u64, u32>,
     pending_squash: Option<u64>,
     max_arrived_iter: u64,
     stats: SharedPrevvStats,
     local: PrevvStats,
     log: SharedSquashLog,
-    /// Cycle counter + env-gated tracing (`PREVV_DEBUG=1`).
+    /// Controller cycle counter, stamped on squash-log entries.
     cycles_seen: u64,
-    trace: bool,
     /// Did the last commit mutate the io adapter — the only state `eval`
     /// reads? Backs [`Component::eval_invalidated`]: a cycle that merely
     /// ticks the RAM delay line is progress for the watchdog but cannot
@@ -176,14 +171,14 @@ pub struct PrevvMemory {
     /// store blocked on write bandwidth, or a retirement budget that ran
     /// out)? Our commits are only skippable when false.
     backlog: bool,
-    /// Stall-counter deltas `(queue_full, predictor, conservative)` of the
-    /// last fully-stalled commit — one that admitted, completed, committed,
-    /// and retired nothing. While no channel fires, no read completes, and
-    /// no backlog or squash appears, every hold-relevant input to
+    /// Stall-counter deltas `(queue_full, predictor)` of the last
+    /// fully-stalled commit — one that admitted, completed, committed, and
+    /// retired nothing. While no channel fires, no read completes, and no
+    /// backlog or squash appears, every hold-relevant input to
     /// `process_inputs` is provably unchanged, so each following commit
     /// recomputes exactly these deltas; `skip_quiet` books them in bulk.
     /// `None` after any commit that moves state, and after `flush`.
-    hold_replay: Option<(u64, u64, u64)>,
+    hold_replay: Option<(u64, u64)>,
 }
 
 impl PrevvMemory {
@@ -238,16 +233,13 @@ impl PrevvMemory {
                 rr_start: 0,
                 store_seqs,
                 ports_per_iter,
-                conservative: HashSet::new(),
                 predictor: HashMap::new(),
-                squash_blame: HashMap::new(),
                 pending_squash: None,
                 max_arrived_iter: 0,
                 stats: stats.clone(),
                 local: PrevvStats::default(),
                 log: Rc::new(RefCell::new(Vec::new())),
                 cycles_seen: 0,
-                trace: std::env::var_os("PREVV_DEBUG").is_some(),
                 eval_dirty: true,
                 backlog: true,
                 hold_replay: None,
@@ -257,11 +249,6 @@ impl PrevvMemory {
         ))
     }
 
-    /// The premature queue's current occupancy (for sizing experiments).
-    pub fn queue_len(&self) -> usize {
-        self.protocol.queue.len()
-    }
-
     /// Shared handle to the squash event log: every violation the arbiter
     /// detects, with the racing ports and distance — the raw material for
     /// squash-rate analysis and dependence-predictor studies.
@@ -269,50 +256,11 @@ impl PrevvMemory {
         self.log.clone()
     }
 
-    /// A human-readable snapshot of the controller state, for debugging
-    /// stuck pipelines.
-    pub fn debug_snapshot(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "frontier={} next_commit={} free={} reads_inflight={}",
-            self.protocol.frontier,
-            self.protocol.next_commit,
-            self.free_slots(),
-            self.reads.len()
-        );
-        let _ = writeln!(s, "predictor={:?}", self.predictor);
-        let _ = writeln!(s, "arrived={:?}", self.protocol.arrived);
-        let _ = write!(s, "queue: ");
-        for r in self.protocol.queue.iter() {
-            let _ = write!(
-                s,
-                "[p{} i{} s{} {:?}{}{}] ",
-                r.port,
-                r.iter,
-                r.seq,
-                r.kind,
-                if r.fake { " fake" } else { "" },
-                if r.committed { " C" } else { "" }
-            );
-        }
-        s
-    }
-
-    fn free_slots(&self) -> usize {
-        self.protocol.free_slots(self.reads.len())
-    }
-
     /// Deadlock-free admission (see [`ProtocolState::can_admit`]): loads in
     /// flight to RAM hold reservations too.
     fn can_admit(&self, iter: u64) -> bool {
         self.protocol
             .can_admit(iter, self.ports_per_iter, self.reads.len())
-    }
-
-    fn note_admitted(&mut self, iter: u64) {
-        self.protocol.note_admitted(iter);
     }
 
     /// Validates, applies the verdict, inserts, and counts one arrival.
@@ -330,14 +278,6 @@ impl PrevvMemory {
                     store_port: v.store_port,
                     distance: v.distance,
                 });
-                if self.trace {
-                    eprintln!(
-                        "SQUASH @{} from={} load_port={} store_port={} d={} arriving=[p{} i{} s{} {:?} a{:?} v{}]\n{}",
-                        self.cycles_seen, v.from_iter, v.load_port, v.store_port, v.distance,
-                        rec.port, rec.iter, rec.seq, rec.kind, rec.addr, rec.value,
-                        self.debug_snapshot()
-                    );
-                }
                 self.learn(v);
                 self.pending_squash = Some(
                     self.pending_squash
@@ -404,7 +344,7 @@ impl PrevvMemory {
                 return false;
             }
             let needed = iter - distance;
-            if self.port_op_arrived(store_port, needed) {
+            if self.protocol.port_op_arrived(store_port, needed) {
                 return false; // store arrived: the queue bypass handles it
             }
             match self.io.find_addr(store_port, needed) {
@@ -414,28 +354,6 @@ impl PrevvMemory {
                 None => true,
             }
         })
-    }
-
-    /// Exact per-port arrival check (see [`ProtocolState::port_op_arrived`]).
-    fn port_op_arrived(&self, port: usize, iter: u64) -> bool {
-        self.protocol.port_op_arrived(port, iter)
-    }
-
-    /// Issue-time bypass probe (see [`ProtocolState::resident_bypass`]):
-    /// saves the RAM round-trip (and its port bandwidth) whenever the
-    /// producer store has already arrived — the latency equivalent of the
-    /// LSQ's store-to-load forwarding.
-    fn resident_bypass(
-        &self,
-        addr: usize,
-        order: (u64, u32),
-    ) -> Option<(prevv_dataflow::Value, u64)> {
-        self.protocol.resident_bypass(addr, order)
-    }
-
-    /// Iteration of the first uncommitted store slot.
-    fn commit_iter(&self) -> u64 {
-        self.protocol.commit_iter(self.store_seqs.len())
     }
 
     fn process_inputs(&mut self, mut budget: u32) {
@@ -460,7 +378,7 @@ impl PrevvMemory {
                     self.local.queue_full_stalls += 1;
                     break;
                 }
-                self.note_admitted(f.tag.iter);
+                self.protocol.note_admitted(f.tag.iter);
                 self.io.take_fake(p).expect("peeked");
                 let op = &self.io.port(p).op;
                 let (kind, seq) = (op.kind, op.seq);
@@ -487,12 +405,6 @@ impl PrevvMemory {
                         self.local.predictor_holds += 1;
                         break;
                     }
-                    if self.conservative.contains(&a.tag.iter) && self.commit_iter() < a.tag.iter {
-                        // Livelock guard: wait until all older stores have
-                        // committed before re-reading.
-                        self.local.conservative_holds += 1;
-                        break;
-                    }
                     if !self.can_admit(a.tag.iter) {
                         self.local.queue_full_stalls += 1;
                         break;
@@ -502,33 +414,33 @@ impl PrevvMemory {
                     // arbiter's intra-iteration forwarding note); the
                     // cross-iteration bypass is the `forwarding` option.
                     let bypass = self
+                        .protocol
                         .resident_bypass(addr, (a.tag.iter, seq))
                         .filter(|&(_, s_iter)| self.config.forwarding || s_iter == a.tag.iter);
-                    {
-                        if let Some((v, _)) = bypass {
-                            // Zero-RAM forwarding from the premature queue.
-                            if budget == 0 {
-                                break;
-                            }
-                            self.note_admitted(a.tag.iter);
-                            self.io.take_addr(p).expect("peeked");
-                            self.insert(PrematureRecord::real(
-                                p,
-                                MemOpKind::Load,
-                                a.tag,
-                                seq,
-                                addr,
-                                v,
-                            ));
-                            self.local.forwards += 1;
-                            budget -= 1;
-                            continue;
+                    if let Some((v, _)) = bypass {
+                        // Zero-RAM forwarding from the premature queue: no
+                        // RAM round-trip, no read-port bandwidth.
+                        if budget == 0 {
+                            break;
                         }
+                        self.protocol.note_admitted(a.tag.iter);
+                        self.io.take_addr(p).expect("peeked");
+                        self.insert(PrematureRecord::real(
+                            p,
+                            MemOpKind::Load,
+                            a.tag,
+                            seq,
+                            addr,
+                            v,
+                        ));
+                        self.local.forwards += 1;
+                        budget -= 1;
+                        continue;
                     }
                     if read_budget == 0 {
                         break;
                     }
-                    self.note_admitted(a.tag.iter);
+                    self.protocol.note_admitted(a.tag.iter);
                     self.io.take_addr(p).expect("peeked");
                     self.reads.push(
                         self.config.timing.read_latency,
@@ -552,7 +464,7 @@ impl PrevvMemory {
                         self.local.queue_full_stalls += 1;
                         break;
                     }
-                    self.note_admitted(a.tag.iter);
+                    self.protocol.note_admitted(a.tag.iter);
                     self.io.take_addr(p).expect("peeked");
                     self.io.take_data(p).expect("peeked");
                     let addr = self.io.resolve(p, a.value);
@@ -597,10 +509,6 @@ impl PrevvMemory {
         }
     }
 
-    fn retire(&mut self) -> usize {
-        self.protocol.retire(self.config.retire_per_cycle as usize)
-    }
-
     /// Records whether the commit/retire cursors still have work that a
     /// quiet cycle must not skip: a commit-eligible store slot remains
     /// (write bandwidth ran out this cycle), or retirement consumed its
@@ -617,11 +525,6 @@ impl PrevvMemory {
         self.bus.post(from);
         self.local.squashes += 1;
         self.local.replayed_iters += (self.max_arrived_iter + 1).saturating_sub(from);
-        let blame = self.squash_blame.entry(from).or_insert(0);
-        *blame += 1;
-        if *blame >= self.config.livelock_threshold {
-            self.conservative.insert(from);
-        }
     }
 
     fn publish_stats(&mut self) {
@@ -657,11 +560,7 @@ impl Component for PrevvMemory {
         // must not count, or a wedged circuit would never trip the watchdog.
         let ticking = !self.reads.is_empty();
 
-        let stalls = (
-            self.local.queue_full_stalls,
-            self.local.predictor_holds,
-            self.local.conservative_holds,
-        );
+        let stalls = (self.local.queue_full_stalls, self.local.predictor_holds);
         let proto = (
             self.protocol.frontier,
             self.protocol.next_commit,
@@ -677,18 +576,11 @@ impl Component for PrevvMemory {
         self.process_inputs(budget);
         self.advance_frontier();
         self.commit_stores();
-        let retired = self.retire();
+        let retired = self.protocol.retire(self.config.retire_per_cycle as usize);
         self.note_backlog(retired);
         self.post_squash();
         self.publish_stats();
         self.cycles_seen += 1;
-        if self.trace && self.cycles_seen.is_multiple_of(512) {
-            eprintln!(
-                "--- prevv @ {} commits ---\n{}",
-                self.cycles_seen,
-                self.debug_snapshot()
-            );
-        }
 
         self.eval_dirty = self.io.take_dirty();
         let proto_now = (
@@ -710,7 +602,6 @@ impl Component for PrevvMemory {
             Some((
                 self.local.queue_full_stalls - stalls.0,
                 self.local.predictor_holds - stalls.1,
-                self.local.conservative_holds - stalls.2,
             ))
         };
         self.eval_dirty || ticking || !self.reads.is_empty() || proto != proto_now
@@ -742,7 +633,6 @@ impl Component for PrevvMemory {
     fn quiet_horizon(&self) -> Option<QuietRun> {
         if self.pending_squash.is_some()
             || self.backlog
-            || self.trace
             || (self.hold_replay.is_none() && self.io.has_pending_inputs())
         {
             return None;
@@ -767,10 +657,9 @@ impl Component for PrevvMemory {
         }
         self.reads.skip(k);
         self.cycles_seen += k;
-        if let Some((qf, ph, ch)) = self.hold_replay {
+        if let Some((qf, ph)) = self.hold_replay {
             self.local.queue_full_stalls += k * qf;
             self.local.predictor_holds += k * ph;
-            self.local.conservative_holds += k * ch;
         }
         self.publish_stats();
     }

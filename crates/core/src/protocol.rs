@@ -184,16 +184,6 @@ impl ProtocolState {
         stores_per_iter != 0 && self.next_commit / (stores_per_iter as u64) < self.frontier
     }
 
-    /// Iteration of the first uncommitted store slot (`u64::MAX` for
-    /// store-free kernels).
-    pub fn commit_iter(&self, stores_per_iter: usize) -> u64 {
-        if stores_per_iter == 0 {
-            u64::MAX
-        } else {
-            self.next_commit / stores_per_iter as u64
-        }
-    }
-
     /// Tries to commit the next store slot in `(iteration, sequence)` order.
     /// `store_seqs` lists the ROM-sequence numbers of the kernel's store
     /// ports, ascending. Marks the record committed and advances the cursor;

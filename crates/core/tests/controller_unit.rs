@@ -113,7 +113,7 @@ impl Bench {
         }
         self.ctrl.commit(&sig);
         // Apply any squash the way the engine would.
-        if let Some(from) = self.bus.take_pending(|_| 1) {
+        if let Some(from) = self.bus.take_pending() {
             self.ctrl.flush(from);
         }
         self.cycle += 1;

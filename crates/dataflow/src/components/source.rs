@@ -334,7 +334,7 @@ mod tests {
         assert_eq!(src.position(), 4);
         // A squash from iteration 2 rewinds the source...
         bus.post(2);
-        bus.take_pending(|_| 0);
+        bus.take_pending();
         src.flush(2);
         assert_eq!(src.position(), 2);
         // ...and re-issued tokens carry the bumped epoch.

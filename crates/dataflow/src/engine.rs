@@ -365,7 +365,7 @@ impl Simulator {
             }
         }
 
-        let flushed = if let Some(from) = self.bus.take_pending(|_| 0) {
+        let flushed = if let Some(from) = self.bus.take_pending() {
             for c in self.netlist.components_mut() {
                 c.flush(from);
             }
@@ -604,7 +604,7 @@ impl Simulator {
             transfers: self.transfers,
             stall_cycles: self.stall_cycles,
             squashes: self.bus.squash_count(),
-            replayed_iters: self.bus.replayed_iters(),
+            replayed_iters: 0,
             stalled_channels: self.stall_ranking(self.channel_stalls.len()),
         }
     }
@@ -622,12 +622,6 @@ impl Simulator {
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         ranked.truncate(n);
         ranked
-    }
-
-    /// Consumes the simulator, returning the netlist (e.g. to inspect
-    /// collector sinks).
-    pub fn into_netlist(self) -> Netlist {
-        self.netlist
     }
 }
 

@@ -232,11 +232,6 @@ impl Netlist {
         }
     }
 
-    /// Total occupancy across all components (tokens held anywhere).
-    pub fn total_occupancy(&self) -> usize {
-        self.components.iter().map(|c| c.occupancy()).sum()
-    }
-
     /// Describes where tokens are currently held, for deadlock diagnostics.
     pub fn occupancy_report(&self) -> String {
         let mut parts = Vec::new();

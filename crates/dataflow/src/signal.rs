@@ -58,7 +58,7 @@ fn bit_set(words: &mut [u64], i: usize) {
 /// Obtained by the engine; components interact with it inside
 /// [`Component::eval`](crate::Component::eval) and read the fixpoint result
 /// inside [`Component::commit`](crate::Component::commit). `valid` and
-/// `ready` are packed bitmaps (see [`bit_get`]).
+/// `ready` are packed bitmaps, one bit per channel.
 #[derive(Debug, Clone)]
 pub struct Signals {
     valid: Vec<u64>,

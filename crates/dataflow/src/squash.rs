@@ -30,7 +30,6 @@ struct BusState {
     epoch: Cell<u32>,
     pending: Cell<Option<u64>>,
     squashes: Cell<u64>,
-    replayed_iters: Cell<u64>,
 }
 
 impl SquashBus {
@@ -63,26 +62,17 @@ impl SquashBus {
     }
 
     /// Engine side: takes the pending squash, if any, bumping the epoch and
-    /// recording statistics. Returns the iteration to restart from.
-    pub fn take_pending(&self, replay_span: impl FnOnce(u64) -> u64) -> Option<u64> {
+    /// the squash count. Returns the iteration to restart from.
+    pub fn take_pending(&self) -> Option<u64> {
         let from = self.inner.pending.take()?;
         self.inner.epoch.set(self.inner.epoch.get() + 1);
         self.inner.squashes.set(self.inner.squashes.get() + 1);
-        let span = replay_span(from);
-        self.inner
-            .replayed_iters
-            .set(self.inner.replayed_iters.get() + span);
         Some(from)
     }
 
     /// Total number of squashes applied so far.
     pub fn squash_count(&self) -> u64 {
         self.inner.squashes.get()
-    }
-
-    /// Total number of iterations that had to be replayed.
-    pub fn replayed_iters(&self) -> u64 {
-        self.inner.replayed_iters.get()
     }
 }
 
@@ -96,11 +86,10 @@ mod tests {
         assert!(!bus.has_pending());
         bus.post(7);
         assert!(bus.has_pending());
-        let from = bus.take_pending(|f| 10 - f);
+        let from = bus.take_pending();
         assert_eq!(from, Some(7));
         assert_eq!(bus.epoch(), 1);
         assert_eq!(bus.squash_count(), 1);
-        assert_eq!(bus.replayed_iters(), 3);
         assert!(!bus.has_pending());
     }
 
@@ -110,7 +99,7 @@ mod tests {
         bus.post(9);
         bus.post(4);
         bus.post(12);
-        assert_eq!(bus.take_pending(|_| 0), Some(4));
+        assert_eq!(bus.take_pending(), Some(4));
     }
 
     #[test]
@@ -119,7 +108,7 @@ mod tests {
         let b = a.clone();
         b.post(2);
         assert!(a.has_pending());
-        a.take_pending(|_| 1);
+        a.take_pending();
         assert_eq!(b.epoch(), 1);
     }
 }

@@ -15,7 +15,8 @@ pub struct SimReport {
     pub stall_cycles: u64,
     /// Number of pipeline squashes applied.
     pub squashes: u64,
-    /// Total iterations that were replayed due to squashes.
+    /// Always 0; removed when the benchmark stops reading it (ROADMAP
+    /// item 4). The controller counts replays in its own statistics.
     pub replayed_iters: u64,
     /// Per-channel stall attribution: every channel that spent at least one
     /// cycle stalled (valid but not ready), sorted by stall count

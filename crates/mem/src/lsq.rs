@@ -278,11 +278,6 @@ impl Lsq {
         self.stats
     }
 
-    /// Current queue occupancies `(loads, stores)`.
-    pub fn queue_occupancy(&self) -> (usize, usize) {
-        (self.lq.len(), self.sq.len())
-    }
-
     /// Runs this cycle's allocation under the configured policy. Each
     /// policy leaves the other's state untouched (empty or zero).
     fn allocate(&mut self) {

@@ -184,11 +184,6 @@ impl PortIo {
         t
     }
 
-    /// Peeks the next allocation token.
-    pub fn peek_alloc(&self) -> Option<&Token> {
-        self.alloc_q.front()
-    }
-
     /// Pops the next address token of port `p`.
     pub fn take_addr(&mut self, p: usize) -> Option<Token> {
         let t = self.addr_q[p].pop_front();

@@ -65,6 +65,11 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# Catches intra-doc links left dangling when an item is deleted or made
+# private.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> lint-kernels (stock kernels must be error-free, circuit pass included)"
 out=$(cargo run -q --release -p prevv-analyze --bin prevv-lint -- \
     --circuit --format json kernels/*.pvk)

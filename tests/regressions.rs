@@ -213,3 +213,61 @@ fn pinned_enumeration_only_proof_reaches_every_consumer() {
         (3, 3, 0, 0)
     );
 }
+
+/// The same-iteration race behind the dependence predictor (DESIGN.md
+/// §4.0), shrunk by the fuzzer: in iteration 2 the store `b[a[2]]` hits
+/// `b[6]`, which that iteration's later load `b[2 * 3]` has already read.
+/// Replay alone repeats the same order forever; the predictor learns the
+/// (load, store, distance 0) entry from the one squash and holds the
+/// replayed load until the store arrives, whose value the queue bypass
+/// then forwards. Both schedulers must see exactly that one squash and
+/// one replayed iteration.
+#[test]
+fn pinned_distance_zero_race_squashes_once() {
+    use prevv::{run_kernel_with, Controller, PrevvConfig, Scheduler, SimConfig, SynthOptions};
+
+    let source = "int a[8] = { 2, 4, 6, 7, 7, 4, 4, 6 };\n\
+                  int b[16];\n\
+                  for (int i = 0; i < 3; ++i) {\n  \
+                  b[a[i]] = 3 % 5;\n  \
+                  b[0] = b[2 * 3];\n\
+                  }\n";
+    let spec = prevv::ir::parse::parse_kernel("distance_zero_race", source).expect("parses");
+    for scheduler in [Scheduler::Dense, Scheduler::EventDriven] {
+        let sim = SimConfig {
+            scheduler,
+            ..SimConfig::default()
+        };
+        let run = run_kernel_with(
+            &spec,
+            Controller::Prevv(PrevvConfig::prevv16()),
+            &SynthOptions::default(),
+            &sim,
+        )
+        .expect("simulation completes");
+        assert_eq!(run.report.cycles, 25, "{scheduler:?}");
+        assert!(run.matches_golden, "{scheduler:?}");
+        let stats = run.prevv.expect("PreVV statistics");
+        assert_eq!(
+            (stats.squashes, stats.replayed_iters),
+            (1, 1),
+            "{scheduler:?}"
+        );
+        let [squash] = run.squash_log[..] else {
+            panic!(
+                "{scheduler:?}: expected one squash, got {:?}",
+                run.squash_log
+            );
+        };
+        assert_eq!(
+            (
+                squash.from_iter,
+                squash.load_port,
+                squash.store_port,
+                squash.distance
+            ),
+            (2, 2, 1, 0),
+            "{scheduler:?}"
+        );
+    }
+}
