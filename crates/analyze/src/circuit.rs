@@ -195,7 +195,9 @@ impl CircuitGraph {
                             describe(prods)
                         ),
                     )
-                    .with_help("merge the drivers explicitly (Merge/Mux) — shared wires corrupt the handshake"),
+                    .with_help(
+                        "give each producer its own channel — shared wires corrupt the handshake",
+                    ),
                 );
             }
             if cons.is_empty() {

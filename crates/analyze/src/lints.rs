@@ -352,10 +352,15 @@ pub(crate) fn check_dead_stores(spec: &KernelSpec, deps: &Dependences, report: &
         }
         let name = array_name(spec, op.array);
         if !executed[op.id] {
+            let why = if spec.iteration_count() == 0 {
+                "the iteration space is empty"
+            } else {
+                "its guard is always false"
+            };
             report.push(
                 Diagnostic::warning(
                     Code::DeadStore,
-                    format!("store to `{name}` never executes: its guard is always false"),
+                    format!("store to `{name}` never executes: {why}"),
                 )
                 .with_span(spans[op.id].or(spec.body[op.stmt].span())),
             );

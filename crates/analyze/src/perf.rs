@@ -106,7 +106,8 @@ pub struct PerfSummary {
     /// Calibrated average-case prediction (`>= ii_bound`), including
     /// forwarding turnaround, queue residency, and squash terms.
     pub predicted_ii: f64,
-    /// Predicted total cycles: `predicted_ii * iterations + fill + squash`.
+    /// Predicted total cycles: `predicted_ii * iterations + fill + squash`
+    /// (0 when the kernel issues no iteration).
     pub predicted_cycles: f64,
     /// Which term sets [`Self::ii_bound`]: `compute_cycle`, `read_ports`,
     /// `write_ports`, `validation`, or `retire`.
@@ -825,7 +826,7 @@ pub fn lint_perf(
 ) -> PerfSummary {
     let cfg = &opts.config;
     let spec = &synth.spec;
-    let n_iter = synth.interface.iterations.max(1);
+    let n_iter = synth.interface.iterations;
     let ops = spec.mem_ops_per_iter().max(1) as f64;
     let span = spec.body.first().and_then(|s| s.span());
 
@@ -863,7 +864,7 @@ pub fn lint_perf(
     let trace = trace_memory(spec, cfg, skew);
     let pred_terms: Vec<(&'static str, f64)> = match &trace {
         Some(t) => {
-            let n = n_iter as f64;
+            let n = n_iter.max(1) as f64;
             vec![
                 (
                     "read_ports",
@@ -889,7 +890,11 @@ pub fn lint_perf(
     let predicted_ii = best_non_queue.max(ii_queue).max(1.0);
     let fill = graph.longest_fill_path() + FILL_OVERHEAD;
     let squash_cycles = trace.map_or(0.0, |t| t.est_squashes * SQUASH_PENALTY);
-    let predicted_cycles = predicted_ii * n_iter as f64 + fill + squash_cycles;
+    let predicted_cycles = if n_iter == 0 {
+        0.0
+    } else {
+        predicted_ii * n_iter as f64 + fill + squash_cycles
+    };
 
     // PV402: the premature queue (a configuration knob, unlike a port) is
     // the predicted bottleneck.
@@ -1105,8 +1110,37 @@ pub fn check_measured(summary: &PerfSummary, measured_cycles: u64) -> Option<Dia
 mod tests {
     use super::*;
     use crate::diag::Severity;
-    use prevv_dataflow::components::{BinOp, BinaryAlu, Buffer, Fork, IterSource, Join, Sink};
-    use prevv_dataflow::SquashBus;
+    use prevv_dataflow::components::{BinOp, BinaryAlu, Buffer, Fork, IterSource, Sink};
+    use prevv_dataflow::{ChannelId, Component, Ports, Signals, SquashBus};
+
+    /// A zero-capacity, zero-latency join: the throughput model reads only
+    /// its ports, so it never needs to run.
+    struct Join {
+        inputs: Vec<ChannelId>,
+        output: ChannelId,
+    }
+
+    impl Join {
+        fn new(inputs: Vec<ChannelId>, output: ChannelId) -> Self {
+            Join { inputs, output }
+        }
+    }
+
+    impl Component for Join {
+        fn type_name(&self) -> &'static str {
+            "join"
+        }
+
+        fn ports(&self) -> Ports {
+            Ports::new(self.inputs.clone(), vec![self.output])
+        }
+
+        fn eval(&self, _sig: &mut Signals) {}
+
+        fn commit(&mut self, _sig: &Signals) -> bool {
+            false
+        }
+    }
 
     fn report_ii(net: &Netlist) -> (f64, Report) {
         let mut r = Report::default();

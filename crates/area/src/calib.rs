@@ -46,8 +46,6 @@ pub const BUFFER: (u64, u64, u64) = (12, 2 * (WORD_BITS + 2), 2);
 pub const BRANCH: (u64, u64, u64) = (WORD_BITS / 2, 4, 2);
 /// Constant generator.
 pub const CONSTANT: (u64, u64, u64) = (4, 2, 0);
-/// Merge/mux/join routing element.
-pub const ROUTING: (u64, u64, u64) = (WORD_BITS / 2, 6, 2);
 /// Per iteration-source output stream (loop control ring).
 pub const SOURCE_STREAM: (u64, u64, u64) = (28, 20, 2);
 /// Per memory access port (address/data handshake plumbing).

@@ -87,7 +87,6 @@ pub fn datapath_cost_of(inv: &CircuitInventory, mem_ports: usize) -> Resources {
     r += res3(calib::BUFFER) * inv.buffers as u64;
     r += res3(calib::BRANCH) * inv.branches as u64;
     r += res3(calib::CONSTANT) * inv.constants as u64;
-    r += res3(calib::ROUTING) * inv.routing as u64;
     r += res3(calib::SOURCE_STREAM) * inv.source_streams as u64;
     r += res3(calib::MEM_PORT) * mem_ports as u64;
     r

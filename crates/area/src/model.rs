@@ -92,8 +92,6 @@ pub struct CircuitInventory {
     pub branches: usize,
     /// Constants.
     pub constants: usize,
-    /// Merges/muxes/joins.
-    pub routing: usize,
     /// Iteration-source output streams (loop-control rings).
     pub source_streams: usize,
     /// Memory access ports (load + store).
@@ -120,7 +118,6 @@ impl CircuitInventory {
                 "buffer" => inv.buffers += 1,
                 "branch" => inv.branches += 1,
                 "constant" => inv.constants += 1,
-                "merge" | "mux" | "join" => inv.routing += 1,
                 "iter_source" => inv.source_streams += ports.outputs.len(),
                 // Controllers and sinks are priced separately.
                 _ => {}

@@ -40,7 +40,11 @@ pub struct QuietRun {
 ///    output `ready` wires, drive output `valid`/data and input `ready`
 ///    wires. Called repeatedly within one cycle until the wire state reaches
 ///    a fixpoint, so it must be a pure function of the component's sequential
-///    state and the wires (no internal mutation — note the `&self`).
+///    state and the wires (no internal mutation — note the `&self`). It must
+///    be *monotone*: a raised wire it reads may only raise wires it drives,
+///    and a token it drives, a function of its registers and input tokens,
+///    is never rewritten. Then both [`Scheduler`](crate::Scheduler)s reach
+///    the same fixpoint (DESIGN.md §4.3).
 /// 2. [`commit`](Component::commit) — *sequential*: observe which channels
 ///    fired and update internal registers/FIFOs accordingly. Called exactly
 ///    once per cycle, after the fixpoint.

@@ -1,5 +1,5 @@
 //! Stateless / near-stateless elastic components: constant, sink, fork,
-//! join, merge, mux, branch.
+//! branch.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -209,173 +209,6 @@ impl Component for Fork {
     }
 }
 
-/// Join: waits for a token on every input, then emits the token of input 0
-/// (the others act as synchronization). Used for control synchronization and
-/// gating a value on the arrival of a side condition.
-#[derive(Debug)]
-pub struct Join {
-    inputs: Vec<ChannelId>,
-    output: ChannelId,
-}
-
-impl Join {
-    /// Creates a join over `inputs` forwarding input 0's token to `output`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty.
-    pub fn new(inputs: Vec<ChannelId>, output: ChannelId) -> Self {
-        assert!(!inputs.is_empty(), "join needs at least one input");
-        Join { inputs, output }
-    }
-}
-
-impl Component for Join {
-    fn type_name(&self) -> &'static str {
-        "join"
-    }
-
-    fn ports(&self) -> Ports {
-        Ports::new(self.inputs.clone(), vec![self.output])
-    }
-
-    fn eval(&self, sig: &mut Signals) {
-        if !self.inputs.iter().all(|&ch| sig.is_valid(ch)) {
-            return;
-        }
-        let t = sig.token(self.inputs[0]).expect("valid implies token");
-        sig.drive(self.output, t);
-        if sig.is_ready(self.output) {
-            for &ch in &self.inputs {
-                sig.accept(ch);
-            }
-        }
-    }
-
-    fn fire_driven_commit(&self) -> bool {
-        true
-    }
-
-    fn commit(&mut self, _sig: &Signals) -> bool {
-        false
-    }
-}
-
-/// Priority merge: forwards a token from the lowest-indexed valid input.
-/// Inputs should come from elastic buffers so arbitration is stable within a
-/// cycle.
-#[derive(Debug)]
-pub struct Merge {
-    inputs: Vec<ChannelId>,
-    output: ChannelId,
-}
-
-impl Merge {
-    /// Creates a merge over `inputs` producing on `output`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty.
-    pub fn new(inputs: Vec<ChannelId>, output: ChannelId) -> Self {
-        assert!(!inputs.is_empty(), "merge needs at least one input");
-        Merge { inputs, output }
-    }
-}
-
-impl Component for Merge {
-    fn type_name(&self) -> &'static str {
-        "merge"
-    }
-
-    fn ports(&self) -> Ports {
-        Ports::new(self.inputs.clone(), vec![self.output])
-    }
-
-    fn eval(&self, sig: &mut Signals) {
-        let Some(&chosen) = self.inputs.iter().find(|&&ch| sig.is_valid(ch)) else {
-            return;
-        };
-        let t = sig.token(chosen).expect("valid implies token");
-        sig.drive(self.output, t);
-        sig.accept_if(chosen, sig.is_ready(self.output));
-    }
-
-    fn fire_driven_commit(&self) -> bool {
-        true
-    }
-
-    fn commit(&mut self, _sig: &Signals) -> bool {
-        false
-    }
-}
-
-/// Mux: a select token (0 or nonzero) steers which of two data inputs is
-/// forwarded; the other input is left untouched.
-#[derive(Debug)]
-pub struct Mux {
-    select: ChannelId,
-    if_false: ChannelId,
-    if_true: ChannelId,
-    output: ChannelId,
-}
-
-impl Mux {
-    /// Creates a mux: `select == 0` forwards `if_false`, otherwise `if_true`.
-    pub fn new(
-        select: ChannelId,
-        if_false: ChannelId,
-        if_true: ChannelId,
-        output: ChannelId,
-    ) -> Self {
-        Mux {
-            select,
-            if_false,
-            if_true,
-            output,
-        }
-    }
-}
-
-impl Component for Mux {
-    fn type_name(&self) -> &'static str {
-        "mux"
-    }
-
-    fn ports(&self) -> Ports {
-        Ports::new(
-            vec![self.select, self.if_false, self.if_true],
-            vec![self.output],
-        )
-    }
-
-    fn eval(&self, sig: &mut Signals) {
-        let Some(sel) = sig.token(self.select) else {
-            return;
-        };
-        let chosen = if sel.value != 0 {
-            self.if_true
-        } else {
-            self.if_false
-        };
-        let Some(t) = sig.token(chosen) else {
-            return;
-        };
-        sig.drive(self.output, t);
-        if sig.is_ready(self.output) {
-            sig.accept(self.select);
-            sig.accept(chosen);
-        }
-    }
-
-    fn fire_driven_commit(&self) -> bool {
-        true
-    }
-
-    fn commit(&mut self, _sig: &Signals) -> bool {
-        false
-    }
-}
-
 /// Branch: a condition token steers the data token to the true or false
 /// output. The dataflow analogue of an `if`.
 #[derive(Debug)]
@@ -514,33 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn join_requires_all_inputs() {
-        let j = Join::new(vec![ChannelId(0), ChannelId(1)], ChannelId(2));
-        let mut s = sig(3);
-        s.drive(ChannelId(0), Token::new(1, 0));
-        s.accept(ChannelId(2));
-        settle(&j, &mut s);
-        assert!(!s.is_valid(ChannelId(2)));
-        s.drive(ChannelId(1), Token::new(2, 0));
-        settle(&j, &mut s);
-        assert_eq!(s.taken(ChannelId(2)), Some(Token::new(1, 0)));
-        assert!(s.fired(ChannelId(0)) && s.fired(ChannelId(1)));
-    }
-
-    #[test]
-    fn merge_prefers_lowest_index() {
-        let m = Merge::new(vec![ChannelId(0), ChannelId(1)], ChannelId(2));
-        let mut s = sig(3);
-        s.drive(ChannelId(0), Token::new(10, 0));
-        s.drive(ChannelId(1), Token::new(20, 0));
-        s.accept(ChannelId(2));
-        settle(&m, &mut s);
-        assert_eq!(s.taken(ChannelId(2)), Some(Token::new(10, 0)));
-        assert!(s.fired(ChannelId(0)));
-        assert!(!s.fired(ChannelId(1)), "losing input is not consumed");
-    }
-
-    #[test]
     fn branch_steers_by_condition() {
         let b = Branch::new(ChannelId(0), ChannelId(1), ChannelId(2), ChannelId(3));
         let mut s = sig(4);
@@ -551,18 +357,6 @@ mod tests {
         settle(&b, &mut s);
         assert!(!s.is_valid(ChannelId(2)));
         assert_eq!(s.taken(ChannelId(3)), Some(Token::new(5, 0)));
-    }
-
-    #[test]
-    fn mux_selects_input() {
-        let m = Mux::new(ChannelId(0), ChannelId(1), ChannelId(2), ChannelId(3));
-        let mut s = sig(4);
-        s.drive(ChannelId(0), Token::new(1, 0)); // select true
-        s.drive(ChannelId(2), Token::new(99, 0));
-        s.accept(ChannelId(3));
-        settle(&m, &mut s);
-        assert_eq!(s.taken(ChannelId(3)), Some(Token::new(99, 0)));
-        assert!(s.fired(ChannelId(0)));
     }
 
     #[test]

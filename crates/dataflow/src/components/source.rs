@@ -25,9 +25,6 @@ pub struct IterSource {
     bus: SquashBus,
     pos: usize,
     sent: Vec<bool>,
-    /// Iterations may only be issued while `pos < limit`; the engine uses
-    /// this for throttling in experiments (not used by default).
-    limit: usize,
 }
 
 impl IterSource {
@@ -48,14 +45,12 @@ impl IterSource {
             );
         }
         let n = outputs.len();
-        let limit = rows.len();
         IterSource {
             rows,
             outputs,
             bus,
             pos: 0,
             sent: vec![false; n],
-            limit,
         }
     }
 
@@ -71,7 +66,7 @@ impl IterSource {
 
     /// Has every iteration been fully issued?
     pub fn exhausted(&self) -> bool {
-        self.pos >= self.limit
+        self.pos >= self.rows.len()
     }
 
     fn current_tag(&self) -> Tag {

@@ -40,9 +40,10 @@
 //! wires it reads (its inputs' `valid`/data, its outputs' `ready`). A clean
 //! node has been evaluated since the last change to any of those wires, so
 //! evaluating it again would change nothing: when no node is dirty, every
-//! `eval` is a no-op — the condition the dense sweep stops on, reached from
-//! the same reset by raising the same monotone wires. Because every
-//! fixpoint starts from reset, a flush needs no special case.
+//! `eval` is a no-op — the condition the dense sweep stops on. Under the
+//! monotone [`eval`](crate::Component::eval) contract any order reaches the
+//! same least fixpoint from the shared reset, so the two schedulers agree.
+//! Because every fixpoint starts from reset, a flush needs no special case.
 //!
 //! ## Quiet runs
 //!
@@ -445,9 +446,8 @@ impl Simulator {
 
     /// Fixpoint iteration budget, in whole sweeps (dense) or passes
     /// (levelized). Each sweep or pass that does not converge raises a
-    /// `valid`/`ready` wire or rewrites data, so the count is bounded by the
-    /// number of wires plus slack for data rewrites by arbitrating
-    /// components.
+    /// `valid`/`ready` wire, so the count is bounded by the number of wires
+    /// plus slack; only a component that rewrites data can exhaust it.
     fn sweep_budget(&self) -> usize {
         2 * self.signals.len() + self.netlist.node_count() + 8
     }
@@ -732,10 +732,10 @@ mod tests {
 
     #[test]
     fn watchdog_detects_starved_join() {
-        use crate::components::Join;
-        // A join whose second input never receives a token: the first input
-        // token is held at an upstream buffer forever => deadlock... but note
-        // tokens held in a buffer keep the netlist non-idle.
+        use crate::components::{BinOp, BinaryAlu};
+        // An ALU whose second input never receives a token: the first input
+        // token is held at an upstream buffer forever => deadlock... but
+        // note tokens held in a buffer keep the netlist non-idle.
         let mut net = Netlist::new();
         let bus = SquashBus::new();
         let a = net.channel();
@@ -745,10 +745,10 @@ mod tests {
         let out = net.channel();
         net.add("src", IterSource::new(vec![vec![1]], vec![a], bus.clone()));
         net.add("buf_a", Buffer::new(1, a, a_buf));
-        // Source for b emits zero iterations: join starves.
+        // Source for b emits zero iterations: the ALU starves.
         net.add("src_b", IterSource::new(vec![], vec![b], bus.clone()));
         net.add("buf_b", Buffer::new(1, b, b_buf));
-        net.add("join", Join::new(vec![a_buf, b_buf], out));
+        net.add("alu", BinaryAlu::new(BinOp::Add, a_buf, b_buf, out));
         net.add("sink", Sink::new(vec![out]));
         let mut sim = Simulator::new(net, bus)
             .expect("valid netlist")

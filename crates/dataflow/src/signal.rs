@@ -8,10 +8,9 @@
 //! transferred on every channel whose `valid` and `ready` are both high at
 //! the fixpoint.
 //!
-//! Monotonicity of `valid`/`ready` guarantees termination. Token *data* is
-//! allowed to be rewritten during the fixpoint (e.g. a merge that first sees
-//! its second input and later discovers the first); iteration continues until
-//! data is stable too, so consumers always observe the final assignment.
+//! Monotonicity of `valid`/`ready` guarantees termination. No component
+//! may rewrite token *data* once driven (the [`eval`] contract); one that
+//! keeps doing so exhausts the engine's pass budget.
 //!
 //! [`eval`]: crate::Component::eval
 
@@ -160,10 +159,10 @@ impl Signals {
 
     /// Producer drives a token on `ch` (raises `valid` and sets the data).
     ///
-    /// Raising an already-high `valid` with identical data is a no-op;
-    /// rewriting the data is permitted (and flags another fixpoint sweep) so
-    /// that arbitrating components may revise their choice as more inputs
-    /// become visible. `valid` itself can never be lowered within a cycle.
+    /// Raising an already-high `valid` with identical data is a no-op.
+    /// Rewriting the data breaks the [`eval`](crate::Component::eval)
+    /// contract but is recorded like any other change. `valid` itself can
+    /// never be lowered within a cycle.
     pub fn drive(&mut self, ch: ChannelId, token: Token) {
         let i = ch.index();
         if !bit_get(&self.valid, i) || self.data[i] != Some(token) {

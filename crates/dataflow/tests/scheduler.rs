@@ -8,11 +8,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use prevv_dataflow::components::{
-    BinOp, BinaryAlu, Branch, Buffer, Constant, Fork, IterSource, Join, Merge, Mux, Sink,
+    BinOp, BinaryAlu, Branch, Buffer, Constant, Fork, IterSource, Sink,
 };
 use prevv_dataflow::{
-    ChannelId, Component, Netlist, Scheduler, SimConfig, SimError, SimReport, Simulator, SquashBus,
-    Token,
+    ChannelId, Component, Netlist, Ports, Scheduler, Signals, SimConfig, SimError, SimReport,
+    Simulator, SquashBus, Token,
 };
 
 fn config(scheduler: Scheduler) -> SimConfig {
@@ -163,8 +163,8 @@ fn schedulers_agree_on_pipelines() {
     assert_equivalent(pipeline(0, 1, 1, 1));
 }
 
-/// A Branch/Merge diamond with its nodes inserted in `order`: odd values
-/// detour through an extra adder.
+/// A Branch diamond with its nodes inserted in `order`: odd values detour
+/// through an extra adder, and both legs end in one collecting sink.
 fn routing(order: Insertion) -> impl Fn() -> (Netlist, SquashBus, Rc<RefCell<Vec<Token>>>) {
     move || {
         let mut net = Staged::new();
@@ -181,7 +181,6 @@ fn routing(order: Insertion) -> impl Fn() -> (Netlist, SquashBus, Rc<RefCell<Vec
         let trig2 = net.channel();
         let hundred = net.channel();
         let bumped = net.channel();
-        let merged = net.channel();
         let rows = (0..24).map(|i| vec![i]).collect();
         net.add("src", IterSource::new(rows, vec![src_out], bus.clone()));
         net.add("fork", Fork::new(src_out, vec![f_data, f_par, par_trig]));
@@ -205,8 +204,7 @@ fn routing(order: Insertion) -> impl Fn() -> (Netlist, SquashBus, Rc<RefCell<Vec
             "bump",
             BinaryAlu::with_latency(BinOp::Add, 2, trig2, hundred, bumped),
         );
-        net.add("merge", Merge::new(vec![bumped, even], merged));
-        let (sink, store) = Sink::collecting(vec![merged]);
+        let (sink, store) = Sink::collecting(vec![bumped, even]);
         net.add("sink", sink);
         (net.finish(order), bus, store)
     }
@@ -215,6 +213,13 @@ fn routing(order: Insertion) -> impl Fn() -> (Netlist, SquashBus, Rc<RefCell<Vec
 #[test]
 fn schedulers_agree_on_routing_circuits() {
     assert_equivalent(routing(Insertion::Given));
+    // The unevenly buffered legs neither lose nor duplicate a token.
+    let (_, values) = run_with(routing(Insertion::Given), Scheduler::EventDriven);
+    let mut expected: Vec<i64> = (0..24)
+        .map(|i| if i % 2 == 1 { i + 100 } else { i })
+        .collect();
+    expected.sort_unstable();
+    assert_eq!(values, expected);
 }
 
 type Build = Box<dyn Fn() -> (Netlist, SquashBus, Rc<RefCell<Vec<Token>>>)>;
@@ -255,23 +260,54 @@ fn evaluation_order_comes_from_structure() {
     }
 }
 
-/// Satellite 1: both schedulers must refuse a genuinely divergent circuit
-/// with the *same* `CombinationalCycle` error, naming the same channels.
+/// A component outside the monotone `eval` contract: once `enter` offers
+/// a token it drives `1 - v` for the value `v` fed back on `back` (or
+/// `enter`'s own value while `back` is empty). Closing `out` onto `back`
+/// without a buffer rewrites the loop's data on every pass, so the
+/// fixpoint never settles.
+struct Negator {
+    enter: ChannelId,
+    back: ChannelId,
+    out: ChannelId,
+}
+
+impl Component for Negator {
+    fn type_name(&self) -> &'static str {
+        "negator"
+    }
+
+    fn ports(&self) -> Ports {
+        Ports::new(vec![self.enter, self.back], vec![self.out])
+    }
+
+    fn eval(&self, sig: &mut Signals) {
+        let Some(t) = sig.token(self.enter) else {
+            return;
+        };
+        let v = sig.token(self.back).map_or(t.value, |b| 1 - b.value);
+        sig.drive(self.out, t.with_value(v));
+        sig.accept_if(self.enter, sig.is_ready(self.out));
+    }
+
+    fn commit(&mut self, _sig: &Signals) -> bool {
+        false
+    }
+}
+
+/// Both schedulers must refuse a genuinely divergent circuit with the
+/// *same* `CombinationalCycle` error, naming the same channels.
 ///
-/// The unbuffered loop here is a Mux whose select is fed back from its own
-/// output through a Fork and a priority Merge, with the two mux legs holding
-/// different values (1 and 0): once a token enters the loop the select
-/// oscillates 0 -> 1 -> 0 within a single fixpoint and the data wires churn
-/// forever. A Branch gates loop entry on the *second* iteration, so cycle 0
-/// converges (both schedulers then rebuild cycle 1 from reset) and the
-/// divergence is detected at cycle 1 by both schedulers.
+/// The unbuffered loop runs from a [`Negator`] through a Fork back into
+/// the negator, which flips the fed-back value on every pass. A Branch
+/// gates loop entry on the *second* iteration, so cycle 0 converges (both
+/// schedulers then rebuild cycle 1 from reset) and the divergence is
+/// detected at cycle 1 by both schedulers.
 ///
-/// Note this has to be a hand-built netlist: the repo's divergence fixture
-/// `kernels/bad/combinational_loop.pvk` is refused *statically* (PV103,
-/// pinned in prevv-analyze's tests) and cannot diverge at runtime — every
-/// synthesized ALU/controller is registered, and an identity copy loop is an
-/// idempotent fixpoint anyway. Runtime divergence needs a loop that rewrites
-/// a value to something different, which no lint-clean kernel synthesizes.
+/// Note this has to be a hand-built netlist with a test-local component:
+/// every library `eval` is monotone and rewrites no data, so no
+/// synthesized circuit can diverge at runtime, and the repo's divergence
+/// fixture `kernels/bad/combinational_loop.pvk` is refused *statically*
+/// (PV103, pinned in prevv-analyze's tests).
 #[test]
 fn schedulers_name_the_same_divergent_channels() {
     let build = || {
@@ -279,37 +315,26 @@ fn schedulers_name_the_same_divergent_channels() {
         let bus = SquashBus::new();
         let data = net.channel();
         let cond = net.channel();
-        let v_f = net.channel();
-        let v_t = net.channel();
-        let bv_f = net.channel();
-        let bv_t = net.channel();
         let enter = net.channel();
         let safe = net.channel();
-        let loop_back = net.channel();
-        let sel = net.channel();
-        let mux_out = net.channel();
+        let back = net.channel();
+        let out = net.channel();
         let spill = net.channel();
         // Iteration 0 routes its token to the safe sink; iteration 1 routes
         // it into the unbuffered loop.
-        let rows = vec![vec![7, 0, 1, 0], vec![7, 1, 1, 0]];
-        net.add(
-            "src",
-            IterSource::new(rows, vec![data, cond, v_f, v_t], bus.clone()),
-        );
-        net.add("bf", Buffer::new(2, v_f, bv_f));
-        net.add("bt", Buffer::new(2, v_t, bv_t));
+        let rows = vec![vec![7, 0], vec![7, 1]];
+        net.add("src", IterSource::new(rows, vec![data, cond], bus.clone()));
         net.add("gate", Branch::new(data, cond, enter, safe));
         net.add("safe_sink", Sink::new(vec![safe]));
-        net.add("merge", Merge::new(vec![loop_back, enter], sel));
-        net.add("mux", Mux::new(sel, bv_f, bv_t, mux_out));
-        net.add("fork", Fork::new(mux_out, vec![loop_back, spill]));
+        net.add("negator", Negator { enter, back, out });
+        net.add("fork", Fork::new(out, vec![back, spill]));
         net.add("spill_sink", Sink::new(vec![spill]));
-        (net, bus, (sel, mux_out, loop_back))
+        (net, bus, (out, back))
     };
 
     let mut errors = Vec::new();
     for scheduler in [Scheduler::Dense, Scheduler::EventDriven] {
-        let (net, bus, (sel, mux_out, loop_back)) = build();
+        let (net, bus, (out, back)) = build();
         let mut sim = Simulator::new(net, bus)
             .expect("structurally valid")
             .with_config(config(scheduler));
@@ -317,7 +342,7 @@ fn schedulers_name_the_same_divergent_channels() {
             Err(SimError::CombinationalCycle { cycle, channels }) => {
                 assert_eq!(cycle, 1, "{scheduler:?}: cycle 0 must converge");
                 assert!(!channels.is_empty(), "{scheduler:?}: channels named");
-                for ch in [sel, mux_out, loop_back] {
+                for ch in [out, back] {
                     assert!(
                         channels.contains(&ch),
                         "{scheduler:?}: loop channel {ch} must be named, got {channels:?}"
@@ -473,9 +498,10 @@ mod randomized {
     }
 }
 
-/// The inverse guard for satellite 3: a genuinely wedged circuit (a join
-/// starved of its second operand) still trips the watchdog under both
-/// schedulers — stuck-but-settled components report no state change.
+/// The inverse of `watchdog_tolerates_long_latency_drain`: a genuinely
+/// wedged circuit (an ALU starved of its second operand) still trips the
+/// watchdog under both schedulers — stuck-but-settled components report no
+/// state change.
 #[test]
 fn watchdog_still_trips_on_genuine_deadlock() {
     let build = || {
@@ -490,7 +516,7 @@ fn watchdog_still_trips_on_genuine_deadlock() {
         net.add("buf_a", Buffer::new(1, a, a_buf));
         net.add("src_b", IterSource::new(vec![], vec![b], bus.clone()));
         net.add("buf_b", Buffer::new(1, b, b_buf));
-        net.add("join", Join::new(vec![a_buf, b_buf], out));
+        net.add("alu", BinaryAlu::new(BinOp::Add, a_buf, b_buf, out));
         net.add("sink", Sink::new(vec![out]));
         (net, bus)
     };

@@ -29,19 +29,21 @@ use crate::golden::MemOpKind;
 use crate::iface::{ArrayLayout, MemoryInterface, MemoryPort};
 use crate::kernel::{ArrayInit, KernelError, KernelSpec};
 
+/// Pipeline latency of opaque-function units.
+const OPAQUE_LATENCY: u32 = 2;
+
+/// Capacity of the elastic buffers placed on induction-variable and guard
+/// fan-out channels. This is the slack that lets the iteration source run
+/// ahead of slow consumers (Dynamatic's buffer placement); without it the
+/// pipeline serializes on the slowest operand.
+const SLACK: usize = 8;
+
 /// Synthesis options.
 #[derive(Debug, Clone)]
 pub struct SynthOptions {
     /// Emit fake tokens for guarded ops (paper §V-C). Disabling this
     /// reproduces the premature-queue deadlock the paper describes.
     pub fake_tokens: bool,
-    /// Pipeline latency of opaque-function units.
-    pub opaque_latency: u32,
-    /// Capacity of the elastic buffers placed on induction-variable and
-    /// guard fan-out channels. This is the slack that lets the iteration
-    /// source run ahead of slow consumers (Dynamatic's buffer placement);
-    /// without it the pipeline serializes on the slowest operand.
-    pub slack: usize,
     /// Drop ambiguous pairs whose dependence verdict is proved safe (every
     /// collision protected by same-iteration program order, see
     /// [`crate::depend::PairVerdict::dependence_proved`]) from the
@@ -55,8 +57,6 @@ impl Default for SynthOptions {
     fn default() -> Self {
         SynthOptions {
             fake_tokens: true,
-            opaque_latency: 2,
-            slack: 8,
             bypass_safe_pairs: true,
         }
     }
@@ -289,7 +289,7 @@ impl Builder<'_> {
                 let slot = self.net.channel();
                 self.net.add(
                     format!("buf_{label}_u{k}"),
-                    Buffer::new(self.opts.slack, slot, use_ch),
+                    Buffer::new(SLACK, slot, use_ch),
                 );
                 slot
             })
@@ -332,7 +332,7 @@ impl Builder<'_> {
                     format!("opaque_{}", f.seed),
                     UnaryAlu::with_latency(
                         UnOp::Opaque(std::rc::Rc::new(move |v| fun.apply(v))),
-                        self.opts.opaque_latency,
+                        OPAQUE_LATENCY,
                         input,
                         out,
                     ),

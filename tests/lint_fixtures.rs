@@ -736,3 +736,41 @@ fn range_oob_fixture_is_pv500_where_pv001_is_blind() {
     );
     assert!(d[0].span.is_some(), "PV500 points at the offending store");
 }
+
+/// An empty iteration space issues nothing: PV400 reports 0 iterations
+/// and 0 predicted cycles (not the 1 iteration and fill cost of a clamped
+/// denominator), the simulation agrees, and PV005 names the empty
+/// iteration space instead of a guard the statement does not have.
+#[test]
+fn empty_iteration_space_predicts_zero_cycles_and_names_the_space() {
+    let source = "int a[4];\nfor (int i = 0; i < 0; ++i) { a[i] = 1; }\n";
+    let (report, summary) = analyze::lint_source_with_perf(
+        "empty",
+        source,
+        &AnalyzeOptions::default(),
+        None,
+        &analyze::PerfOptions::default(),
+    );
+    let summary = summary.expect("perf pass produces a summary");
+    assert_eq!(summary.iterations, 0);
+    assert_eq!(summary.predicted_cycles, 0.0);
+    let pv400 = report.with_code(Code::ThroughputBound);
+    assert_eq!(pv400.len(), 1, "{:?}", report.diagnostics);
+    assert!(
+        pv400[0].message.contains("over 0 iterations") && pv400[0].message.contains("≈0 cycles"),
+        "{}",
+        pv400[0].message
+    );
+    let pv005 = report.with_code(Code::DeadStore);
+    assert_eq!(pv005.len(), 1, "{:?}", report.diagnostics);
+    assert_eq!(
+        pv005[0].message,
+        "store to `a` never executes: the iteration space is empty"
+    );
+
+    let spec = parse_kernel("empty", source).expect("parses");
+    let run = run_kernel(&spec, Controller::Prevv(PrevvConfig::prevv16())).expect("runs");
+    assert!(run.matches_golden);
+    assert_eq!(run.report.cycles, 0);
+    assert!(analyze::check_measured(&summary, run.report.cycles).is_none());
+}

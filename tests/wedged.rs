@@ -9,14 +9,14 @@
 //!    kernel whose every statement is guarded, with fake tokens *disabled*.
 //!    The first skipped iteration starves the PreVV queue's in-order head
 //!    and the watchdog must declare [`SimError::Deadlock`].
-//! 2. **Divergent combinational loop**: graft the canonical unbuffered
-//!    merge→mux→fork feedback gadget onto a generated kernel's synthesized
-//!    netlist. Both schedulers must reject with
+//! 2. **Divergent combinational loop**: graft an unbuffered feedback gadget
+//!    around a test-local non-monotone component onto a generated kernel's
+//!    synthesized netlist. Both schedulers must reject with
 //!    [`SimError::CombinationalCycle`] at the same cycle, naming the same
 //!    gadget channels.
 
-use prevv::dataflow::components::{Branch, Buffer, Fork, IterSource, Merge, Mux, Sink};
-use prevv::dataflow::Simulator;
+use prevv::dataflow::components::{Branch, Fork, IterSource, Sink};
+use prevv::dataflow::{ChannelId, Component, Ports, Signals, Simulator};
 use prevv::kernels::gen::{generate, GenConfig};
 use prevv::{
     run_kernel_with, Controller, MemTiming, PrevvConfig, RunError, Scheduler, SimConfig, SimError,
@@ -168,13 +168,43 @@ fn watchdog_fires_on_the_same_cycle_across_quiet_run_skips() {
     assert_eq!(run(Scheduler::EventDriven, 900), dense);
 }
 
-/// Grafts the unbuffered merge→mux→fork feedback loop onto a synthesized
-/// generated kernel and returns the simulation error plus the gadget's
-/// three loop channels.
-fn run_with_divergent_gadget(
-    seed: u64,
-    scheduler: Scheduler,
-) -> (SimError, [prevv::dataflow::ChannelId; 3]) {
+/// A component outside the monotone `eval` contract (no library component
+/// is): once `enter` offers a token it drives `1 - v` for the value `v`
+/// fed back on `back` (or `enter`'s own value while `back` is empty), so an
+/// unbuffered loop from `out` to `back` rewrites its data on every pass.
+struct Negator {
+    enter: ChannelId,
+    back: ChannelId,
+    out: ChannelId,
+}
+
+impl Component for Negator {
+    fn type_name(&self) -> &'static str {
+        "negator"
+    }
+
+    fn ports(&self) -> Ports {
+        Ports::new(vec![self.enter, self.back], vec![self.out])
+    }
+
+    fn eval(&self, sig: &mut Signals) {
+        let Some(t) = sig.token(self.enter) else {
+            return;
+        };
+        let v = sig.token(self.back).map_or(t.value, |b| 1 - b.value);
+        sig.drive(self.out, t.with_value(v));
+        sig.accept_if(self.enter, sig.is_ready(self.out));
+    }
+
+    fn commit(&mut self, _sig: &Signals) -> bool {
+        false
+    }
+}
+
+/// Grafts an unbuffered negator→fork feedback loop onto a synthesized
+/// generated kernel and returns the simulation error plus the gadget's two
+/// loop channels.
+fn run_with_divergent_gadget(seed: u64, scheduler: Scheduler) -> (SimError, [ChannelId; 2]) {
     let cfg = GenConfig {
         // Guards squash; keep the host kernel plain so the only pathology
         // is the injected gadget.
@@ -189,40 +219,32 @@ fn run_with_divergent_gadget(
     .attach(&mut circuit)
     .expect("fast LSQ attaches");
 
-    // The canonical divergent gadget: iteration 1 routes a token into an
-    // unbuffered merge→mux→fork loop, so the combinational fixpoint churns.
+    // The divergent gadget: iteration 1 routes a token into the unbuffered
+    // negator→fork loop, so the combinational fixpoint churns.
     let net = &mut circuit.netlist;
     let data = net.channel();
     let cond = net.channel();
-    let v_f = net.channel();
-    let v_t = net.channel();
-    let bv_f = net.channel();
-    let bv_t = net.channel();
     let enter = net.channel();
     let safe = net.channel();
-    let loop_back = net.channel();
-    let sel = net.channel();
-    let mux_out = net.channel();
+    let back = net.channel();
+    let out = net.channel();
     let spill = net.channel();
-    let rows = vec![vec![7, 0, 1, 0], vec![7, 1, 1, 0]];
+    let rows = vec![vec![7, 0], vec![7, 1]];
     net.add(
         "wedge_src",
-        IterSource::new(rows, vec![data, cond, v_f, v_t], circuit.bus.clone()),
+        IterSource::new(rows, vec![data, cond], circuit.bus.clone()),
     );
-    net.add("wedge_bf", Buffer::new(2, v_f, bv_f));
-    net.add("wedge_bt", Buffer::new(2, v_t, bv_t));
     net.add("wedge_gate", Branch::new(data, cond, enter, safe));
     net.add("wedge_safe", Sink::new(vec![safe]));
-    net.add("wedge_merge", Merge::new(vec![loop_back, enter], sel));
-    net.add("wedge_mux", Mux::new(sel, bv_f, bv_t, mux_out));
-    net.add("wedge_fork", Fork::new(mux_out, vec![loop_back, spill]));
+    net.add("wedge_negator", Negator { enter, back, out });
+    net.add("wedge_fork", Fork::new(out, vec![back, spill]));
     net.add("wedge_spill", Sink::new(vec![spill]));
 
     let mut sim = Simulator::new(circuit.netlist, circuit.bus)
         .expect("structurally valid")
         .with_config(sim_config(scheduler));
     let err = sim.run().expect_err("the gadget must wedge the circuit");
-    (err, [sel, mux_out, loop_back])
+    (err, [out, back])
 }
 
 #[test]
