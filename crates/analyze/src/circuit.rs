@@ -530,7 +530,6 @@ mod tests {
     use super::*;
     use crate::diag::Severity;
     use prevv_dataflow::components::{Buffer, Constant, IterSource, Sink};
-    use prevv_dataflow::SquashBus;
 
     fn report_of(net: &Netlist) -> Report {
         let mut r = Report::default();
@@ -539,12 +538,8 @@ mod tests {
     }
 
     fn source_to_sink(net: &mut Netlist) {
-        let bus = SquashBus::new();
         let ch = net.channel();
-        net.add(
-            "src",
-            IterSource::new(vec![vec![1], vec![2]], vec![ch], bus),
-        );
+        net.add("src", IterSource::new(vec![vec![1], vec![2]], vec![ch]));
         net.add("sink", Sink::new(vec![ch]));
     }
 
@@ -576,13 +571,9 @@ mod tests {
     #[test]
     fn pv102_flags_shared_channels() {
         let mut net = Netlist::new();
-        let bus = SquashBus::new();
         let ch = net.channel();
-        net.add(
-            "src_a",
-            IterSource::new(vec![vec![1]], vec![ch], bus.clone()),
-        );
-        net.add("src_b", IterSource::new(vec![vec![2]], vec![ch], bus));
+        net.add("src_a", IterSource::new(vec![vec![1]], vec![ch]));
+        net.add("src_b", IterSource::new(vec![vec![2]], vec![ch]));
         net.add("sink1", Sink::new(vec![ch]));
         net.add("sink2", Sink::new(vec![ch]));
         let r = report_of(&net);

@@ -72,7 +72,7 @@ use std::time::{Duration, Instant};
 use prevv_core::protocol::{ProtocolKey, RecordKey};
 use prevv_core::reduce::reduce;
 use prevv_core::{Arbiter, CommitStep, PrematureRecord, PrevvConfig, ProtocolState, Verdict};
-use prevv_dataflow::{Tag, Value};
+use prevv_dataflow::Value;
 use prevv_ir::symdep::{classify_accesses, PairClass};
 use prevv_ir::{
     depend::{AmbiguousPair, DischargeReason, Proof, StaticMemOp},
@@ -1294,7 +1294,7 @@ impl<'a> Model<'a> {
             next.clone_from(st);
             next.proto.note_admitted(iter);
             next.proto
-                .record_arrival(PrematureRecord::fake(op, o.kind, Tag::new(iter), o.seq));
+                .record_arrival(PrematureRecord::fake(op, o.kind, iter, o.seq));
             next.issued[op] = iter + 1;
             self.housekeeping(next);
             let event = self.event(op, iter, EventKind::Fake, None, 0, None);
@@ -1311,7 +1311,7 @@ impl<'a> Model<'a> {
             return StepOutcome::BlockedAdmission;
         }
         let (addr, value) = self.evaluate(st, op, iter);
-        let mut rec = PrematureRecord::real(op, o.kind, Tag::new(iter), o.seq, addr, value);
+        let mut rec = PrematureRecord::real(op, o.kind, iter, o.seq, addr, value);
         let verdict = if self.validated.contains(&op) {
             self.arbiter.verdict(&st.proto.queue, &rec)
         } else {

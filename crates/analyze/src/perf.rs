@@ -1111,7 +1111,7 @@ mod tests {
     use super::*;
     use crate::diag::Severity;
     use prevv_dataflow::components::{BinOp, BinaryAlu, Buffer, Fork, IterSource, Sink};
-    use prevv_dataflow::{ChannelId, Component, Ports, Signals, SquashBus};
+    use prevv_dataflow::{ChannelId, Component, Ports, Signals};
 
     /// A zero-capacity, zero-latency join: the throughput model reads only
     /// its ports, so it never needs to run.
@@ -1153,9 +1153,8 @@ mod tests {
         // src -> mul(lat 4, cap 4) -> buffer(8) -> sink: every stage's
         // latency is matched by its capacity, so no cycle exceeds ratio 1.
         let mut net = Netlist::new();
-        let bus = SquashBus::new();
         let (a, b, c, d) = (net.channel(), net.channel(), net.channel(), net.channel());
-        net.add("src", IterSource::new(vec![vec![1], vec![2]], vec![a], bus));
+        net.add("src", IterSource::new(vec![vec![1], vec![2]], vec![a]));
         net.add("sq", BinaryAlu::new(BinOp::Mul, a, a, b));
         // One producer driving both ALU inputs would be PV102; reuse `a`
         // for both operands is fine for the throughput model but keep the
@@ -1174,13 +1173,12 @@ mod tests {
         // carries 4 cycles of multiplier latency but only the single buffer
         // slot of the short path, so II = 4/1 = 4.
         let mut net = Netlist::new();
-        let bus = SquashBus::new();
         let src_out = net.channel();
         let short_in = net.channel();
         let short_out = net.channel();
         let long_out = net.channel();
         let joined = net.channel();
-        net.add("src", IterSource::new(vec![vec![1]], vec![src_out], bus));
+        net.add("src", IterSource::new(vec![vec![1]], vec![src_out]));
         net.add("fork", Fork::new(src_out, vec![short_in, long_out]));
         net.add("short", Buffer::new(1, short_in, short_out));
         // The long path squares the forked token (both operands from one
@@ -1208,14 +1206,13 @@ mod tests {
         // Same shape as above with a 4-deep short-path buffer: the cycle
         // now holds as many tokens as the multiplier needs in flight.
         let mut net = Netlist::new();
-        let bus = SquashBus::new();
         let src_out = net.channel();
         let short_in = net.channel();
         let short_out = net.channel();
         let long_out = net.channel();
         let long_alu_out = net.channel();
         let joined = net.channel();
-        net.add("src", IterSource::new(vec![vec![1]], vec![src_out], bus));
+        net.add("src", IterSource::new(vec![vec![1]], vec![src_out]));
         net.add("fork", Fork::new(src_out, vec![short_in, long_out]));
         net.add("short", Buffer::new(4, short_in, short_out));
         net.add(
@@ -1234,9 +1231,8 @@ mod tests {
         // A directed ring through a buffer with no initial token can never
         // fire: the marked graph reports an infinite ratio.
         let mut net = Netlist::new();
-        let bus = SquashBus::new();
         let live = net.channel();
-        net.add("src", IterSource::new(vec![vec![1]], vec![live], bus));
+        net.add("src", IterSource::new(vec![vec![1]], vec![live]));
         net.add("sink", Sink::new(vec![live]));
         let x = net.channel();
         let y = net.channel();

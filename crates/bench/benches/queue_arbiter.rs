@@ -4,7 +4,6 @@
 //! numbers reflect).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use prevv::dataflow::Tag;
 use prevv::ir::MemOpKind;
 use prevv::prevv_core_crate::{Arbiter, PrematureQueue, PrematureRecord};
 
@@ -19,7 +18,7 @@ fn filled_queue(depth: usize) -> PrematureQueue {
         q.push(PrematureRecord::real(
             i % 7,
             kind,
-            Tag::new(i as u64),
+            i as u64,
             (i % 5) as u32,
             i % 32,
             i as i64,
@@ -35,14 +34,7 @@ fn bench_queue_ops(c: &mut Criterion) {
             b.iter(|| {
                 let mut q = PrematureQueue::new(d);
                 for i in 0..d {
-                    q.push(PrematureRecord::real(
-                        0,
-                        MemOpKind::Load,
-                        Tag::new(i as u64),
-                        0,
-                        i,
-                        0,
-                    ));
+                    q.push(PrematureRecord::real(0, MemOpKind::Load, i as u64, 0, i, 0));
                 }
                 q.retire_if(|_| true, d)
             });
@@ -56,8 +48,7 @@ fn bench_arbiter_walk(c: &mut Criterion) {
     for &depth in &[16usize, 64, 256] {
         let q = filled_queue(depth);
         let mut arb = Arbiter::new((0..8).collect(), true);
-        let arriving =
-            PrematureRecord::real(1, MemOpKind::Store, Tag::new(depth as u64 / 2), 1, 5, 999);
+        let arriving = PrematureRecord::real(1, MemOpKind::Store, depth as u64 / 2, 1, 5, 999);
         g.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, _| {
             b.iter(|| arb.validate(&q, &arriving));
         });

@@ -215,11 +215,7 @@ fn pipeline(iters: i64, stages: usize) -> (Netlist, SquashBus) {
     fork_outs.extend(const_trigs.iter().copied());
     net.add(
         "src",
-        IterSource::new(
-            (0..iters).map(|i| vec![i]).collect(),
-            vec![src],
-            bus.clone(),
-        ),
+        IterSource::new((0..iters).map(|i| vec![i]).collect(), vec![src]),
     );
     // Buffer each constant trigger so the source is never the bottleneck.
     let mut buffered = vec![fork_outs[0]];

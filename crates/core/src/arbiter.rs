@@ -237,14 +237,13 @@ impl Arbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prevv_dataflow::Tag;
 
     fn load(iter: u64, seq: u32, addr: usize, value: Value) -> PrematureRecord {
-        PrematureRecord::real(0, MemOpKind::Load, Tag::new(iter), seq, addr, value)
+        PrematureRecord::real(0, MemOpKind::Load, iter, seq, addr, value)
     }
 
     fn store(iter: u64, seq: u32, addr: usize, value: Value) -> PrematureRecord {
-        PrematureRecord::real(1, MemOpKind::Store, Tag::new(iter), seq, addr, value)
+        PrematureRecord::real(1, MemOpKind::Store, iter, seq, addr, value)
     }
 
     fn arbiter() -> Arbiter {
@@ -334,29 +333,15 @@ mod tests {
         // Within one iteration, the order ROM (seq) decides: a load at seq 2
         // must observe the store at seq 1 of the same iteration.
         let mut q = PrematureQueue::new(8);
-        q.push(PrematureRecord::real(
-            0,
-            MemOpKind::Load,
-            Tag::new(3),
-            2,
-            10,
-            0,
-        ));
+        q.push(PrematureRecord::real(0, MemOpKind::Load, 3, 2, 10, 0));
         let mut arb = arbiter();
-        let st = PrematureRecord::real(1, MemOpKind::Store, Tag::new(3), 1, 10, 9);
+        let st = PrematureRecord::real(1, MemOpKind::Store, 3, 1, 10, 9);
         assert_eq!(arb.validate(&q, &st).squash_from(), Some(3));
         // The reverse order (store at seq 2, load at seq 1) is fine: the
         // load legitimately precedes the store.
         let mut q = PrematureQueue::new(8);
-        q.push(PrematureRecord::real(
-            0,
-            MemOpKind::Load,
-            Tag::new(3),
-            1,
-            10,
-            0,
-        ));
-        let st = PrematureRecord::real(1, MemOpKind::Store, Tag::new(3), 2, 10, 9);
+        q.push(PrematureRecord::real(0, MemOpKind::Load, 3, 1, 10, 0));
+        let st = PrematureRecord::real(1, MemOpKind::Store, 3, 2, 10, 9);
         assert_eq!(arb.validate(&q, &st), Verdict::Clean);
     }
 
@@ -365,10 +350,10 @@ mod tests {
         let mut q = PrematureQueue::new(8);
         q.push(load(5, 0, 10, 0));
         let mut arb = arbiter();
-        let fake = PrematureRecord::fake(1, MemOpKind::Store, Tag::new(3), 1);
+        let fake = PrematureRecord::fake(1, MemOpKind::Store, 3, 1);
         assert_eq!(arb.validate(&q, &fake), Verdict::Clean);
         // Resident fakes are transparent to real validations.
-        q.push(PrematureRecord::fake(1, MemOpKind::Store, Tag::new(4), 1));
+        q.push(PrematureRecord::fake(1, MemOpKind::Store, 4, 1));
         assert_eq!(
             arb.validate(&q, &store(3, 1, 10, 42)).squash_from(),
             Some(5)

@@ -30,7 +30,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use prevv_dataflow::{Component, Ports, QuietRun, Signals, SquashBus, Tag, Token};
+use prevv_dataflow::{Component, Ports, QuietRun, Signals, SquashBus, Token};
 use prevv_ir::{MemOpKind, MemoryInterface};
 use prevv_mem::{shared, DelayLine, PortIo, Ram, SharedRam};
 
@@ -126,7 +126,7 @@ struct PendingLoad {
     port: usize,
     addr: usize,
     seq: u32,
-    tag: Tag,
+    iter: u64,
 }
 
 /// The PreVV controller component.
@@ -292,7 +292,7 @@ impl PrevvMemory {
         if rec.kind == MemOpKind::Load && !rec.fake {
             // Deliver the (premature) result downstream now.
             self.io
-                .push_result(rec.port, Token::tagged(rec.value, rec.tag));
+                .push_result(rec.port, Token::new(rec.value, rec.iter));
         }
         self.max_arrived_iter = self.max_arrived_iter.max(rec.iter);
         self.protocol.record_arrival(rec);
@@ -306,8 +306,8 @@ impl PrevvMemory {
             // frontier invariant, older than this load, so the sample is
             // either exactly right or stale-but-validated-against-a-resident
             // store.
-            let value = self.ram.borrow_mut().read(p.addr);
-            let rec = PrematureRecord::real(p.port, MemOpKind::Load, p.tag, p.seq, p.addr, value);
+            let value = self.ram.borrow().read(p.addr);
+            let rec = PrematureRecord::real(p.port, MemOpKind::Load, p.iter, p.seq, p.addr, value);
             self.insert(rec);
         }
         n
@@ -374,19 +374,19 @@ impl PrevvMemory {
                     break;
                 };
 
-                if !self.can_admit(f.tag.iter) {
+                if !self.can_admit(f.iter) {
                     self.local.queue_full_stalls += 1;
                     break;
                 }
-                self.protocol.note_admitted(f.tag.iter);
+                self.protocol.note_admitted(f.iter);
                 self.io.take_fake(p).expect("peeked");
                 let op = &self.io.port(p).op;
                 let (kind, seq) = (op.kind, op.seq);
                 if kind == MemOpKind::Load {
                     // Fake loads still owe a dummy token downstream.
-                    self.io.push_result(p, Token::tagged(0, f.tag));
+                    self.io.push_result(p, Token::new(0, f.iter));
                 }
-                self.insert(PrematureRecord::fake(p, kind, f.tag, seq));
+                self.insert(PrematureRecord::fake(p, kind, f.iter, seq));
                 budget -= 1;
             }
             if self.io.port(p).is_load() {
@@ -398,14 +398,14 @@ impl PrevvMemory {
                         break;
                     };
                     let addr = self.io.resolve(p, a.value);
-                    if self.predictor_holds(p, a.tag.iter, addr) {
+                    if self.predictor_holds(p, a.iter, addr) {
                         // A previous squash taught us this load races a
                         // specific store: wait for that store to arrive so
                         // the queue bypass can forward its value.
                         self.local.predictor_holds += 1;
                         break;
                     }
-                    if !self.can_admit(a.tag.iter) {
+                    if !self.can_admit(a.iter) {
                         self.local.queue_full_stalls += 1;
                         break;
                     }
@@ -415,20 +415,20 @@ impl PrevvMemory {
                     // cross-iteration bypass is the `forwarding` option.
                     let bypass = self
                         .protocol
-                        .resident_bypass(addr, (a.tag.iter, seq))
-                        .filter(|&(_, s_iter)| self.config.forwarding || s_iter == a.tag.iter);
+                        .resident_bypass(addr, (a.iter, seq))
+                        .filter(|&(_, s_iter)| self.config.forwarding || s_iter == a.iter);
                     if let Some((v, _)) = bypass {
                         // Zero-RAM forwarding from the premature queue: no
                         // RAM round-trip, no read-port bandwidth.
                         if budget == 0 {
                             break;
                         }
-                        self.protocol.note_admitted(a.tag.iter);
+                        self.protocol.note_admitted(a.iter);
                         self.io.take_addr(p).expect("peeked");
                         self.insert(PrematureRecord::real(
                             p,
                             MemOpKind::Load,
-                            a.tag,
+                            a.iter,
                             seq,
                             addr,
                             v,
@@ -440,7 +440,7 @@ impl PrevvMemory {
                     if read_budget == 0 {
                         break;
                     }
-                    self.protocol.note_admitted(a.tag.iter);
+                    self.protocol.note_admitted(a.iter);
                     self.io.take_addr(p).expect("peeked");
                     self.reads.push(
                         self.config.timing.read_latency,
@@ -448,7 +448,7 @@ impl PrevvMemory {
                             port: p,
                             addr,
                             seq,
-                            tag: a.tag,
+                            iter: a.iter,
                         },
                     );
                     self.local.ram_reads += 1;
@@ -459,12 +459,12 @@ impl PrevvMemory {
                     let (Some(&a), Some(&d)) = (self.io.peek_addr(p), self.io.peek_data(p)) else {
                         break;
                     };
-                    debug_assert_eq!(a.tag.iter, d.tag.iter, "store streams stay paired");
-                    if !self.can_admit(a.tag.iter) {
+                    debug_assert_eq!(a.iter, d.iter, "store streams stay paired");
+                    if !self.can_admit(a.iter) {
                         self.local.queue_full_stalls += 1;
                         break;
                     }
-                    self.protocol.note_admitted(a.tag.iter);
+                    self.protocol.note_admitted(a.iter);
                     self.io.take_addr(p).expect("peeked");
                     self.io.take_data(p).expect("peeked");
                     let addr = self.io.resolve(p, a.value);
@@ -472,7 +472,7 @@ impl PrevvMemory {
                     self.insert(PrematureRecord::real(
                         p,
                         MemOpKind::Store,
-                        a.tag,
+                        a.iter,
                         seq,
                         addr,
                         d.value,
@@ -609,7 +609,7 @@ impl Component for PrevvMemory {
 
     fn flush(&mut self, from_iter: u64) {
         self.io.flush(from_iter);
-        self.reads.flush_if(|p| p.tag.iter >= from_iter);
+        self.reads.flush_if(|p| p.iter >= from_iter);
         // frontier <= from_iter and next_commit target < frontier are
         // invariants (squashes never reach committed state), so neither
         // cursor moves (asserted inside the protocol flush).

@@ -466,10 +466,9 @@ fn fold_record_words(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prevv_dataflow::Tag;
 
     fn real(port: usize, kind: MemOpKind, iter: u64, seq: u32) -> PrematureRecord {
-        PrematureRecord::real(port, kind, Tag::new(iter), seq, port, 7)
+        PrematureRecord::real(port, kind, iter, seq, port, 7)
     }
 
     fn iters(c: &IterCounts) -> Vec<u64> {
@@ -521,7 +520,7 @@ mod tests {
     fn commit_walks_stores_in_rom_order_and_skips_fakes() {
         let mut p = ProtocolState::new(8);
         p.record_arrival(real(1, MemOpKind::Store, 0, 1));
-        p.record_arrival(PrematureRecord::fake(2, MemOpKind::Store, Tag::new(0), 3));
+        p.record_arrival(PrematureRecord::fake(2, MemOpKind::Store, 0, 3));
         p.record_arrival(real(0, MemOpKind::Load, 0, 0));
         assert_eq!(p.arrived.get(0), 3, "every arrival counts, fakes included");
         p.advance_frontier(3, u64::MAX);

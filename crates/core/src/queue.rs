@@ -200,11 +200,10 @@ impl PrematureQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prevv_dataflow::Tag;
     use prevv_ir::MemOpKind;
 
     fn rec(iter: u64, seq: u32) -> PrematureRecord {
-        PrematureRecord::real(0, MemOpKind::Load, Tag::new(iter), seq, 0, 0)
+        PrematureRecord::real(0, MemOpKind::Load, iter, seq, 0, 0)
     }
 
     #[test]

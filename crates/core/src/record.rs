@@ -1,6 +1,6 @@
 //! The premature record: the paper's Eq. (1) property assembly.
 
-use prevv_dataflow::{Tag, Value};
+use prevv_dataflow::Value;
 use prevv_ir::MemOpKind;
 
 /// The properties saved for every premature operation (paper Eq. 1):
@@ -21,8 +21,6 @@ pub struct PrematureRecord {
     pub addr: Option<usize>,
     /// The value read (loads) or to be written (stores) (`value_m`).
     pub value: Value,
-    /// Token tag (carries the squash epoch for result delivery).
-    pub tag: Tag,
     /// True for fake records sent by untaken guards (paper §V-C).
     pub fake: bool,
     /// Stores only: committed to RAM, awaiting head deallocation.
@@ -34,34 +32,32 @@ impl PrematureRecord {
     pub fn real(
         port: usize,
         kind: MemOpKind,
-        tag: Tag,
+        iter: u64,
         seq: u32,
         addr: usize,
         value: Value,
     ) -> Self {
         PrematureRecord {
             port,
-            iter: tag.iter,
+            iter,
             seq,
             kind,
             addr: Some(addr),
             value,
-            tag,
             fake: false,
             committed: false,
         }
     }
 
     /// Creates a fake record for an op suppressed by its guard.
-    pub fn fake(port: usize, kind: MemOpKind, tag: Tag, seq: u32) -> Self {
+    pub fn fake(port: usize, kind: MemOpKind, iter: u64, seq: u32) -> Self {
         PrematureRecord {
             port,
-            iter: tag.iter,
+            iter,
             seq,
             kind,
             addr: None,
             value: 0,
-            tag,
             fake: true,
             committed: false,
         }
@@ -84,14 +80,14 @@ mod tests {
 
     #[test]
     fn order_is_iteration_major() {
-        let a = PrematureRecord::real(0, MemOpKind::Load, Tag::new(2), 5, 0, 0);
-        let b = PrematureRecord::real(0, MemOpKind::Store, Tag::new(3), 1, 0, 0);
+        let a = PrematureRecord::real(0, MemOpKind::Load, 2, 5, 0, 0);
+        let b = PrematureRecord::real(0, MemOpKind::Store, 3, 1, 0, 0);
         assert!(a.order() < b.order());
     }
 
     #[test]
     fn fake_records_have_no_address() {
-        let f = PrematureRecord::fake(1, MemOpKind::Store, Tag::new(4), 2);
+        let f = PrematureRecord::fake(1, MemOpKind::Store, 4, 2);
         assert!(f.fake);
         assert_eq!(f.addr, None);
         assert!(!f.is_pending_store(), "fake stores never commit");
@@ -99,11 +95,11 @@ mod tests {
 
     #[test]
     fn pending_store_classification() {
-        let mut s = PrematureRecord::real(0, MemOpKind::Store, Tag::new(1), 0, 3, 9);
+        let mut s = PrematureRecord::real(0, MemOpKind::Store, 1, 0, 3, 9);
         assert!(s.is_pending_store());
         s.committed = true;
         assert!(!s.is_pending_store());
-        let l = PrematureRecord::real(0, MemOpKind::Load, Tag::new(1), 0, 3, 9);
+        let l = PrematureRecord::real(0, MemOpKind::Load, 1, 0, 3, 9);
         assert!(!l.is_pending_store());
     }
 }

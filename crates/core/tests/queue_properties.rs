@@ -5,7 +5,6 @@
 use proptest::prelude::*;
 
 use prevv_core::{Arbiter, PrematureQueue, PrematureRecord, QueueState, Verdict};
-use prevv_dataflow::Tag;
 use prevv_ir::MemOpKind;
 
 #[derive(Debug, Clone)]
@@ -45,7 +44,7 @@ fn record(iter: u64, seq: u32, store: bool, addr: usize, value: i64) -> Prematur
     } else {
         MemOpKind::Load
     };
-    PrematureRecord::real(seq as usize, kind, Tag::new(iter), seq, addr, value)
+    PrematureRecord::real(seq as usize, kind, iter, seq, addr, value)
 }
 
 proptest! {

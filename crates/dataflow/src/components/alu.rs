@@ -223,7 +223,7 @@ impl Pipeline {
 
     fn flush(&mut self, from_iter: u64) {
         for s in &mut self.stages {
-            if s.is_some_and(|t| t.tag.iter >= from_iter) {
+            if s.is_some_and(|t| t.iter >= from_iter) {
                 *s = None;
             }
         }
@@ -311,10 +311,10 @@ impl Component for BinaryAlu {
         let entering = match (sig.taken(self.lhs), sig.taken(self.rhs)) {
             (Some(a), Some(b)) => {
                 debug_assert_eq!(
-                    a.tag.iter, b.tag.iter,
+                    a.iter, b.iter,
                     "alu operands must come from the same iteration"
                 );
-                Some(Token::tagged(self.op.apply(a.value, b.value), a.tag))
+                Some(a.with_value(self.op.apply(a.value, b.value)))
             }
             (None, None) => None,
             _ => unreachable!("alu accepts operands jointly"),

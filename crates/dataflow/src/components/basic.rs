@@ -9,7 +9,7 @@ use crate::signal::{ChannelId, Signals};
 use crate::token::{Token, Value};
 
 /// Emits a fixed value each time a trigger token arrives, inheriting the
-/// trigger's tag. The dataflow analogue of a literal in the source program.
+/// trigger's iteration. The dataflow analogue of a literal in the source program.
 #[derive(Debug)]
 pub struct Constant {
     value: Value,
@@ -189,7 +189,7 @@ impl Component for Fork {
             if !self.sent[k] {
                 if let Some(t) = sig.taken(out) {
                     self.sent[k] = true;
-                    self.in_flight_iter = Some(t.tag.iter);
+                    self.in_flight_iter = Some(t.iter);
                     changed = true;
                 }
             }
@@ -276,7 +276,6 @@ impl Component for Branch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tag;
 
     fn sig(n: usize) -> Signals {
         Signals::new(n)
@@ -297,13 +296,10 @@ mod tests {
     fn constant_inherits_trigger_tag() {
         let c = Constant::new(42, ChannelId(0), ChannelId(1));
         let mut s = sig(2);
-        s.drive(ChannelId(0), Token::tagged(0, Tag::with_epoch(3, 1)));
+        s.drive(ChannelId(0), Token::new(0, 3));
         s.accept(ChannelId(1));
         settle(&c, &mut s);
-        assert_eq!(
-            s.taken(ChannelId(1)),
-            Some(Token::tagged(42, Tag::with_epoch(3, 1)))
-        );
+        assert_eq!(s.taken(ChannelId(1)), Some(Token::new(42, 3)));
         assert!(s.fired(ChannelId(0)));
     }
 

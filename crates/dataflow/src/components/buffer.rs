@@ -87,7 +87,7 @@ impl Component for Buffer {
     }
 
     fn flush(&mut self, from_iter: u64) {
-        self.fifo.retain(|t| t.tag.iter < from_iter);
+        self.fifo.retain(|t| t.iter < from_iter);
     }
 
     fn is_idle(&self) -> bool {

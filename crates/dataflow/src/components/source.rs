@@ -8,13 +8,13 @@
 //! premature-value-validation squash replays iterations. `IterSource`
 //! captures exactly that: it owns the precomputed iteration space (one row of
 //! induction-variable values per flattened iteration) and emits each row on
-//! its output channels, tagged with the flat iteration number and the current
-//! squash epoch.
+//! its output channels, tagged with the flat iteration number. A rewind
+//! re-issues the same iteration numbers; the engine's same-cycle flush has
+//! already dropped every token they could be confused with.
 
 use crate::component::{Component, Ports};
 use crate::signal::{ChannelId, Signals};
-use crate::squash::SquashBus;
-use crate::token::{Tag, Token, Value};
+use crate::token::{Token, Value};
 
 /// Emits one row of values per iteration, in program order, with rewind
 /// support for squash replay.
@@ -22,7 +22,6 @@ use crate::token::{Tag, Token, Value};
 pub struct IterSource {
     rows: Vec<Vec<Value>>,
     outputs: Vec<ChannelId>,
-    bus: SquashBus,
     pos: usize,
     sent: Vec<bool>,
 }
@@ -35,7 +34,7 @@ impl IterSource {
     ///
     /// Panics if any row's length differs from `outputs.len()`, or if
     /// `outputs` is empty.
-    pub fn new(rows: Vec<Vec<Value>>, outputs: Vec<ChannelId>, bus: SquashBus) -> Self {
+    pub fn new(rows: Vec<Vec<Value>>, outputs: Vec<ChannelId>) -> Self {
         assert!(!outputs.is_empty(), "iteration source needs outputs");
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(
@@ -48,29 +47,14 @@ impl IterSource {
         IterSource {
             rows,
             outputs,
-            bus,
             pos: 0,
             sent: vec![false; n],
         }
     }
 
-    /// Total number of iterations this source will emit.
-    pub fn iteration_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// The next iteration to be issued (monotone except across rewinds).
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     /// Has every iteration been fully issued?
     pub fn exhausted(&self) -> bool {
         self.pos >= self.rows.len()
-    }
-
-    fn current_tag(&self) -> Tag {
-        Tag::with_epoch(self.pos as u64, self.bus.epoch())
     }
 }
 
@@ -87,11 +71,10 @@ impl Component for IterSource {
         if self.exhausted() {
             return;
         }
-        let tag = self.current_tag();
         let row = &self.rows[self.pos];
         for (k, &out) in self.outputs.iter().enumerate() {
             if !self.sent[k] {
-                sig.drive(out, Token::tagged(row[k], tag));
+                sig.drive(out, Token::new(row[k], self.pos as u64));
             }
         }
     }
@@ -292,9 +275,7 @@ mod tests {
 
     #[test]
     fn emits_rows_in_order() {
-        let bus = SquashBus::new();
-        let mut src = IterSource::new(vec![vec![10], vec![20], vec![30]], vec![ch(0)], bus);
-        assert_eq!(src.iteration_count(), 3);
+        let mut src = IterSource::new(vec![vec![10], vec![20], vec![30]], vec![ch(0)]);
         let a = one_cycle(&mut src, &[true]);
         let b = one_cycle(&mut src, &[true]);
         assert_eq!(a[0], Some(Token::new(10, 0)));
@@ -307,12 +288,11 @@ mod tests {
 
     #[test]
     fn partial_acceptance_holds_iteration() {
-        let bus = SquashBus::new();
-        let mut src = IterSource::new(vec![vec![1, 2]], vec![ch(0), ch(1)], bus);
+        let mut src = IterSource::new(vec![vec![1, 2]], vec![ch(0), ch(1)]);
         let outs = one_cycle(&mut src, &[true, false]);
         assert_eq!(outs[0], Some(Token::new(1, 0)));
         assert_eq!(outs[1], None);
-        assert_eq!(src.position(), 0, "iteration not complete yet");
+        assert!(!src.exhausted(), "iteration not complete yet");
         let outs = one_cycle(&mut src, &[false, true]);
         assert_eq!(outs[0], None, "already-sent output stays quiet");
         assert_eq!(outs[1], Some(Token::new(2, 0)));
@@ -321,31 +301,23 @@ mod tests {
 
     #[test]
     fn rewind_replays_with_new_epoch() {
-        let bus = SquashBus::new();
-        let mut src = IterSource::new((0..5).map(|i| vec![i]).collect(), vec![ch(0)], bus.clone());
+        let mut src = IterSource::new((0..5).map(|i| vec![10 * i]).collect(), vec![ch(0)]);
         for _ in 0..4 {
             one_cycle(&mut src, &[true]);
         }
-        assert_eq!(src.position(), 4);
-        // A squash from iteration 2 rewinds the source...
-        bus.post(2);
-        bus.take_pending();
+        // A squash from iteration 2 rewinds the source, which re-issues
+        // iteration 2's row under the same iteration number.
         src.flush(2);
-        assert_eq!(src.position(), 2);
-        // ...and re-issued tokens carry the bumped epoch.
-        let outs = one_cycle(&mut src, &[true]);
-        let t = outs[0].expect("re-issued token");
-        assert_eq!(t.tag.iter, 2);
-        assert_eq!(t.tag.epoch, 1);
+        assert_eq!(one_cycle(&mut src, &[true])[0], Some(Token::new(20, 2)));
+        assert_eq!(one_cycle(&mut src, &[true])[0], Some(Token::new(30, 3)));
     }
 
     #[test]
     fn rewind_beyond_position_is_noop() {
-        let bus = SquashBus::new();
-        let mut src = IterSource::new((0..5).map(|i| vec![i]).collect(), vec![ch(0)], bus);
+        let mut src = IterSource::new((0..5).map(|i| vec![i]).collect(), vec![ch(0)]);
         one_cycle(&mut src, &[true]);
         src.flush(4); // haven't got there yet
-        assert_eq!(src.position(), 1);
+        assert_eq!(one_cycle(&mut src, &[true])[0], Some(Token::new(1, 1)));
     }
 
     #[test]
@@ -396,8 +368,7 @@ mod tests {
 
     #[test]
     fn empty_space_is_immediately_idle() {
-        let bus = SquashBus::new();
-        let src = IterSource::new(vec![], vec![ch(0)], bus);
+        let src = IterSource::new(vec![], vec![ch(0)]);
         assert!(src.is_idle());
         assert_eq!(src.occupancy(), 0);
     }

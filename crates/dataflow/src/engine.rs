@@ -17,11 +17,13 @@
 //!    next cycle's commit set, decides whether the cycle was quiet, and
 //!    feeds the no-progress watchdog.
 //! 3. **Squash application** — if a disambiguation controller posted a squash
-//!    on the [`SquashBus`], the engine bumps the epoch, calls
+//!    on the [`SquashBus`], the engine calls
 //!    [`flush`](crate::Component::flush) on every component (dropping all
-//!    tokens of the squashed iterations), and lets the iteration source
-//!    rewind. This models the broadcast pipeline flush of the paper's mux +
-//!    squash signal.
+//!    tokens of the squashed iterations and rewinding the iteration source)
+//!    before the next cycle's fixpoint. This models the broadcast pipeline
+//!    flush of the paper's mux + squash signal. Because no token of a
+//!    squashed iteration outlives this flush, a replayed token needs no mark
+//!    beyond its iteration number.
 //!
 //! ## The levelized fixpoint
 //!
@@ -657,7 +659,7 @@ mod tests {
         let sum = net.channel();
         let prod = net.channel();
         let rows = (0..n).map(|i| vec![i]).collect();
-        net.add("src", IterSource::new(rows, vec![src_out], bus.clone()));
+        net.add("src", IterSource::new(rows, vec![src_out]));
         net.add("fork", Fork::new(src_out, vec![f1, f2]));
         // Feed the constant from a forked copy through a buffer so each
         // iteration triggers exactly one constant emission.
@@ -717,7 +719,7 @@ mod tests {
         net.add("sink", Sink::new(vec![c]));
         net.add("one", Constant::new(1, b, c));
         net.add("fork", Fork::new(a, vec![b]));
-        net.add("src", IterSource::new(vec![vec![0]], vec![a], bus.clone()));
+        net.add("src", IterSource::new(vec![vec![0]], vec![a]));
         let sim = Simulator::new(net, bus).expect("valid netlist");
         assert_eq!(sim.order, vec![3, 2, 1, 0]);
     }
@@ -743,10 +745,10 @@ mod tests {
         let b = net.channel();
         let b_buf = net.channel();
         let out = net.channel();
-        net.add("src", IterSource::new(vec![vec![1]], vec![a], bus.clone()));
+        net.add("src", IterSource::new(vec![vec![1]], vec![a]));
         net.add("buf_a", Buffer::new(1, a, a_buf));
         // Source for b emits zero iterations: the ALU starves.
-        net.add("src_b", IterSource::new(vec![], vec![b], bus.clone()));
+        net.add("src_b", IterSource::new(vec![], vec![b]));
         net.add("buf_b", Buffer::new(1, b, b_buf));
         net.add("alu", BinaryAlu::new(BinOp::Add, a_buf, b_buf, out));
         net.add("sink", Sink::new(vec![out]));
@@ -785,7 +787,7 @@ mod tests {
         let f2 = net.channel();
         net.add(
             "src",
-            IterSource::new((0..32).map(|i| vec![i]).collect(), vec![src], bus.clone()),
+            IterSource::new((0..32).map(|i| vec![i]).collect(), vec![src]),
         );
         net.add("fork", Fork::new(src, vec![f1, f2]));
         net.add("buf", Buffer::new(1, f2, trig));

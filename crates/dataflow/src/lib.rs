@@ -10,9 +10,9 @@
 //! The simulator supports the two features memory-disambiguation studies
 //! need beyond plain elasticity:
 //!
-//! * **tagged tokens** — every token carries its flattened loop-iteration
-//!   number and a squash epoch ([`Tag`]), so controllers can reason about
-//!   program order and squashes can be applied precisely;
+//! * **iteration-numbered tokens** — every [`Token`] carries its flattened
+//!   loop-iteration number, so controllers can reason about program order
+//!   and squashes can be applied precisely;
 //! * **pipeline squash** — a [`SquashBus`] lets a controller (premature
 //!   value validation) flush all in-flight tokens of mis-speculated
 //!   iterations and rewind the iteration source to replay them.
@@ -32,7 +32,7 @@
 //!     net.channel(), net.channel(), net.channel(),
 //!     net.channel(), net.channel(), net.channel(),
 //! );
-//! net.add("src", IterSource::new((0..4).map(|v| vec![v]).collect(), vec![i], bus.clone()));
+//! net.add("src", IterSource::new((0..4).map(|v| vec![v]).collect(), vec![i]));
 //! net.add("fork", Fork::new(i, vec![i1, i2]));
 //! net.add("buf", Buffer::new(2, i2, trig));
 //! net.add("one", Constant::new(1, trig, one));
@@ -71,4 +71,4 @@ pub use netlist::{ChannelEndpoints, Netlist, NodeId};
 pub use signal::{ChannelId, Signals};
 pub use squash::SquashBus;
 pub use stats::SimReport;
-pub use token::{Tag, Token, Value};
+pub use token::{Token, Value};

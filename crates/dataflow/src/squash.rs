@@ -5,21 +5,21 @@
 //! those iterations replayed (paper §IV-A). In hardware this is a broadcast
 //! squash wire; in the simulator it is a small shared mailbox: the memory
 //! controller posts a squash request during `commit`, and the engine applies
-//! it at the end of the cycle by bumping the epoch, flushing every component,
-//! and rewinding the iteration source.
+//! it at the end of the same cycle by flushing every component, which also
+//! rewinds the iteration source. No token of a squashed iteration outlives
+//! that flush, so replayed tokens need no mark beyond their iteration.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 /// Shared squash mailbox. Cheap to clone; all clones observe the same state.
 ///
-/// All fields are plain [`Cell`]s: the engine polls [`take_pending`] every
-/// cycle and iteration sources read [`epoch`] on every re-evaluation, so the
-/// mailbox sits on the simulation hot path — `Cell` reads avoid `RefCell`'s
-/// borrow-flag traffic (and its reentrancy panics) entirely.
+/// Both fields are plain [`Cell`]s: the engine polls [`take_pending`] every
+/// cycle, so the mailbox sits on the simulation hot path — `Cell` reads
+/// avoid `RefCell`'s borrow-flag traffic (and its reentrancy panics)
+/// entirely.
 ///
 /// [`take_pending`]: SquashBus::take_pending
-/// [`epoch`]: SquashBus::epoch
 #[derive(Debug, Clone, Default)]
 pub struct SquashBus {
     inner: Rc<BusState>,
@@ -27,20 +27,14 @@ pub struct SquashBus {
 
 #[derive(Debug, Default)]
 struct BusState {
-    epoch: Cell<u32>,
     pending: Cell<Option<u64>>,
     squashes: Cell<u64>,
 }
 
 impl SquashBus {
-    /// Creates a bus in epoch 0 with no pending squash.
+    /// Creates a bus with no pending squash.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Current squash epoch. Tokens issued by sources carry this epoch.
-    pub fn epoch(&self) -> u32 {
-        self.inner.epoch.get()
     }
 
     /// Posts a squash restarting execution from `from_iter`.
@@ -56,16 +50,10 @@ impl SquashBus {
         }));
     }
 
-    /// True if a squash has been posted and not yet applied.
-    pub fn has_pending(&self) -> bool {
-        self.inner.pending.get().is_some()
-    }
-
-    /// Engine side: takes the pending squash, if any, bumping the epoch and
-    /// the squash count. Returns the iteration to restart from.
+    /// Engine side: takes the pending squash, if any, bumping the squash
+    /// count. Returns the iteration to restart from.
     pub fn take_pending(&self) -> Option<u64> {
         let from = self.inner.pending.take()?;
-        self.inner.epoch.set(self.inner.epoch.get() + 1);
         self.inner.squashes.set(self.inner.squashes.get() + 1);
         Some(from)
     }
@@ -83,14 +71,12 @@ mod tests {
     #[test]
     fn post_and_take_round_trip() {
         let bus = SquashBus::new();
-        assert!(!bus.has_pending());
+        assert_eq!(bus.take_pending(), None);
         bus.post(7);
-        assert!(bus.has_pending());
-        let from = bus.take_pending();
-        assert_eq!(from, Some(7));
-        assert_eq!(bus.epoch(), 1);
+        assert_eq!(bus.take_pending(), Some(7));
         assert_eq!(bus.squash_count(), 1);
-        assert!(!bus.has_pending());
+        assert_eq!(bus.take_pending(), None, "taking empties the mailbox");
+        assert_eq!(bus.squash_count(), 1, "an empty take counts nothing");
     }
 
     #[test]
@@ -107,8 +93,7 @@ mod tests {
         let a = SquashBus::new();
         let b = a.clone();
         b.post(2);
-        assert!(a.has_pending());
-        a.take_pending();
-        assert_eq!(b.epoch(), 1);
+        assert_eq!(a.take_pending(), Some(2));
+        assert_eq!(b.squash_count(), 1);
     }
 }

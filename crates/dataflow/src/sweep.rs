@@ -68,7 +68,7 @@ mod tests {
         let one = net.channel();
         let sum = net.channel();
         let rows = (0..n).map(|i| vec![i]).collect();
-        net.add("src", IterSource::new(rows, vec![src], bus.clone()));
+        net.add("src", IterSource::new(rows, vec![src]));
         net.add("fork", Fork::new(src, vec![f1, f2]));
         net.add("one", Constant::new(1, f2, one));
         net.add("add", BinaryAlu::with_latency(BinOp::Add, 1, f1, one, sum));

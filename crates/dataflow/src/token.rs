@@ -1,11 +1,14 @@
 //! Tokens flowing through elastic channels.
 //!
 //! Every value travelling through a dataflow circuit is a [`Token`]: a scalar
-//! payload plus a [`Tag`] identifying which loop iteration produced it and in
-//! which squash *epoch*. Tags are what make pipeline squashes implementable:
-//! when premature value validation detects a mis-speculated load, every token
-//! belonging to an iteration at or beyond the faulting one is flushed, and the
-//! iteration source re-issues those iterations under a new epoch.
+//! payload plus the loop iteration that produced it. The iteration number is
+//! what makes pipeline squashes implementable: when premature value
+//! validation detects a mis-speculated load, every token belonging to an
+//! iteration at or beyond the faulting one is flushed, and the iteration
+//! source re-issues those iterations. The flush reaches every component in
+//! the cycle the squash is taken, so no token of a squashed iteration
+//! survives to meet its replayed twin, and the iteration number alone
+//! identifies a token.
 
 use std::fmt;
 
@@ -17,75 +20,32 @@ use std::fmt;
 /// when comparing a circuit run against its golden model).
 pub type Value = i64;
 
-/// Identifies the loop iteration (flattened over the whole nest) and squash
-/// epoch a token belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Tag {
-    /// Flattened iteration number: position of this iteration in the original
-    /// sequential program order, counted over the entire loop nest.
-    pub iter: u64,
-    /// Squash epoch. Incremented once per pipeline squash; tokens re-issued
-    /// after a squash carry the new epoch so stale and fresh tokens can never
-    /// be confused.
-    pub epoch: u32,
-}
-
-impl Tag {
-    /// Creates a tag for `iter` in epoch 0.
-    ///
-    /// ```
-    /// use prevv_dataflow::Tag;
-    /// let t = Tag::new(7);
-    /// assert_eq!(t.iter, 7);
-    /// assert_eq!(t.epoch, 0);
-    /// ```
-    pub fn new(iter: u64) -> Self {
-        Tag { iter, epoch: 0 }
-    }
-
-    /// Creates a tag with an explicit epoch.
-    pub fn with_epoch(iter: u64, epoch: u32) -> Self {
-        Tag { iter, epoch }
-    }
-}
-
-impl fmt::Display for Tag {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "i{}e{}", self.iter, self.epoch)
-    }
-}
-
-/// A value plus its tag: the unit of exchange on every channel.
+/// A value plus its iteration: the unit of exchange on every channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Token {
     /// Scalar payload.
     pub value: Value,
-    /// Iteration/epoch identification.
-    pub tag: Tag,
+    /// Flattened iteration number: position of the producing iteration in
+    /// the original sequential program order, counted over the entire loop
+    /// nest.
+    pub iter: u64,
 }
 
 impl Token {
-    /// Creates a token carrying `value` for iteration `iter` in epoch 0.
+    /// Creates a token carrying `value` for iteration `iter`.
     ///
     /// ```
     /// use prevv_dataflow::Token;
     /// let t = Token::new(42, 3);
     /// assert_eq!(t.value, 42);
-    /// assert_eq!(t.tag.iter, 3);
+    /// assert_eq!(t.iter, 3);
     /// ```
     pub fn new(value: Value, iter: u64) -> Self {
-        Token {
-            value,
-            tag: Tag::new(iter),
-        }
+        Token { value, iter }
     }
 
-    /// Creates a token with a fully specified tag.
-    pub fn tagged(value: Value, tag: Tag) -> Self {
-        Token { value, tag }
-    }
-
-    /// Returns a copy of this token with a different payload but the same tag.
+    /// Returns a copy of this token with a different payload but the same
+    /// iteration.
     pub fn with_value(self, value: Value) -> Self {
         Token { value, ..self }
     }
@@ -93,7 +53,7 @@ impl Token {
 
 impl fmt::Display for Token {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}@{}", self.value, self.tag)
+        write!(f, "{}@i{}", self.value, self.iter)
     }
 }
 
@@ -102,23 +62,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tag_ordering_is_iteration_major() {
-        let a = Tag::with_epoch(1, 5);
-        let b = Tag::with_epoch(2, 0);
-        assert!(a < b, "iteration dominates epoch in ordering");
-    }
-
-    #[test]
     fn token_with_value_preserves_tag() {
-        let t = Token::tagged(10, Tag::with_epoch(4, 2));
+        let t = Token::new(10, 4);
         let u = t.with_value(99);
         assert_eq!(u.value, 99);
-        assert_eq!(u.tag, t.tag);
+        assert_eq!(u.iter, t.iter);
     }
 
     #[test]
     fn display_is_compact() {
         let t = Token::new(-3, 8);
-        assert_eq!(t.to_string(), "-3@i8e0");
+        assert_eq!(t.to_string(), "-3@i8");
     }
 }

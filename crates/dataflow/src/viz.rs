@@ -84,15 +84,13 @@ fn escape(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::components::{Constant, IterSource, Sink};
-    use crate::squash::SquashBus;
 
     #[test]
     fn dot_contains_all_nodes_and_edges() {
         let mut net = Netlist::new();
-        let bus = SquashBus::new();
         let trig = net.channel();
         let out = net.channel();
-        net.add("src", IterSource::new(vec![vec![0]], vec![trig], bus));
+        net.add("src", IterSource::new(vec![vec![0]], vec![trig]));
         net.add("one", Constant::new(1, trig, out));
         net.add("sink", Sink::new(vec![out]));
         let dot = to_dot(&net);
@@ -107,9 +105,8 @@ mod tests {
     #[test]
     fn open_channels_render_dashed() {
         let mut net = Netlist::new();
-        let bus = SquashBus::new();
         let out = net.channel();
-        net.add("src", IterSource::new(vec![vec![0]], vec![out], bus));
+        net.add("src", IterSource::new(vec![vec![0]], vec![out]));
         // `out` has no consumer.
         let dot = to_dot(&net);
         assert!(dot.contains("style=dashed"));

@@ -135,7 +135,7 @@ fn pipeline_in(
         let two = net.channel();
         let prod = net.channel();
         let rows = (0..n).map(|i| vec![i]).collect();
-        net.add("src", IterSource::new(rows, vec![src_out], bus.clone()));
+        net.add("src", IterSource::new(rows, vec![src_out]));
         net.add("fork", Fork::new(src_out, vec![f1, f2]));
         net.add("buf", Buffer::new(buf_cap, f2, trig));
         net.add("one", Constant::new(1, trig, one));
@@ -182,7 +182,7 @@ fn routing(order: Insertion) -> impl Fn() -> (Netlist, SquashBus, Rc<RefCell<Vec
         let hundred = net.channel();
         let bumped = net.channel();
         let rows = (0..24).map(|i| vec![i]).collect();
-        net.add("src", IterSource::new(rows, vec![src_out], bus.clone()));
+        net.add("src", IterSource::new(rows, vec![src_out]));
         net.add("fork", Fork::new(src_out, vec![f_data, f_par, par_trig]));
         net.add("one_p", Constant::new(1, par_trig, one_p));
         net.add(
@@ -323,7 +323,7 @@ fn schedulers_name_the_same_divergent_channels() {
         // Iteration 0 routes its token to the safe sink; iteration 1 routes
         // it into the unbuffered loop.
         let rows = vec![vec![7, 0], vec![7, 1]];
-        net.add("src", IterSource::new(rows, vec![data, cond], bus.clone()));
+        net.add("src", IterSource::new(rows, vec![data, cond]));
         net.add("gate", Branch::new(data, cond, enter, safe));
         net.add("safe_sink", Sink::new(vec![safe]));
         net.add("negator", Negator { enter, back, out });
@@ -382,7 +382,7 @@ fn stall_accounting_is_sampled_at_the_fixpoint() {
         let one = net.channel();
         let out = net.channel();
         let rows = (0..8).map(|i| vec![i]).collect();
-        net.add("src", IterSource::new(rows, vec![src_out], bus.clone()));
+        net.add("src", IterSource::new(rows, vec![src_out]));
         net.add("fork", Fork::new(src_out, vec![f1, f2]));
         net.add("buf", Buffer::new(1, f2, trig));
         net.add("one", Constant::new(1, trig, one));
@@ -436,10 +436,7 @@ fn watchdog_tolerates_long_latency_drain() {
         let trig = net.channel();
         let one = net.channel();
         let out = net.channel();
-        net.add(
-            "src",
-            IterSource::new(vec![vec![3]], vec![src_out], bus.clone()),
-        );
+        net.add("src", IterSource::new(vec![vec![3]], vec![src_out]));
         net.add("fork", Fork::new(src_out, vec![f1, f2]));
         net.add("buf", Buffer::new(1, f2, trig));
         net.add("one", Constant::new(1, trig, one));
@@ -512,9 +509,9 @@ fn watchdog_still_trips_on_genuine_deadlock() {
         let b = net.channel();
         let b_buf = net.channel();
         let out = net.channel();
-        net.add("src", IterSource::new(vec![vec![1]], vec![a], bus.clone()));
+        net.add("src", IterSource::new(vec![vec![1]], vec![a]));
         net.add("buf_a", Buffer::new(1, a, a_buf));
-        net.add("src_b", IterSource::new(vec![], vec![b], bus.clone()));
+        net.add("src_b", IterSource::new(vec![], vec![b]));
         net.add("buf_b", Buffer::new(1, b, b_buf));
         net.add("alu", BinaryAlu::new(BinOp::Add, a_buf, b_buf, out));
         net.add("sink", Sink::new(vec![out]));

@@ -11,9 +11,15 @@ use prevv_dataflow::{
     ChannelId, Component, Netlist, Ports, Signals, SimConfig, Simulator, SquashBus, Token,
 };
 
+/// Each delivered token with the round it arrived in.
+type Seen = Rc<RefCell<Vec<(u32, Token)>>>;
+
 /// Consumes tokens; each time it sees iteration `trigger_at` it posts a
 /// squash from `squash_from`, up to `max_fires` times in total, so the
-/// stream eventually passes.
+/// stream eventually passes. Each token is recorded with the number of
+/// squashes posted before it arrived: its *round*. The engine applies a
+/// squash in the cycle it is posted, so round `k` holds exactly the tokens
+/// delivered between the `k`-th and the `k+1`-th flush.
 #[derive(Debug)]
 struct ScriptedSquasher {
     input: ChannelId,
@@ -22,7 +28,7 @@ struct ScriptedSquasher {
     squash_from: u64,
     max_fires: u32,
     fires: u32,
-    seen: Rc<RefCell<Vec<Token>>>,
+    seen: Seen,
 }
 
 impl Component for ScriptedSquasher {
@@ -37,8 +43,8 @@ impl Component for ScriptedSquasher {
     }
     fn commit(&mut self, sig: &Signals) -> bool {
         if let Some(t) = sig.taken(self.input) {
-            self.seen.borrow_mut().push(t);
-            if t.tag.iter == self.trigger_at && self.fires < self.max_fires {
+            self.seen.borrow_mut().push((self.fires, t));
+            if t.iter == self.trigger_at && self.fires < self.max_fires {
                 self.fires += 1;
                 self.bus.post(self.squash_from);
             }
@@ -47,11 +53,15 @@ impl Component for ScriptedSquasher {
     }
 }
 
-fn scripted_circuit(
-    iters: i64,
-    trigger_at: u64,
-    squash_from: u64,
-) -> (Netlist, SquashBus, Rc<RefCell<Vec<Token>>>) {
+/// The iterations delivered in round `k`, in arrival order.
+fn round(seen: &[(u32, Token)], k: u32) -> Vec<u64> {
+    seen.iter()
+        .filter(|&&(r, _)| r == k)
+        .map(|(_, t)| t.iter)
+        .collect()
+}
+
+fn scripted_circuit(iters: i64, trigger_at: u64, squash_from: u64) -> (Netlist, SquashBus, Seen) {
     scripted_circuit_fires(iters, trigger_at, squash_from, 1)
 }
 
@@ -60,18 +70,14 @@ fn scripted_circuit_fires(
     trigger_at: u64,
     squash_from: u64,
     max_fires: u32,
-) -> (Netlist, SquashBus, Rc<RefCell<Vec<Token>>>) {
+) -> (Netlist, SquashBus, Seen) {
     let mut net = Netlist::new();
     let bus = SquashBus::new();
     let src_out = net.channel();
     let buffered = net.channel();
     net.add(
         "src",
-        IterSource::new(
-            (0..iters).map(|i| vec![i]).collect(),
-            vec![src_out],
-            bus.clone(),
-        ),
+        IterSource::new((0..iters).map(|i| vec![i]).collect(), vec![src_out]),
     );
     net.add("buf", Buffer::new(4, src_out, buffered));
     let seen = Rc::new(RefCell::new(Vec::new()));
@@ -97,26 +103,17 @@ fn squash_replays_from_the_requested_iteration() {
     let report = sim.run().expect("completes");
     assert_eq!(report.squashes, 1);
 
-    let tokens = seen.borrow();
-    // Before the squash: iterations 0..=5 in epoch 0. After: 3..=7 in
-    // epoch 1. (Iteration 5 triggered the squash from 3.)
-    let epoch0: Vec<u64> = tokens
-        .iter()
-        .filter(|t| t.tag.epoch == 0)
-        .map(|t| t.tag.iter)
-        .collect();
-    let epoch1: Vec<u64> = tokens
-        .iter()
-        .filter(|t| t.tag.epoch == 1)
-        .map(|t| t.tag.iter)
-        .collect();
-    assert!(epoch0.contains(&5), "the trigger itself was consumed");
+    // Before the squash: iterations 0..=5 in round 0. After: 3..=7 in
+    // round 1. (Iteration 5 triggered the squash from 3.)
+    let before = round(&seen.borrow(), 0);
+    let after = round(&seen.borrow(), 1);
+    assert!(before.contains(&5), "the trigger itself was consumed");
     assert!(
-        epoch0.iter().all(|&i| i <= 5),
-        "nothing beyond the trigger leaked in epoch 0: {epoch0:?}"
+        before.iter().all(|&i| i <= 5),
+        "nothing beyond the trigger leaked before the squash: {before:?}"
     );
     assert_eq!(
-        epoch1,
+        after,
         vec![3, 4, 5, 6, 7],
         "replay restarts exactly at the squash point"
     );
@@ -130,19 +127,18 @@ fn tokens_of_older_iterations_survive_the_flush() {
     let mut sim = Simulator::new(net, bus).expect("valid");
     sim.run().expect("completes");
     let tokens = seen.borrow();
+    let count = |i: u64| tokens.iter().filter(|(_, t)| t.iter == i).count();
     for i in 0..6u64 {
-        let count = tokens.iter().filter(|t| t.tag.iter == i).count();
-        assert_eq!(count, 1, "iteration {i} must be seen exactly once");
+        assert_eq!(count(i), 1, "iteration {i} must be seen exactly once");
     }
-    // Iteration 6 is seen twice: once per epoch.
-    let six = tokens.iter().filter(|t| t.tag.iter == 6).count();
-    assert_eq!(six, 2);
+    // Iteration 6 is seen twice: once before the squash, once replayed.
+    assert_eq!(count(6), 2);
 }
 
 #[test]
 fn double_squash_converges() {
-    // Trigger at 4, squash from 4, twice: epoch 1's replay of iteration 4
-    // triggers a second squash, and epoch 2's replay finally passes.
+    // Trigger at 4, squash from 4, twice: the first replay of iteration 4
+    // triggers a second squash, and the second replay finally passes.
     let (net, bus, seen) = scripted_circuit_fires(6, 4, 4, 2);
     let mut sim = Simulator::new(net, bus)
         .expect("valid")
@@ -154,32 +150,24 @@ fn double_squash_converges() {
     let report = sim.run().expect("completes");
     assert_eq!(report.squashes, 2);
     let tokens = seen.borrow();
-    let last_epoch = tokens.iter().map(|t| t.tag.epoch).max().expect("tokens");
-    assert_eq!(last_epoch, 2);
-    // The final epoch delivers 4 and 5 to completion.
-    let final_iters: Vec<u64> = tokens
-        .iter()
-        .filter(|t| t.tag.epoch == 2)
-        .map(|t| t.tag.iter)
-        .collect();
-    assert_eq!(final_iters, vec![4, 5]);
+    let last_round = tokens.iter().map(|&(r, _)| r).max().expect("tokens");
+    assert_eq!(last_round, 2);
+    assert_eq!(round(&tokens, 1), vec![4], "the first replay squashes at 4");
+    // The final round delivers 4 and 5 to completion.
+    assert_eq!(round(&tokens, 2), vec![4, 5]);
 }
 
 #[test]
 fn flush_purges_buffered_tokens_of_squashed_iterations() {
     // A deep buffer holds iterations ahead of the squasher; after the
-    // squash none of the flushed tokens may reach it in the old epoch.
+    // squash none of the flushed tokens may reach it before the replay.
     let mut net = Netlist::new();
     let bus = SquashBus::new();
     let src_out = net.channel();
     let deep = net.channel();
     net.add(
         "src",
-        IterSource::new(
-            (0..12).map(|i| vec![i]).collect(),
-            vec![src_out],
-            bus.clone(),
-        ),
+        IterSource::new((0..12).map(|i| vec![i]).collect(), vec![src_out]),
     );
     net.add("deep", Buffer::new(8, src_out, deep));
     let seen = Rc::new(RefCell::new(Vec::new()));
@@ -198,22 +186,15 @@ fn flush_purges_buffered_tokens_of_squashed_iterations() {
     let mut sim = Simulator::new(net, bus).expect("valid");
     sim.run().expect("completes");
     let tokens = seen.borrow();
-    // Iterations >= 3 must never be observed in epoch 0 even though the
-    // buffer was holding several of them when the squash hit.
-    assert!(
-        tokens
-            .iter()
-            .filter(|t| t.tag.epoch == 0)
-            .all(|t| t.tag.iter <= 2),
+    // Iterations >= 3 must never be observed before the squash even though
+    // the buffer was holding several of them when the squash hit.
+    assert_eq!(
+        round(&tokens, 0),
+        vec![0, 1, 2],
         "flushed tokens leaked: {tokens:?}"
     );
-    // And every iteration is eventually delivered in epoch 1.
-    let epoch1: Vec<u64> = tokens
-        .iter()
-        .filter(|t| t.tag.epoch == 1)
-        .map(|t| t.tag.iter)
-        .collect();
-    assert_eq!(epoch1, (3..12).collect::<Vec<u64>>());
+    // And every later iteration is delivered exactly once after it.
+    assert_eq!(round(&tokens, 1), (3..12).collect::<Vec<u64>>());
 }
 
 #[test]

@@ -172,22 +172,6 @@ impl Dependences {
     pub fn needs_disambiguation(&self) -> bool {
         !self.pairs.is_empty()
     }
-
-    /// Number of static loads.
-    pub fn load_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|o| o.kind == MemOpKind::Load)
-            .count()
-    }
-
-    /// Number of static stores.
-    pub fn store_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|o| o.kind == MemOpKind::Store)
-            .count()
-    }
 }
 
 /// Enumerates the static memory operations of a kernel in canonical order
@@ -412,8 +396,7 @@ mod tests {
         )
         .expect("valid");
         let d = analyze(&k);
-        assert_eq!(d.load_count(), 1);
-        assert_eq!(d.store_count(), 1);
+        assert_eq!(d.ops.len(), 2, "one load, one store");
         assert!(d.pairs.is_empty(), "disjoint ranges need no disambiguation");
         assert!(!d.needs_disambiguation());
     }

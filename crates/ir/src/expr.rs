@@ -190,31 +190,6 @@ impl Expr {
             Expr::Binary(_, l, r) => l.is_runtime_dependent() || r.is_runtime_dependent(),
         }
     }
-
-    /// Number of arithmetic operators (for datapath area estimation).
-    pub fn op_count(&self) -> usize {
-        match self {
-            Expr::Const(_) | Expr::IndVar(_) => 0,
-            Expr::Load(_, idx) => idx.op_count(),
-            Expr::Binary(_, l, r) => 1 + l.op_count() + r.op_count(),
-            Expr::Opaque(_, e) => 1 + e.op_count(),
-        }
-    }
-
-    /// Number of multiplier-class operators (mul/div/rem), which dominate
-    /// datapath area and latency.
-    pub fn mul_count(&self) -> usize {
-        let own = match self {
-            Expr::Binary(BinOp::Mul | BinOp::Div | BinOp::Rem, ..) => 1,
-            _ => 0,
-        };
-        own + match self {
-            Expr::Const(_) | Expr::IndVar(_) => 0,
-            Expr::Load(_, idx) => idx.mul_count(),
-            Expr::Binary(_, l, r) => l.mul_count() + r.mul_count(),
-            Expr::Opaque(_, e) => e.mul_count(),
-        }
-    }
 }
 
 impl fmt::Display for Expr {
@@ -272,13 +247,6 @@ mod tests {
         assert!(Expr::var(0)
             .opaque(OpaqueFn::new(0, 8))
             .is_runtime_dependent());
-    }
-
-    #[test]
-    fn op_counts() {
-        let e = Expr::var(0).mul(Expr::var(1)).add(Expr::lit(2));
-        assert_eq!(e.op_count(), 2);
-        assert_eq!(e.mul_count(), 1);
     }
 
     #[test]

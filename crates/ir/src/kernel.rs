@@ -366,28 +366,6 @@ impl KernelSpec {
         let len = self.arrays[array.0].len as Value;
         raw.rem_euclid(len) as usize
     }
-
-    /// Total datapath operator count (for area estimation).
-    pub fn datapath_op_count(&self) -> usize {
-        self.body
-            .iter()
-            .map(|s| {
-                s.index.op_count() + s.value.op_count() + s.guard.as_ref().map_or(0, Expr::op_count)
-            })
-            .sum()
-    }
-
-    /// Multiplier-class operator count (for area estimation).
-    pub fn datapath_mul_count(&self) -> usize {
-        self.body
-            .iter()
-            .map(|s| {
-                s.index.mul_count()
-                    + s.value.mul_count()
-                    + s.guard.as_ref().map_or(0, Expr::mul_count)
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -494,7 +472,5 @@ mod tests {
         )
         .expect("valid");
         assert_eq!(k.iteration_count(), 10);
-        assert_eq!(k.datapath_op_count(), 2);
-        assert_eq!(k.datapath_mul_count(), 1);
     }
 }

@@ -143,8 +143,7 @@ pub fn synthesize_with(
         .collect();
     let mut outs = vec![alloc_in];
     outs.extend(level_chs.iter().copied());
-    b.net
-        .add("iter_source", IterSource::new(rows, outs, bus.clone()));
+    b.net.add("iter_source", IterSource::new(rows, outs));
 
     // Distribute each induction variable to its use sites, decoupling each
     // consumer with an elastic buffer so one slow consumer does not stall

@@ -44,18 +44,6 @@ pub fn index_stream(n: usize, bins: Value, seed: u64) -> Vec<Value> {
     (0..n).map(|_| r.gen_range(0..bins)).collect()
 }
 
-/// An adversarial index stream: pairs of equal indices `d` apart, forcing a
-/// RAW hazard with reuse distance `d` at every other element.
-pub fn adversarial_stream(n: usize, bins: Value, reuse_distance: usize, seed: u64) -> Vec<Value> {
-    let mut v = index_stream(n, bins, seed);
-    let mut i = reuse_distance;
-    while i < n {
-        v[i] = v[i - reuse_distance];
-        i += reuse_distance.max(1) * 2;
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,13 +67,6 @@ mod tests {
                 .sum();
             assert!(diag >= off / 2, "row {i} not dominant enough");
         }
-    }
-
-    #[test]
-    fn adversarial_stream_repeats_at_distance() {
-        let v = adversarial_stream(32, 64, 3, 5);
-        assert_eq!(v[3], v[0]);
-        assert_eq!(v[9], v[6]);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub struct DirectMemory {
     io: PortIo,
     ram: SharedRam,
     timing: MemTiming,
-    reads: DelayLine<(usize, usize, prevv_dataflow::Tag)>,
+    reads: DelayLine<(usize, usize, u64)>,
     writes: DelayLine<(usize, prevv_dataflow::Value)>,
     /// Did the last commit mutate the io adapter — the only state `eval`
     /// reads? Backs [`Component::eval_invalidated`].
@@ -65,9 +65,9 @@ impl Component for DirectMemory {
 
         // Completions first so a read pushed this cycle waits its full
         // latency.
-        for (port, addr, tag) in self.reads.tick() {
-            let value = self.ram.borrow_mut().read(addr);
-            self.io.push_result(port, Token::tagged(value, tag));
+        for (port, addr, iter) in self.reads.tick() {
+            let value = self.ram.borrow().read(addr);
+            self.io.push_result(port, Token::new(value, iter));
         }
         for (addr, value) in self.writes.tick() {
             self.ram.borrow_mut().write(addr, value);
@@ -83,14 +83,14 @@ impl Component for DirectMemory {
             // datapath's token balance holds; stores are simply dropped.
             while let Some(f) = self.io.take_fake(p) {
                 if self.io.port(p).is_load() {
-                    self.io.push_result(p, Token::tagged(0, f.tag));
+                    self.io.push_result(p, Token::new(0, f.iter));
                 }
             }
             if self.io.port(p).is_load() {
                 while read_budget > 0 {
                     let Some(a) = self.io.take_addr(p) else { break };
                     let addr = self.io.resolve(p, a.value);
-                    self.reads.push(self.timing.read_latency, (p, addr, a.tag));
+                    self.reads.push(self.timing.read_latency, (p, addr, a.iter));
                     read_budget -= 1;
                 }
             } else {
@@ -99,8 +99,8 @@ impl Component for DirectMemory {
                         break;
                     };
                     debug_assert_eq!(
-                        a.tag.iter,
-                        self.io.peek_data(p).expect("peeked").tag.iter,
+                        a.iter,
+                        self.io.peek_data(p).expect("peeked").iter,
                         "store address/data streams must stay paired"
                     );
                     let a = self.io.take_addr(p).expect("peeked");
@@ -122,7 +122,7 @@ impl Component for DirectMemory {
     fn flush(&mut self, from_iter: u64) {
         self.eval_dirty = true;
         self.io.flush(from_iter);
-        self.reads.flush_if(|(_, _, tag)| tag.iter >= from_iter);
+        self.reads.flush_if(|&(_, _, iter)| iter >= from_iter);
         // Writes are not flushed: once issued they are architectural.
     }
 

@@ -25,7 +25,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use prevv_dataflow::{Component, Ports, Signals, Tag, Token, Value};
+use prevv_dataflow::{Component, Ports, Signals, Token, Value};
 use prevv_ir::{MemOpKind, MemoryInterface};
 
 use crate::delay::DelayLine;
@@ -153,7 +153,6 @@ struct Entry {
     port: usize,
     iter: u64,
     seq: u32,
-    tag: Tag,
     addr: Option<usize>,
     data: Option<Value>,
     state: EntryState,
@@ -292,7 +291,7 @@ impl Lsq {
                         break;
                     }
                     self.ready_allocs.pop_front();
-                    self.push_group(front.tag);
+                    self.push_group(front.iter);
                 }
             }
             Allocation::Speculative { window } => {
@@ -305,10 +304,7 @@ impl Lsq {
                     && self.next_spec_iter < self.confirmed + window as u64
                     && self.has_room()
                 {
-                    // Placeholder tag: overwritten by the address token (or
-                    // unused — cancelled loads answer with the fake token's
-                    // tag), so it never reaches a result channel.
-                    self.push_group(Tag::new(self.next_spec_iter));
+                    self.push_group(self.next_spec_iter);
                     self.next_spec_iter += 1;
                 }
             }
@@ -325,15 +321,14 @@ impl Lsq {
         room
     }
 
-    /// Reserves one entry per static memory op for iteration `tag.iter`.
-    fn push_group(&mut self, tag: Tag) {
+    /// Reserves one entry per static memory op for iteration `iter`.
+    fn push_group(&mut self, iter: u64) {
         for p in 0..self.io.port_count() {
             let op = &self.io.port(p).op;
             let entry = Entry {
                 port: p,
-                iter: tag.iter,
+                iter,
                 seq: op.seq,
-                tag,
                 addr: None,
                 data: None,
                 state: EntryState::Waiting,
@@ -354,12 +349,11 @@ impl Lsq {
                 let q = if is_load { &mut self.lq } else { &mut self.sq };
                 let Some(e) = q
                     .iter_mut()
-                    .find(|e| e.port == p && e.iter == tok.tag.iter && e.addr.is_none())
+                    .find(|e| e.port == p && e.iter == tok.iter && e.addr.is_none())
                 else {
                     break; // not allocated yet: leave queued upstream
                 };
                 e.addr = Some(addr);
-                e.tag = tok.tag;
                 self.io.take_addr(p).expect("peeked");
             }
             // Store data.
@@ -368,7 +362,7 @@ impl Lsq {
                     let Some(e) = self
                         .sq
                         .iter_mut()
-                        .find(|e| e.port == p && e.iter == tok.tag.iter && e.data.is_none())
+                        .find(|e| e.port == p && e.iter == tok.iter && e.data.is_none())
                     else {
                         break;
                     };
@@ -380,15 +374,16 @@ impl Lsq {
             // dummy result so the datapath's token balance holds.
             while let Some(tok) = self.io.peek_fake(p).copied() {
                 let q = if is_load { &mut self.lq } else { &mut self.sq };
-                let Some(e) = q.iter_mut().find(|e| {
-                    e.port == p && e.iter == tok.tag.iter && e.state == EntryState::Waiting
-                }) else {
+                let Some(e) = q
+                    .iter_mut()
+                    .find(|e| e.port == p && e.iter == tok.iter && e.state == EntryState::Waiting)
+                else {
                     break;
                 };
                 e.state = EntryState::Cancelled;
                 self.io.take_fake(p).expect("peeked");
                 if is_load {
-                    self.io.push_result(p, Token::tagged(0, tok.tag));
+                    self.io.push_result(p, Token::new(0, tok.iter));
                 }
             }
         }
@@ -440,8 +435,7 @@ impl Lsq {
                     let l = &mut self.lq[li];
                     l.state = EntryState::Done;
                     l.data = Some(v);
-                    let (port, tag) = (l.port, l.tag);
-                    self.io.push_result(port, Token::tagged(v, tag));
+                    self.io.push_result(l.port, Token::new(v, l.iter));
                     self.stats.forwards += 1;
                 }
                 Some((_, _, None)) => {
@@ -451,7 +445,7 @@ impl Lsq {
                     // Sample RAM now; all older matching stores are ruled
                     // out, and younger stores commit only behind them, so
                     // the value is stable for this load.
-                    let value = self.ram.borrow_mut().read(addr);
+                    let value = self.ram.borrow().read(addr);
                     let l = &mut self.lq[li];
                     l.state = EntryState::Issued;
                     self.reads.push(
@@ -546,8 +540,7 @@ impl Component for Lsq {
             {
                 e.state = EntryState::Done;
                 e.data = Some(value);
-                let tag = e.tag;
-                self.io.push_result(port, Token::tagged(value, tag));
+                self.io.push_result(port, Token::new(value, iter));
             }
         }
 
@@ -580,8 +573,8 @@ impl Component for Lsq {
         self.io.flush(from_iter);
         self.lq.retain(|e| e.iter < from_iter);
         self.sq.retain(|e| e.iter < from_iter);
-        self.ready_allocs.retain(|t| t.tag.iter < from_iter);
-        self.alloc_delay.flush_if(|t| t.tag.iter >= from_iter);
+        self.ready_allocs.retain(|t| t.iter < from_iter);
+        self.alloc_delay.flush_if(|t| t.iter >= from_iter);
         self.reads.flush_if(|&(_, iter, _, _)| iter >= from_iter);
         self.next_spec_iter = self.next_spec_iter.min(from_iter);
         self.confirmed = self.confirmed.min(from_iter);

@@ -32,7 +32,6 @@ pub struct PortIo {
     out_rob: Vec<BTreeMap<u64, Token>>,
     next_out: Vec<u64>,
     alloc_q: VecDeque<Token>,
-    fakes_seen: u64,
     /// Set by every state-mutating operation since the last
     /// [`take_dirty`](PortIo::take_dirty); controllers fold it into their
     /// `commit` changed-flag so the event scheduler and the engine watchdog
@@ -63,7 +62,6 @@ impl PortIo {
             out_rob: vec![BTreeMap::new(); n],
             next_out: vec![0; n],
             alloc_q: VecDeque::new(),
-            fakes_seen: 0,
             dirty: false,
         }
     }
@@ -146,7 +144,6 @@ impl PortIo {
             }
             if let Some(t) = p.fake_in.and_then(|f| sig.taken(f)) {
                 self.fake_q[i].push_back(t);
-                self.fakes_seen += 1;
                 self.dirty = true;
             }
             if let Some(o) = p.data_out {
@@ -201,7 +198,7 @@ impl PortIo {
     /// the store's data; controllers use this early visibility for address
     /// disambiguation.
     pub fn find_addr(&self, p: usize, iter: u64) -> Option<Token> {
-        self.addr_q[p].iter().find(|t| t.tag.iter == iter).copied()
+        self.addr_q[p].iter().find(|t| t.iter == iter).copied()
     }
 
     /// Pops the next store-data token of port `p`.
@@ -240,24 +237,19 @@ impl PortIo {
             self.iface.ports[p].data_out.is_some(),
             "port {p} has no result channel"
         );
-        let prev = self.out_rob[p].insert(token.tag.iter, token);
+        let prev = self.out_rob[p].insert(token.iter, token);
         assert!(
             prev.is_none(),
             "duplicate result for port {p} iteration {}",
-            token.tag.iter
+            token.iter
         );
         self.dirty = true;
-    }
-
-    /// Total fake tokens received.
-    pub fn fakes_seen(&self) -> u64 {
-        self.fakes_seen
     }
 
     /// Drops every queued token of iterations `>= from_iter`.
     pub fn flush(&mut self, from_iter: u64) {
         let before = self.occupancy();
-        let keep = |t: &Token| t.tag.iter < from_iter;
+        let keep = |t: &Token| t.iter < from_iter;
         self.alloc_q.retain(keep);
         for q in self
             .addr_q

@@ -14,18 +14,12 @@ use prevv_dataflow::Value;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ram {
     cells: Vec<Value>,
-    reads: u64,
-    writes: u64,
 }
 
 impl Ram {
     /// Creates a RAM initialized to `image`.
     pub fn new(image: Vec<Value>) -> Self {
-        Ram {
-            cells: image,
-            reads: 0,
-            writes: 0,
-        }
+        Ram { cells: image }
     }
 
     /// Creates a zeroed RAM of `words` cells.
@@ -49,8 +43,7 @@ impl Ram {
     ///
     /// Panics if `addr` is out of range (controllers resolve addresses into
     /// range before accessing).
-    pub fn read(&mut self, addr: usize) -> Value {
-        self.reads += 1;
+    pub fn read(&self, addr: usize) -> Value {
         self.cells[addr]
     }
 
@@ -60,23 +53,12 @@ impl Ram {
     ///
     /// Panics if `addr` is out of range.
     pub fn write(&mut self, addr: usize, value: Value) {
-        self.writes += 1;
         self.cells[addr] = value;
     }
 
     /// Read-only view of the whole image.
     pub fn image(&self) -> &[Value] {
         &self.cells
-    }
-
-    /// Total reads performed.
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total writes performed.
-    pub fn write_count(&self) -> u64 {
-        self.writes
     }
 }
 
@@ -99,8 +81,6 @@ mod tests {
         r.write(2, 7);
         assert_eq!(r.read(2), 7);
         assert_eq!(r.read(0), 0);
-        assert_eq!(r.read_count(), 2);
-        assert_eq!(r.write_count(), 1);
         assert_eq!(r.len(), 4);
     }
 

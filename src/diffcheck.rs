@@ -185,8 +185,9 @@ pub fn check_kernel(spec: &KernelSpec, opts: &DiffOptions) -> KernelVerdict {
         failures: Vec::new(),
     };
 
-    // 1. Golden reference.
-    let gold = match catch_unwind(AssertUnwindSafe(|| prevv_ir::golden::execute(spec))) {
+    // 1. Golden reference (final arrays only; no access trace).
+    let golden = || prevv_ir::golden::replay(spec, spec.iteration_count(), |_| {}).0;
+    let gold = match catch_unwind(AssertUnwindSafe(golden)) {
         Ok(g) => g,
         Err(p) => {
             verdict.failures.push(Failure {
@@ -292,7 +293,7 @@ pub fn check_kernel(spec: &KernelSpec, opts: &DiffOptions) -> KernelVerdict {
     for (ctrl, require_golden) in all {
         run_backend(
             spec,
-            &gold.arrays,
+            &gold,
             ctrl,
             require_golden,
             tolerate_prevv_wedge,

@@ -13,7 +13,7 @@ use std::path::Path;
 use prevv::dataflow::components::{
     BinOp, BinaryAlu, Branch, Buffer, Constant, Fork, IterSource, Sink, UnOp, UnaryAlu,
 };
-use prevv::dataflow::{ChannelId, Component, SquashBus};
+use prevv::dataflow::{ChannelId, Component};
 use prevv::ir::parse::parse_kernel;
 
 /// Exports of `components` that are not components.
@@ -33,10 +33,7 @@ fn library() -> Vec<(&'static str, Box<dyn Component>)> {
         ("Fork", Box::new(Fork::new(ch(0), vec![ch(1)]))),
         ("Sink", Box::new(Sink::new(vec![ch(0)]))),
         ("Buffer", Box::new(Buffer::new(1, ch(0), ch(1)))),
-        (
-            "IterSource",
-            Box::new(IterSource::new(vec![], vec![ch(0)], SquashBus::new())),
-        ),
+        ("IterSource", Box::new(IterSource::new(vec![], vec![ch(0)]))),
     ]
 }
 

@@ -230,10 +230,7 @@ fn run_with_divergent_gadget(seed: u64, scheduler: Scheduler) -> (SimError, [Cha
     let out = net.channel();
     let spill = net.channel();
     let rows = vec![vec![7, 0], vec![7, 1]];
-    net.add(
-        "wedge_src",
-        IterSource::new(rows, vec![data, cond], circuit.bus.clone()),
-    );
+    net.add("wedge_src", IterSource::new(rows, vec![data, cond]));
     net.add("wedge_gate", Branch::new(data, cond, enter, safe));
     net.add("wedge_safe", Sink::new(vec![safe]));
     net.add("wedge_negator", Negator { enter, back, out });
