@@ -46,9 +46,13 @@
 //!   against unreduced exploration by property tests; see DESIGN.md for
 //!   the independence argument.
 //! * **Hash compaction** — the visited set stores 64-bit fingerprints
-//!   (a splitmix64 chain over the canonical [`ProtocolKey`] words, the
-//!   issue cursors and the RAM image) with the parent fingerprint and the
-//!   generating port, ~24 bytes per state in an open-addressed table.
+//!   with the parent fingerprint and the generating port, 24 bytes per
+//!   state in an open-addressed table. A fingerprint is order-free: each
+//!   queue record, issue cursor and RAM cell is mixed on its own (cursors
+//!   and cells with their position), each section sums its terms, and a
+//!   short splitmix64 chain joins the sums with the frontier, the commit
+//!   cursor and the queue length. The canonical key's records are a set,
+//!   so no sort is needed, and the terms mix independently.
 //!   Full states live only for the current and next BFS level.
 //!   Counterexamples are rebuilt by backtracking parent fingerprints to
 //!   the root and deterministically re-executing the port sequence.
@@ -57,7 +61,9 @@
 //! * **Parallel frontier** — each level is expanded by a work-stealing
 //!   chunk pool ([`ProtocolOptions::threads`]); results are merged in
 //!   deterministic chunk order, so any thread count produces the same
-//!   exploration order, the same traces, and the same statistics.
+//!   exploration order, the same traces, and the same statistics. Workers
+//!   are dealt recycled state buffers, so they build successors without
+//!   allocating.
 //!
 //! Counterexamples are span-annotated via
 //! [`Stmt::op_span`](prevv_ir::Stmt::op_span) and can be re-executed
@@ -65,11 +71,12 @@
 //! property tests prove every reported trace is real.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use prevv_core::protocol::{ProtocolKey, RecordKey};
+use prevv_core::protocol::ProtocolKey;
 use prevv_core::reduce::reduce;
 use prevv_core::{Arbiter, CommitStep, PrematureRecord, PrevvConfig, ProtocolState, Verdict};
 use prevv_dataflow::Value;
@@ -354,11 +361,11 @@ pub fn replay(
             cycle_key = Some(st.key());
         }
         match model.try_step(&st, ev.op, &mut scratch) {
-            StepOutcome::Stepped {
+            Ok(Step {
                 event,
                 reduction_escape,
                 ..
-            } => {
+            }) => {
                 if event.kind != ev.kind || event.iter != ev.iter {
                     return Err(format!(
                         "event {}: expected {:?} of iteration {}, got {:?} of iteration {}",
@@ -372,7 +379,7 @@ pub fn replay(
                 last_escape = reduction_escape;
                 std::mem::swap(&mut st, &mut scratch);
             }
-            blocked => {
+            Err(blocked) => {
                 return Err(format!(
                     "event {}: op {} not enabled ({})",
                     k + 1,
@@ -385,10 +392,10 @@ pub fn replay(
     let mut any = false;
     let mut adm = false;
     for op in 0..model.ops.len() {
-        match model.try_step(&st, op, &mut scratch) {
-            StepOutcome::Stepped { .. } => any = true,
-            StepOutcome::BlockedAdmission => adm = true,
-            _ => {}
+        match model.gate(&st, op) {
+            Ok(_) => any = true,
+            Err(Blocked::Admission) => adm = true,
+            Err(_) => {}
         }
     }
     Ok(ReplayOutcome {
@@ -413,6 +420,31 @@ fn splitmix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The fingerprint term of one queue record: every field the canonical key
+/// projects, packed into two words and mixed. Each record is hashed on its
+/// own and the terms are summed, so neither the queue's physical order nor
+/// a sort enters the fingerprint.
+fn record_hash(r: &PrematureRecord) -> u64 {
+    let flags = u64::from(r.kind == MemOpKind::Store)
+        | u64::from(r.fake) << 1
+        | u64::from(r.committed) << 2
+        | u64::from(r.addr.is_some()) << 3;
+    let op = r.iter << 32 ^ (r.port as u64) << 16 ^ u64::from(r.seq) << 4 ^ flags;
+    let access = r.addr.unwrap_or(0) as u64 ^ (r.value as u64).rotate_left(32);
+    splitmix(op.wrapping_mul(0xD1B5_4A32_D192_ED03) ^ access)
+}
+
+/// The fingerprint term sum of an array section (the issue cursors or the
+/// RAM image): each word is mixed together with its position, so the sum
+/// sees where every value sits.
+fn cells_hash(words: impl Iterator<Item = u64>) -> u64 {
+    words.enumerate().fold(0u64, |sum, (pos, w)| {
+        sum.wrapping_add(splitmix(
+            w ^ (pos as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
+        ))
+    })
 }
 
 /// One visited state: its fingerprint, the fingerprint of the BFS parent
@@ -559,53 +591,81 @@ impl McState {
 
 /// Per-worker scratch buffers, never shared across threads. `pool`
 /// recycles retired state buffers ([`McState::clone_from`] overwrites them
-/// in place instead of allocating); `keys` is the record-projection arena
-/// the fingerprint sorts into ([`ProtocolState::fold_key_words`]). One
-/// fingerprint runs per explored transition, so in steady state the pair
-/// makes the expansion hot loop allocation-free.
+/// in place instead of allocating); `gates` holds the expanded state's
+/// per-op [`Gate`]s. In steady state the pair makes the expansion hot loop
+/// allocation-free.
 #[derive(Default)]
 struct WorkerScratch {
     pool: Vec<McState>,
-    keys: Vec<RecordKey>,
+    gates: Vec<Gate>,
 }
 
-enum StepOutcome {
-    /// The op has a unique enabled transition; the successor state has been
-    /// written into the caller's scratch buffer.
-    Stepped {
-        event: TraceEvent,
-        squash: bool,
-        /// The arrival is a §V-B-eliminated op whose full-set verdict was a
-        /// squash (the PV204 witness condition).
-        reduction_escape: bool,
-    },
-    /// Blocked by the admission reservation (a PV203 witness when terminal).
-    BlockedAdmission,
-    /// Blocked waiting for an operand load of the same iteration.
-    BlockedOperand,
-    /// All `bound` iterations of this op already processed.
-    Exhausted,
-}
+impl WorkerScratch {
+    /// A recycled state buffer, or a hollow one when the pool is dry.
+    fn state(&mut self) -> McState {
+        self.pool.pop().unwrap_or_else(McState::hollow)
+    }
 
-impl StepOutcome {
-    fn name(&self) -> &'static str {
-        match self {
-            StepOutcome::Stepped { .. } => "enabled",
-            StepOutcome::BlockedAdmission => "blocked on admission",
-            StepOutcome::BlockedOperand => "blocked on an operand",
-            StepOutcome::Exhausted => "exhausted",
+    /// Deals an even share of the recycled states to each worker.
+    fn deal(&mut self, workers: &mut [WorkerScratch]) {
+        let share = self.pool.len() / workers.len();
+        for w in workers {
+            w.pool.extend(self.pool.drain(self.pool.len() - share..));
+        }
+    }
+
+    /// Takes back the states the workers did not use.
+    fn gather(&mut self, workers: &mut [WorkerScratch]) {
+        for w in workers {
+            self.pool.append(&mut w.pool);
         }
     }
 }
 
-/// The gating half of [`Model::try_step`], without cloning or evaluating —
-/// cheap enough to probe for every op when selecting an ample transition.
+/// Why an op has no transition from a state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpStatus {
-    Enabled,
-    BlockedAdmission,
-    BlockedOperand,
+enum Blocked {
+    /// Blocked by the admission reservation (a PV203 witness when terminal).
+    Admission,
+    /// Waiting for an operand load of the same iteration.
+    Operand,
+    /// All `bound` iterations of this op already processed.
     Exhausted,
+}
+
+impl Blocked {
+    fn name(self) -> &'static str {
+        match self {
+            Blocked::Admission => "blocked on admission",
+            Blocked::Operand => "blocked on an operand",
+            Blocked::Exhausted => "exhausted",
+        }
+    }
+}
+
+/// How an enabled op arrives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arrival {
+    /// Guard false, fake tokens disabled: the op sends nothing at all.
+    Skip,
+    /// Guard false: a fake token (paper §V-C).
+    Fake,
+    /// Guard true: a real access, validated on arrival.
+    Real,
+}
+
+/// An op's gate in a state ([`Model::gate`]): how it arrives, or why it
+/// cannot.
+type Gate = Result<Arrival, Blocked>;
+
+/// The unique transition of an enabled op; the successor state has been
+/// written into the caller's scratch buffer.
+struct Step {
+    event: TraceEvent,
+    squash: bool,
+    /// The arrival is a §V-B-eliminated op whose full-set verdict was a
+    /// squash (the PV204 witness condition).
+    reduction_escape: bool,
 }
 
 enum DeadCause {
@@ -706,14 +766,12 @@ struct PlaneGraph {
     /// Fingerprint → newest node carrying it.
     buckets: HashMap<u64, usize>,
     queries: u32,
-    /// Record-projection arena for [`Model::fingerprint`].
-    keys: Vec<RecordKey>,
 }
 
 impl PlaneGraph {
     /// The node of `st`'s key, created (unexpanded) if new.
     fn intern(&mut self, model: &Model, st: &McState) -> usize {
-        let fp = model.fingerprint(st, &mut self.keys);
+        let fp = model.fingerprint(st);
         let key = st.key();
         let mut at = self.buckets.get(&fp).copied();
         while let Some(n) = at {
@@ -743,10 +801,10 @@ impl PlaneGraph {
         let plane = (st.proto.frontier, st.proto.next_commit);
         let mut succs = Vec::new();
         for op in 0..model.ops.len() {
-            if let StepOutcome::Stepped { .. } = model.try_step(&st, op, scratch) {
-                if (scratch.proto.frontier, scratch.proto.next_commit) == plane {
-                    succs.push((op, self.intern(model, scratch)));
-                }
+            if model.try_step(&st, op, scratch).is_ok()
+                && (scratch.proto.frontier, scratch.proto.next_commit) == plane
+            {
+                succs.push((op, self.intern(model, scratch)));
             }
         }
         self.nodes[n].body = PlaneBody::Expanded(succs);
@@ -820,7 +878,6 @@ struct Model<'a> {
     audit: bool,
     threads: usize,
     ops: Vec<StaticMemOp>,
-    stmt_base: Vec<usize>,
     spans: Vec<Option<Span>>,
     labels: Vec<String>,
     store_seqs: Vec<u32>,
@@ -830,9 +887,14 @@ struct Model<'a> {
     init_ram: Vec<Value>,
     rows: Vec<Vec<Value>>,
     guard_taken: Vec<Vec<bool>>,
+    /// Per op: the loads whose record values feed it, as an id range
+    /// (see [`Model::build`]).
+    operands: Vec<Range<usize>>,
     arbiter: Arbiter,
-    validated: HashSet<usize>,
-    reduced: HashSet<usize>,
+    /// Per op: does the arbiter validate its arrivals?
+    validated: Vec<bool>,
+    /// Per op: is it in the §V-B reduced validation set?
+    reduced: Vec<bool>,
     /// Static half of the ample check: op is unvalidated and its footprint
     /// is proven independent of every conflicting op on the same array.
     ample_ok: Vec<bool>,
@@ -938,9 +1000,24 @@ impl<'a> Model<'a> {
         }
         let init_ram = iface.initial_ram();
 
-        let validated = iface.ambiguous_ops();
-        let reduced = reduce(iface, true).validated;
-        let arbiter = Arbiter::new(validated.clone(), opts.config.forwarding);
+        let validated_set = iface.ambiguous_ops();
+        let mask = |set: &HashSet<usize>| (0..ops.len()).map(|op| set.contains(&op)).collect();
+        let validated: Vec<bool> = mask(&validated_set);
+        let reduced: Vec<bool> = mask(&reduce(iface, true).validated);
+        let arbiter = Arbiter::new(validated_set, opts.config.forwarding);
+
+        // The operand ops of each op: loads depend on the loads nested in
+        // their index expression, which `Expr::loads` places contiguously
+        // right before them; stores depend on all of their statement's
+        // loads.
+        let operands: Vec<Range<usize>> = ops
+            .iter()
+            .enumerate()
+            .map(|(op, o)| match o.kind {
+                MemOpKind::Load => (op - o.index.loads().len())..op,
+                MemOpKind::Store => stmt_base[o.stmt]..op,
+            })
+            .collect();
 
         // Static ample eligibility. An op can only be explored alone when
         // its arrival provably commutes with every other enabled arrival:
@@ -960,17 +1037,10 @@ impl<'a> Model<'a> {
         //   to store arrival order.
         //
         // The dynamic half (purity + persistence + admission slack) is
-        // checked per state in `expand_state`.
-        let operand_range = |op: usize| -> std::ops::Range<usize> {
-            let o = &ops[op];
-            match o.kind {
-                MemOpKind::Load => (op - o.index.loads().len())..op,
-                MemOpKind::Store => stmt_base[o.stmt]..op,
-            }
-        };
+        // checked per state in `try_ample`.
         let mut ample_ok = vec![false; ops.len()];
         for (p, slot) in ample_ok.iter_mut().enumerate() {
-            if validated.contains(&p) {
+            if validated[p] {
                 continue;
             }
             let mut ok = true;
@@ -982,7 +1052,7 @@ impl<'a> Model<'a> {
                     continue;
                 }
                 let class = classify_accesses(spec, &ops[p].index, &ops[q].index, ops[p].array);
-                let operand_forced = operand_range(p).contains(&q) || operand_range(q).contains(&p);
+                let operand_forced = operands[p].contains(&q) || operands[q].contains(&p);
                 match class {
                     PairClass::Disjoint => {}
                     PairClass::SameIterationOnly if operand_forced => {}
@@ -1020,7 +1090,6 @@ impl<'a> Model<'a> {
             audit: opts.audit,
             threads,
             ops,
-            stmt_base,
             spans,
             labels,
             store_seqs,
@@ -1030,6 +1099,7 @@ impl<'a> Model<'a> {
             init_ram,
             rows,
             guard_taken,
+            operands,
             arbiter,
             validated,
             reduced,
@@ -1048,22 +1118,33 @@ impl<'a> Model<'a> {
         }
     }
 
-    /// Keyless 64-bit fingerprint of a state: a splitmix64 chain over the
-    /// canonical protocol-key words, the issue cursors and the RAM image.
-    /// All three sections have a state-independent length for a given
-    /// model (the key stream is length-prefixed), so no separators are
-    /// needed. Zero is remapped (it marks an empty table slot). `keys` is
-    /// the caller's reusable record-projection arena — this runs once per
-    /// explored transition and must not allocate.
-    fn fingerprint(&self, st: &McState, keys: &mut Vec<RecordKey>) -> u64 {
-        let mut h = 0x5157_cc1b_7272_20a5u64;
-        st.proto.fold_key_words(keys, |w| h = splitmix(h ^ w));
-        for &i in &st.issued {
-            h = splitmix(h ^ i);
-        }
-        for &v in &st.ram {
-            h = splitmix(h ^ v as u64);
-        }
+    /// Keyless 64-bit fingerprint of a state, a function of exactly its
+    /// canonical key ([`McState::key`]). The queue records, the issue
+    /// cursors and the RAM image are each hashed term by term and summed
+    /// with wrapping adds; a short splitmix64 chain then joins the three
+    /// sums with the frontier, the commit cursor and the queue length. A
+    /// sum is blind to order, which is what the key wants: its records are
+    /// a set (`(iter, seq)` is unique per record), sorted only to make
+    /// equality canonical. The terms carry no serial dependence, and
+    /// nothing is sorted or allocated — this runs once per explored
+    /// transition. Zero is remapped (it marks an empty table slot).
+    fn fingerprint(&self, st: &McState) -> u64 {
+        let records = st
+            .proto
+            .queue
+            .iter()
+            .fold(0u64, |sum, r| sum.wrapping_add(record_hash(r)));
+        let sections = [
+            records,
+            cells_hash(st.issued.iter().copied()),
+            cells_hash(st.ram.iter().map(|&v| v as u64)),
+            st.proto.frontier,
+            st.proto.next_commit,
+            st.proto.queue.len() as u64,
+        ];
+        let h = sections
+            .iter()
+            .fold(0x5157_cc1b_7272_20a5u64, |h, &w| splitmix(h ^ w));
         if h == 0 {
             1
         } else {
@@ -1080,21 +1161,6 @@ impl<'a> Model<'a> {
         st.issued.iter().all(|&i| i >= self.bound)
             && st.proto.queue.is_empty()
             && st.proto.frontier >= self.bound
-    }
-
-    /// The operand ops (loads whose record values feed this op) of `op`, as
-    /// id ranges. Loads depend on the loads nested in their index
-    /// expression, which `Expr::loads` places contiguously right before
-    /// them; stores depend on all of their statement's loads.
-    fn operands(&self, op: usize) -> std::ops::Range<usize> {
-        let o = &self.ops[op];
-        match o.kind {
-            MemOpKind::Load => {
-                let nested = o.index.loads().len();
-                (op - nested)..op
-            }
-            MemOpKind::Store => self.stmt_base[o.stmt]..op,
-        }
     }
 
     /// Deterministic housekeeping to fixpoint: frontier advance, in-order
@@ -1128,28 +1194,23 @@ impl<'a> Model<'a> {
         }
     }
 
-    fn operand_values(&self, st: &McState, range: std::ops::Range<usize>, iter: u64) -> Vec<Value> {
-        range
-            .map(|q| {
-                st.proto
-                    .queue
-                    .iter()
-                    .find(|r| r.port == q && r.iter == iter)
-                    .map(|r| r.value)
-                    .expect("operand record resident")
-            })
-            .collect()
-    }
-
     /// Address and premature value of the arriving real op.
     fn evaluate(&self, st: &McState, op: usize, iter: u64) -> (usize, Value) {
         let o = &self.ops[op];
         let row = &self.rows[iter as usize];
-        let vals = self.operand_values(st, self.operands(op), iter);
         // The operand records hold the op's nested load values in canonical
-        // order, which is the order `Expr::eval` asks for them.
-        let mut operands = vals.iter().copied();
-        let mut load = |_, _| operands.next().expect("recorded operand value");
+        // order, which is the order `Expr::eval` asks for them; each one is
+        // read straight from its resident record.
+        let mut operands = self.operands[op].clone();
+        let mut load = |_, _| {
+            let q = operands.next().expect("recorded operand value");
+            st.proto
+                .queue
+                .iter()
+                .find(|r| r.port == q && r.iter == iter)
+                .map(|r| r.value)
+                .expect("operand record resident")
+        };
         match o.kind {
             MemOpKind::Load => {
                 let raw = o.index.eval(row, &mut load);
@@ -1236,83 +1297,73 @@ impl<'a> Model<'a> {
         }
     }
 
-    /// The gating prefix of [`Self::try_step`] — must mirror it exactly:
-    /// `op_status` returns [`OpStatus::Enabled`] iff `try_step` would
-    /// return [`StepOutcome::Stepped`].
-    fn op_status(&self, st: &McState, op: usize) -> OpStatus {
+    /// The gate of `op` in `st`: how its next arrival happens, or why it
+    /// is blocked. Cheap (no cloning, no evaluation), so expansion probes
+    /// it for every op before choosing an ample transition, and it is the
+    /// one enabling condition [`Self::step`] relies on.
+    fn gate(&self, st: &McState, op: usize) -> Gate {
         let iter = st.issued[op];
         if iter >= self.bound {
-            return OpStatus::Exhausted;
+            return Err(Blocked::Exhausted);
         }
-        let o = &self.ops[op];
-        if !self.guard_taken[iter as usize][o.stmt] {
-            if !self.fake_tokens {
-                return OpStatus::Enabled; // the silent skip is a step
+        let arrival = if self.guard_taken[iter as usize][self.ops[op].stmt] {
+            if self.operands[op].clone().any(|q| st.issued[q] <= iter) {
+                return Err(Blocked::Operand);
             }
-            return if st.proto.can_admit(iter, self.ports, 0) {
-                OpStatus::Enabled
-            } else {
-                OpStatus::BlockedAdmission
-            };
-        }
-        if self.operands(op).any(|q| st.issued[q] <= iter) {
-            return OpStatus::BlockedOperand;
-        }
-        if st.proto.can_admit(iter, self.ports, 0) {
-            OpStatus::Enabled
+            Arrival::Real
+        } else if self.fake_tokens {
+            Arrival::Fake
         } else {
-            OpStatus::BlockedAdmission
+            // The silent skip takes no queue slot.
+            return Ok(Arrival::Skip);
+        };
+        if st.proto.can_admit(iter, self.ports, 0) {
+            Ok(arrival)
+        } else {
+            Err(Blocked::Admission)
         }
     }
 
     /// The unique transition of `op` from `st`, if enabled. The successor
     /// is written into `next`, a caller-owned scratch state whose buffers
-    /// are recycled across calls ([`McState::clone_from`]); blocked
-    /// outcomes leave `next` untouched and allocate nothing.
-    fn try_step(&self, st: &McState, op: usize, next: &mut McState) -> StepOutcome {
+    /// are recycled across calls ([`McState::clone_from`]); a blocked op
+    /// leaves `next` untouched and allocates nothing.
+    fn try_step(&self, st: &McState, op: usize, next: &mut McState) -> Result<Step, Blocked> {
+        let arrival = self.gate(st, op)?;
+        Ok(self.step(st, op, arrival, next))
+    }
+
+    /// Fires `op`, whose [`Self::gate`] in `st` is `Ok(arrival)`.
+    fn step(&self, st: &McState, op: usize, arrival: Arrival, next: &mut McState) -> Step {
         let iter = st.issued[op];
-        if iter >= self.bound {
-            return StepOutcome::Exhausted;
-        }
         let o = &self.ops[op];
-        if !self.guard_taken[iter as usize][o.stmt] {
-            if !self.fake_tokens {
+        let quiet = |event| Step {
+            event,
+            squash: false,
+            reduction_escape: false,
+        };
+        match arrival {
+            Arrival::Skip => {
                 // The op sends nothing at all: the iteration can never
                 // complete at the frontier (the §V-C deadlock).
                 next.clone_from(st);
                 next.issued[op] = iter + 1;
-                let event = self.event(op, iter, EventKind::Skip, None, 0, None);
-                return StepOutcome::Stepped {
-                    event,
-                    squash: false,
-                    reduction_escape: false,
-                };
+                return quiet(self.event(op, iter, EventKind::Skip, None, 0, None));
             }
-            if !st.proto.can_admit(iter, self.ports, 0) {
-                return StepOutcome::BlockedAdmission;
+            Arrival::Fake => {
+                next.clone_from(st);
+                next.proto.note_admitted(iter);
+                next.proto
+                    .record_arrival(PrematureRecord::fake(op, o.kind, iter, o.seq));
+                next.issued[op] = iter + 1;
+                self.housekeeping(next);
+                return quiet(self.event(op, iter, EventKind::Fake, None, 0, None));
             }
-            next.clone_from(st);
-            next.proto.note_admitted(iter);
-            next.proto
-                .record_arrival(PrematureRecord::fake(op, o.kind, iter, o.seq));
-            next.issued[op] = iter + 1;
-            self.housekeeping(next);
-            let event = self.event(op, iter, EventKind::Fake, None, 0, None);
-            return StepOutcome::Stepped {
-                event,
-                squash: false,
-                reduction_escape: false,
-            };
-        }
-        if self.operands(op).any(|q| st.issued[q] <= iter) {
-            return StepOutcome::BlockedOperand;
-        }
-        if !st.proto.can_admit(iter, self.ports, 0) {
-            return StepOutcome::BlockedAdmission;
+            Arrival::Real => {}
         }
         let (addr, value) = self.evaluate(st, op, iter);
         let mut rec = PrematureRecord::real(op, o.kind, iter, o.seq, addr, value);
-        let verdict = if self.validated.contains(&op) {
+        let verdict = if self.validated[op] {
             self.arbiter.verdict(&st.proto.queue, &rec)
         } else {
             Verdict::Clean
@@ -1334,7 +1385,7 @@ impl<'a> Model<'a> {
             Verdict::Squash(viol) => {
                 // The §V-B reduction exempts this op from validation; a
                 // squash verdict here is one the reduced set would miss.
-                reduction_escape = self.cfg.pair_reduction && !self.reduced.contains(&op);
+                reduction_escape = self.cfg.pair_reduction && !self.reduced[op];
                 next.proto.record_arrival(rec);
                 next.proto.flush(viol.from_iter);
                 for i in next.issued.iter_mut() {
@@ -1352,7 +1403,7 @@ impl<'a> Model<'a> {
         };
         let squash = event.kind == EventKind::Squash;
         self.housekeeping(next);
-        StepOutcome::Stepped {
+        Step {
             event,
             squash,
             reduction_escape,
@@ -1377,70 +1428,69 @@ impl<'a> Model<'a> {
     /// Expands one state. When partial-order reduction applies, the result
     /// holds the single ample successor; otherwise all of them.
     ///
-    /// `pool` holds retired states whose buffers are recycled:
-    /// [`Model::try_step`] assigns into a pooled scratch via `clone_from`
+    /// `ws` holds retired states whose buffers are recycled:
+    /// [`Model::step`] assigns into a pooled scratch via `clone_from`
     /// instead of cloning fresh, so in steady state successor construction
     /// costs no allocation at all — the ring, issue cursors and RAM image
     /// of a previously discarded state are overwritten in place. Kept
-    /// successors are moved out whole and replaced from the pool.
+    /// successors are moved out whole and replaced from the pool. Each
+    /// op's gate is probed once, into the reused `ws.gates`.
     fn expand_state(&self, st: &McState, ws: &mut WorkerScratch) -> StateResult {
-        let mut scratch = ws.pool.pop().unwrap_or_else(McState::hollow);
-        let result = self.expand_state_with(st, ws, &mut scratch);
+        let mut gates = std::mem::take(&mut ws.gates);
+        gates.clear();
+        gates.extend((0..self.ops.len()).map(|op| self.gate(st, op)));
+        let mut scratch = ws.state();
+        let result = self.expand_gated(st, &gates, ws, &mut scratch);
         ws.pool.push(scratch);
+        ws.gates = gates;
         result
     }
 
-    fn expand_state_with(
+    fn expand_gated(
         &self,
         st: &McState,
+        gates: &[Gate],
         ws: &mut WorkerScratch,
         scratch: &mut McState,
     ) -> StateResult {
-        let statuses: Vec<OpStatus> = (0..self.ops.len())
-            .map(|op| self.op_status(st, op))
-            .collect();
-        let enabled_count = statuses.iter().filter(|&&s| s == OpStatus::Enabled).count();
+        let enabled_count = gates.iter().filter(|g| g.is_ok()).count();
 
         if self.por && enabled_count > 1 {
-            if let Some(res) = self.try_ample(st, &statuses, enabled_count, ws, scratch) {
+            if let Some(res) = self.try_ample(st, gates, enabled_count, ws, scratch) {
                 return res;
             }
         }
 
-        let mut succs = Vec::new();
-        let mut blocked: Vec<(usize, u64)> = Vec::new();
+        let mut succs = Vec::with_capacity(enabled_count);
         let mut escape = None;
         let mut squash_cands = Vec::new();
-        for op in 0..self.ops.len() {
-            match self.try_step(st, op, scratch) {
-                StepOutcome::Stepped {
-                    event,
-                    squash,
-                    reduction_escape,
-                } => {
-                    if reduction_escape && escape.is_none() {
-                        escape = Some(event.clone());
-                    }
-                    if squash
-                        && scratch.proto.frontier == st.proto.frontier
-                        && scratch.proto.next_commit == st.proto.next_commit
-                    {
-                        // A squash that made no frontier/commit progress can
-                        // close a livelock cycle (both quantities are
-                        // monotone, so a cycle holds them constant).
-                        squash_cands.push((scratch.clone(), event));
-                    }
-                    let fp = self.fingerprint(scratch, &mut ws.keys);
-                    let replacement = ws.pool.pop().unwrap_or_else(McState::hollow);
-                    succs.push(Succ {
-                        op,
-                        fp,
-                        state: std::mem::replace(scratch, replacement),
-                    });
-                }
-                StepOutcome::BlockedAdmission => blocked.push((op, st.issued[op])),
-                StepOutcome::BlockedOperand | StepOutcome::Exhausted => {}
+        for (op, gate) in gates.iter().enumerate() {
+            let Ok(arrival) = *gate else {
+                continue;
+            };
+            let Step {
+                event,
+                squash,
+                reduction_escape,
+            } = self.step(st, op, arrival, scratch);
+            if reduction_escape && escape.is_none() {
+                escape = Some(event.clone());
             }
+            if squash
+                && scratch.proto.frontier == st.proto.frontier
+                && scratch.proto.next_commit == st.proto.next_commit
+            {
+                // A squash that made no frontier/commit progress can close a
+                // livelock cycle (both quantities are monotone, so a cycle
+                // holds them constant).
+                squash_cands.push((scratch.clone(), event));
+            }
+            let fp = self.fingerprint(scratch);
+            succs.push(Succ {
+                op,
+                fp,
+                state: std::mem::replace(scratch, ws.state()),
+            });
         }
         let success = self.is_success(st);
         if success {
@@ -1449,10 +1499,16 @@ impl<'a> Model<'a> {
                 "a completed interleaving must match the sequential semantics"
             );
         }
+        let dead_blocked = (enabled_count == 0 && !success).then(|| {
+            (0..self.ops.len())
+                .filter(|&op| gates[op] == Err(Blocked::Admission))
+                .map(|op| (op, st.issued[op]))
+                .collect()
+        });
         StateResult {
             succs,
             enabled: enabled_count as u32,
-            dead_blocked: (enabled_count == 0 && !success).then_some(blocked),
+            dead_blocked,
             escape,
             squash_cands,
         }
@@ -1481,13 +1537,16 @@ impl<'a> Model<'a> {
     fn try_ample(
         &self,
         st: &McState,
-        statuses: &[OpStatus],
+        gates: &[Gate],
         enabled_count: usize,
         ws: &mut WorkerScratch,
         scratch: &mut McState,
     ) -> Option<StateResult> {
         for p in 0..self.ops.len() {
-            if statuses[p] != OpStatus::Enabled || !self.ample_ok[p] {
+            let Ok(arrival) = gates[p] else {
+                continue;
+            };
+            if !self.ample_ok[p] {
                 continue;
             }
             if st.issued[p] <= st.proto.frontier {
@@ -1499,14 +1558,11 @@ impl<'a> Model<'a> {
             {
                 continue;
             }
-            let StepOutcome::Stepped {
+            let Step {
                 squash,
                 reduction_escape,
                 ..
-            } = self.try_step(st, p, scratch)
-            else {
-                continue;
-            };
+            } = self.step(st, p, arrival, scratch);
             debug_assert!(
                 !squash && !reduction_escape,
                 "ample ops are never validated"
@@ -1518,21 +1574,17 @@ impl<'a> Model<'a> {
             {
                 continue;
             }
-            let persistent = (0..self.ops.len()).all(|q| {
-                q == p
-                    || statuses[q] != OpStatus::Enabled
-                    || self.op_status(scratch, q) == OpStatus::Enabled
-            });
+            let persistent = (0..self.ops.len())
+                .all(|q| q == p || gates[q].is_err() || self.gate(scratch, q).is_ok());
             if !persistent {
                 continue;
             }
-            let fp = self.fingerprint(scratch, &mut ws.keys);
-            let replacement = ws.pool.pop().unwrap_or_else(McState::hollow);
+            let fp = self.fingerprint(scratch);
             return Some(StateResult {
                 succs: vec![Succ {
                     op: p,
                     fp,
-                    state: std::mem::replace(scratch, replacement),
+                    state: std::mem::replace(scratch, ws.state()),
                 }],
                 enabled: enabled_count as u32,
                 dead_blocked: None,
@@ -1549,46 +1601,59 @@ impl<'a> Model<'a> {
     /// index, so exploration is deterministic and single-threaded runs are
     /// byte-identical to multi-threaded ones.
     ///
-    /// `ws` holds the worker scratch (recycled state buffers plus the
-    /// fingerprint key arena, see [`Model::expand_state`]); the sequential
-    /// path threads it straight through, while parallel workers keep
-    /// thread-local scratch (recycled states surface on the merging thread
-    /// and cannot cheaply cross back).
-    fn expand_level(&self, level: &[(u64, McState)], ws: &mut WorkerScratch) -> Vec<StateResult> {
+    /// `ws` holds the merging thread's scratch (recycled buffers, see
+    /// [`Model::expand_state`]). The sequential path threads it straight
+    /// through. In parallel, each of the `workers` (kept across levels, so
+    /// their buffers keep their capacity) is dealt an even share of the
+    /// recycled states and hands back what it did not use, so workers
+    /// build successors in recycled buffers too instead of allocating each
+    /// one fresh and leaving the merging thread to free it. The results
+    /// come in chunks, so no level-sized vector is built per level.
+    fn expand_level(
+        &self,
+        level: &[(u64, McState)],
+        ws: &mut WorkerScratch,
+        workers: &mut Vec<WorkerScratch>,
+    ) -> Vec<Vec<StateResult>> {
         const CHUNK: usize = 256;
         if self.threads <= 1 || level.len() <= CHUNK {
-            return level
+            return vec![level
                 .iter()
                 .map(|(_, st)| self.expand_state(st, ws))
-                .collect();
+                .collect()];
         }
         let nchunks = level.len().div_ceil(CHUNK);
         let counter = AtomicUsize::new(0);
         let results: Mutex<Vec<(usize, Vec<StateResult>)>> =
             Mutex::new(Vec::with_capacity(nchunks));
+        let n = self.threads.min(nchunks);
+        if workers.len() < n {
+            workers.resize_with(n, WorkerScratch::default);
+        }
+        let locals = &mut workers[..n];
+        ws.deal(locals);
         std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(nchunks) {
-                scope.spawn(|| {
-                    let mut local = WorkerScratch::default();
-                    loop {
-                        let c = counter.fetch_add(1, Ordering::Relaxed);
-                        if c >= nchunks {
-                            break;
-                        }
-                        let lo = c * CHUNK;
-                        let hi = (lo + CHUNK).min(level.len());
-                        let out: Vec<StateResult> = level[lo..hi]
-                            .iter()
-                            .map(|(_, st)| self.expand_state(st, &mut local))
-                            .collect();
-                        results.lock().expect("worker panicked").push((c, out));
+            for local in locals.iter_mut() {
+                let (counter, results) = (&counter, &results);
+                scope.spawn(move || loop {
+                    let c = counter.fetch_add(1, Ordering::Relaxed);
+                    if c >= nchunks {
+                        break;
                     }
+                    let lo = c * CHUNK;
+                    let hi = (lo + CHUNK).min(level.len());
+                    let out: Vec<StateResult> = level[lo..hi]
+                        .iter()
+                        .map(|(_, st)| self.expand_state(st, local))
+                        .collect();
+                    results.lock().expect("worker panicked").push((c, out));
                 });
             }
         });
+        ws.gather(locals);
         let mut results = results.into_inner().expect("worker panicked");
         results.sort_unstable_by_key(|&(c, _)| c);
-        results.into_iter().flat_map(|(_, v)| v).collect()
+        results.into_iter().map(|(_, v)| v).collect()
     }
 
     /// Backtracks the parent-fingerprint chain of `fp` to the root and
@@ -1624,13 +1689,13 @@ impl<'a> Model<'a> {
         let mut events = Vec::with_capacity(ops.len());
         for &op in ops {
             match self.try_step(&st, op, &mut scratch) {
-                StepOutcome::Stepped { event, .. } => {
+                Ok(Step { event, .. }) => {
                     events.push(self.describe(event));
                     std::mem::swap(&mut st, &mut scratch);
                 }
                 // Unreachable short of a fingerprint collision; truncate
                 // deterministically rather than panic.
-                _ => break,
+                Err(_) => break,
             }
         }
         events
@@ -1664,9 +1729,10 @@ impl<'a> Model<'a> {
         // Retired states (duplicate successors, fully expanded parents) are
         // recycled through the worker scratch so the expansion hot loop
         // reuses their buffers instead of allocating fresh ones per
-        // transition; the key arena is recycled the same way.
+        // transition.
         let mut ws = WorkerScratch::default();
-        let init_fp = self.fingerprint(&init, &mut ws.keys);
+        let mut workers = Vec::new();
+        let init_fp = self.fingerprint(&init);
 
         let mut visited = FpTable::new();
         visited.insert(init_fp, 0, ROOT_OP);
@@ -1685,10 +1751,10 @@ impl<'a> Model<'a> {
         let mut squash_cands: Vec<SquashCand> = Vec::new();
 
         let mut level: Vec<(u64, McState)> = vec![(init_fp, init.clone())];
+        let mut next_level: Vec<(u64, McState)> = Vec::new();
         'levels: while !level.is_empty() {
-            let results = self.expand_level(&level, &mut ws);
-            let mut next_level: Vec<(u64, McState)> = Vec::new();
-            for (si, res) in results.into_iter().enumerate() {
+            let results = self.expand_level(&level, &mut ws, &mut workers);
+            for (si, res) in results.into_iter().flatten().enumerate() {
                 let (st_fp, st) = &level[si];
                 enabled_total += u64::from(res.enabled);
                 transitions += res.succs.len() as u64;
@@ -1733,7 +1799,7 @@ impl<'a> Model<'a> {
                 }
             }
             ws.pool.extend(level.drain(..).map(|(_, st)| st));
-            level = next_level;
+            std::mem::swap(&mut level, &mut next_level);
         }
 
         Exploration {
@@ -1914,7 +1980,7 @@ impl<'a> Model<'a> {
             truncated_by_budget: ex.truncated_by_budget,
             audit_collisions: ex.audit_collisions,
             pairs: self.pair_stats,
-            validated: self.validated.len(),
+            validated: self.validated.iter().filter(|&&v| v).count(),
             threads: self.threads,
         };
         CheckResult {
@@ -2322,6 +2388,71 @@ mod tests {
         assert_eq!(t.get(0x0dd0_0000_0000_0001), None);
     }
 
+    #[test]
+    fn fingerprint_is_order_free_and_reads_every_key_field() {
+        let spec = parse(
+            "streams",
+            "int a[8];\nint b[8];\nfor (int i = 0; i < 8; ++i) {\n  a[i] += 1;\n  b[i] += 2;\n}\n",
+        );
+        let model = Model::build(&spec, &ProtocolOptions::default()).expect("model builds");
+        let mut init = model.initial();
+        model.housekeeping(&mut init);
+        // Ops: 0 load a, 1 store a, 2 load b, 3 store b.
+        let run = |ops: &[usize]| {
+            let mut st = init.clone();
+            let mut next = McState::hollow();
+            for &op in ops {
+                model.try_step(&st, op, &mut next).expect("enabled");
+                std::mem::swap(&mut st, &mut next);
+            }
+            st
+        };
+        let ports = |st: &McState| st.proto.queue.iter().map(|r| r.port).collect::<Vec<_>>();
+
+        // The same independent arrivals in two orders: one key, one
+        // fingerprint, although the queues hold the records in different
+        // physical orders.
+        let (ab, ba) = (run(&[0, 1, 2]), run(&[2, 0, 1]));
+        assert_ne!(ports(&ab), ports(&ba));
+        assert!(ab.key() == ba.key());
+        assert_eq!(model.fingerprint(&ab), model.fingerprint(&ba));
+
+        // Counters outside the key do not enter the fingerprint.
+        let mut counted = ab.clone();
+        counted.proto.arrived.bump(3);
+        counted.proto.admitted.bump(3);
+        assert_eq!(model.fingerprint(&counted), model.fingerprint(&ab));
+
+        // Any one change to the key does.
+        let base = model.fingerprint(&ab);
+        fn store(st: &mut McState) -> &mut PrematureRecord {
+            st.proto
+                .queue
+                .iter_mut()
+                .find(|r| r.kind == MemOpKind::Store)
+                .expect("resident store")
+        }
+        type Change = (&'static str, fn(&mut McState));
+        let changes: [Change; 6] = [
+            ("committed", |st| store(st).committed ^= true),
+            ("value", |st| store(st).value += 1),
+            ("ram", |st| st.ram[3] += 1),
+            ("issued", |st| st.issued[3] += 1),
+            ("frontier", |st| st.proto.frontier += 1),
+            ("next_commit", |st| st.proto.next_commit += 1),
+        ];
+        for (what, change) in changes {
+            let mut st = ab.clone();
+            change(&mut st);
+            assert!(st.key() != ab.key(), "{what} is part of the key");
+            assert_ne!(
+                model.fingerprint(&st),
+                base,
+                "{what} must change the fingerprint"
+            );
+        }
+    }
+
     // --- the memoized PV202 search against the per-candidate reference -----
 
     /// The PV202 search the plane graph replaced: a fresh plane-confined
@@ -2359,8 +2490,7 @@ mod tests {
             *budget -= 1;
             let st = states[i].clone();
             for op in 0..model.ops.len() {
-                let StepOutcome::Stepped { event, .. } = model.try_step(&st, op, &mut scratch)
-                else {
+                let Ok(Step { event, .. }) = model.try_step(&st, op, &mut scratch) else {
                     continue;
                 };
                 if (scratch.proto.frontier, scratch.proto.next_commit) != plane {

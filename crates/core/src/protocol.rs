@@ -286,48 +286,32 @@ impl ProtocolState {
     /// physical pointer positions and high-water statistics are excluded on
     /// purpose) — this is what the model checker hash-conses on.
     pub fn key(&self) -> ProtocolKey {
-        let mut records = Vec::new();
-        self.project_records(&mut records);
+        let mut records: Vec<RecordKey> = self
+            .queue
+            .iter()
+            .map(|r| {
+                (
+                    r.port,
+                    r.iter,
+                    r.seq,
+                    r.kind,
+                    r.fake,
+                    r.addr,
+                    r.value,
+                    r.committed,
+                )
+            })
+            .collect();
+        // Canonical order: `(iter, seq)` is unique per record, so the sort
+        // erases the arrival history entirely. Interleavings that merely
+        // permute independent arrivals collapse onto one key — the property
+        // the model checker's partial-order reduction relies on.
+        records.sort_unstable_by_key(|r| (r.1, r.2, r.0));
         ProtocolKey {
             records,
             frontier: self.frontier,
             next_commit: self.next_commit,
         }
-    }
-
-    /// Fills `scratch` with this state's canonically ordered record
-    /// projections (clearing whatever it held). Factored out of
-    /// [`Self::key`] so hot loops can recycle one arena instead of
-    /// allocating a fresh `Vec` per state.
-    fn project_records(&self, scratch: &mut Vec<RecordKey>) {
-        scratch.clear();
-        scratch.extend(self.queue.iter().map(|r| {
-            (
-                r.port,
-                r.iter,
-                r.seq,
-                r.kind,
-                r.fake,
-                r.addr,
-                r.value,
-                r.committed,
-            )
-        }));
-        // Canonical order: `(iter, seq)` is unique per record, so the sort
-        // erases the arrival history entirely. Interleavings that merely
-        // permute independent arrivals collapse onto one key — the property
-        // the model checker's partial-order reduction relies on.
-        scratch.sort_unstable_by_key(|r| (r.1, r.2, r.0));
-    }
-
-    /// Streams the canonical key encoding into `f` without allocating:
-    /// exactly the words of `self.key().fold_words(f)`, but the record
-    /// projections live in the caller's reusable `scratch` buffer. This is
-    /// the model checker's fingerprint path — one call per explored
-    /// transition.
-    pub fn fold_key_words(&self, scratch: &mut Vec<RecordKey>, f: impl FnMut(u64)) {
-        self.project_records(scratch);
-        fold_record_words(self.frontier, self.next_commit, scratch, f);
     }
 }
 
@@ -404,10 +388,8 @@ impl fmt::Debug for IterCounts {
 }
 
 /// One record's projection inside a [`ProtocolKey`]: `(port, iter, seq,
-/// kind, fake, addr, value, committed)`. Public so fingerprint hot loops
-/// can hold a reusable projection arena for
-/// [`ProtocolState::fold_key_words`].
-pub type RecordKey = (
+/// kind, fake, addr, value, committed)`.
+type RecordKey = (
     usize,
     u64,
     u32,
@@ -427,40 +409,6 @@ pub struct ProtocolKey {
     records: Vec<RecordKey>,
     frontier: u64,
     next_commit: u64,
-}
-
-impl ProtocolKey {
-    /// Feeds the canonical encoding into `f` as a stream of `u64` words —
-    /// the hook hash-compacted state stores fingerprint on. The encoding is
-    /// injective (every field is widened, none overlap) and independent of
-    /// the process's hash seeds, so fingerprints are stable across runs,
-    /// threads and platforms.
-    pub fn fold_words(&self, f: impl FnMut(u64)) {
-        fold_record_words(self.frontier, self.next_commit, &self.records, f);
-    }
-}
-
-/// The shared word encoding behind [`ProtocolKey::fold_words`] and
-/// [`ProtocolState::fold_key_words`].
-fn fold_record_words(
-    frontier: u64,
-    next_commit: u64,
-    records: &[RecordKey],
-    mut f: impl FnMut(u64),
-) {
-    f(frontier);
-    f(next_commit);
-    f(records.len() as u64);
-    for &(port, iter, seq, kind, fake, addr, value, committed) in records {
-        f(iter);
-        let flags = u64::from(kind == MemOpKind::Store)
-            | (u64::from(fake) << 1)
-            | (u64::from(committed) << 2)
-            | (u64::from(addr.is_some()) << 3);
-        f((port as u64) << 40 | u64::from(seq) << 8 | flags);
-        f(addr.unwrap_or(0) as u64);
-        f(value as u64);
-    }
 }
 
 #[cfg(test)]
@@ -573,7 +521,7 @@ mod tests {
     #[test]
     fn key_is_arrival_order_canonical() {
         // The same multiset of records, arrived in different orders, shares
-        // one key — and therefore one fingerprint word stream.
+        // one key.
         let mut a = ProtocolState::new(4);
         a.record_arrival(real(0, MemOpKind::Load, 0, 0));
         a.record_arrival(real(1, MemOpKind::Store, 0, 1));
@@ -583,12 +531,7 @@ mod tests {
         b.record_arrival(real(0, MemOpKind::Load, 0, 0));
 
         assert_eq!(a.key(), b.key());
-        let mut wa = Vec::new();
-        let mut wb = Vec::new();
-        a.key().fold_words(|w| wa.push(w));
-        b.key().fold_words(|w| wb.push(w));
-        assert_eq!(wa, wb);
-        assert!(!wa.is_empty());
+        assert_ne!(a.key(), ProtocolState::new(4).key());
     }
 
     #[test]
