@@ -31,7 +31,6 @@ struct Args {
     path: Option<String>,
     controller: Controller,
     protocol: bool,
-    mc_threads: usize,
     stats: bool,
     dot: Option<String>,
     vcd: Option<String>,
@@ -49,7 +48,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: runkernel <file.pvk> [--controller direct|dynamatic16|fast16|spec<depth>|prevv<depth>] \
-         [--protocol] [--mc-threads <n>] [--stats] [--dot <out.dot>] [--vcd <out.vcd>] \
+         [--protocol] [--stats] [--dot <out.dot>] [--vcd <out.vcd>] \
          [--scheduler dense|event] \
          [--sweep [--depths <d,d,...>] [--seeds <n>] [--threads <n>]]\n\
        runkernel --fuzz <n> [--seed <seed>] [--repro <out.pvk>] [--corpus-out <dir>]"
@@ -69,7 +68,6 @@ fn parse_args() -> Args {
     let mut path = None;
     let mut controller = Controller::Prevv(PrevvConfig::prevv16());
     let mut protocol = false;
-    let mut mc_threads = 0usize;
     let mut stats = false;
     let mut dot = None;
     let mut vcd = None;
@@ -87,11 +85,6 @@ fn parse_args() -> Args {
             "--protocol" => protocol = true,
             "--stats" => stats = true,
             "--sweep" => sweep = true,
-            "--mc-threads" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                mc_threads = v.parse().unwrap_or_else(|_| usage());
-                protocol = true;
-            }
             "--controller" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 controller = match v.as_str() {
@@ -170,7 +163,6 @@ fn parse_args() -> Args {
         path,
         controller,
         protocol,
-        mc_threads,
         stats,
         dot,
         vcd,
@@ -455,10 +447,9 @@ fn main() {
         perf: is_prevv.then(|| prevv::analyze::PerfOptions {
             config: cfg.clone(),
         }),
-        protocol: args.protocol.then(|| prevv::analyze::ProtocolOptions {
-            threads: args.mc_threads,
-            ..prevv::analyze::ProtocolOptions::for_config(&cfg)
-        }),
+        protocol: args
+            .protocol
+            .then(|| prevv::analyze::ProtocolOptions::for_config(&cfg)),
         ..prevv::AnalyzeOptions::for_config(&cfg)
     };
     let circuit = prevv::CircuitOptions {
@@ -472,9 +463,9 @@ fn main() {
             result.bound,
             if result.complete { "" } else { " (truncated)" }
         );
-        // Deterministic reduction stats on stdout (stable for CI diffs at
-        // any --mc-threads); wall-clock throughput on stderr where
-        // run-to-run jitter cannot churn diffs.
+        // Deterministic reduction stats on stdout (stable for CI diffs);
+        // wall-clock throughput on stderr where run-to-run jitter cannot
+        // churn diffs.
         println!(
             "protocol: {} of {} transition(s) explored after reduction (ratio {:.4}), \
              {} pair(s) validated, {} discharged symbolically",
@@ -484,11 +475,7 @@ fn main() {
             result.stats.validated,
             result.stats.pairs.discharged,
         );
-        eprintln!(
-            "protocol: {:.0} states/s on {} thread(s)",
-            result.stats.states_per_sec(),
-            result.stats.threads
-        );
+        eprintln!("protocol: {:.0} states/s", result.stats.states_per_sec());
     }
     if analysis.report.is_empty() {
         println!("lint: clean\n");

@@ -154,7 +154,7 @@ echo "$out" | audit_clean "stock kernels"
 # The corpus pins PV202 errors on gen_22 and gen_29, so exit 1 (findings)
 # is expected there; any other exit status fails.
 out=$(cargo run -q --release -p prevv-analyze --bin prevv-lint -- \
-    --protocol --mc-audit --mc-threads 1 --format json tests/fuzz_corpus/*.pvk) ||
+    --protocol --mc-audit --format json tests/fuzz_corpus/*.pvk) ||
     [ $? -eq 1 ]
 echo "$out" | audit_clean "fuzz corpus"
 
@@ -252,7 +252,6 @@ bench = {
     "enabled": proto["enabled"],
     "reduction_ratio": proto["reduction_ratio"],
     "states_per_sec": best,
-    "threads": proto["threads"],
 }
 with open("target/BENCH_modelcheck.json", "w") as f:
     json.dump(bench, f, indent=2)

@@ -234,7 +234,6 @@ pub fn check_kernel(spec: &KernelSpec, opts: &DiffOptions) -> KernelVerdict {
         let mc_opts = ProtocolOptions {
             iterations: opts.mc_iterations,
             max_states: opts.mc_max_states,
-            threads: 1,
             ..ProtocolOptions::for_config(&prevv_cfg)
         };
         match catch_unwind(AssertUnwindSafe(|| check_protocol(spec, &mc_opts))) {

@@ -109,7 +109,6 @@ fn digests(file: &str) -> (u64, u64) {
     if let Ok(spec) = prevv::ir::parse::parse_kernel(&name, &source) {
         let mut popts = ProtocolOptions::for_config(&perf.config);
         popts.fake_tokens = opts.fake_tokens;
-        popts.threads = 1;
         match check_protocol(&spec, &popts) {
             Ok(result) => {
                 render_report(&mut protocol, &result.report);

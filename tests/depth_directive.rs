@@ -34,10 +34,7 @@ fn analyze_at(spec: &KernelSpec, depth: usize) -> Analysis {
         perf: Some(PerfOptions {
             config: cfg.clone(),
         }),
-        protocol: Some(ProtocolOptions {
-            threads: 1,
-            ..ProtocolOptions::for_config(&cfg)
-        }),
+        protocol: Some(ProtocolOptions::for_config(&cfg)),
         ..AnalyzeOptions::for_config(&cfg)
     };
     let circuit = CircuitOptions {
@@ -89,10 +86,7 @@ fn same_analysis_at_either_depth(file: &str, own_depth: usize) -> (KernelSpec, A
 /// The checker's state count at an explicit queue depth, bypassing the
 /// driver (and so the directive).
 fn states_at(spec: &KernelSpec, depth: usize) -> usize {
-    let popts = ProtocolOptions {
-        threads: 1,
-        ..ProtocolOptions::for_config(&PrevvConfig::with_depth(depth))
-    };
+    let popts = ProtocolOptions::for_config(&PrevvConfig::with_depth(depth));
     check_protocol(spec, &popts)
         .expect("checker runs")
         .stats

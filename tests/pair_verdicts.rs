@@ -107,7 +107,6 @@ fn assert_consumers_agree(spec: &KernelSpec) {
     // search starts.
     let opts = ProtocolOptions {
         iterations: 1,
-        threads: 1,
         ..ProtocolOptions::default()
     };
     let stats = analyze::check_protocol(spec, &opts)

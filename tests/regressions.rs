@@ -134,7 +134,6 @@ fn pinned_pv204_reduction_escape_replays() {
         &prevv::analyze::ProtocolOptions {
             iterations: opts.mc_iterations,
             max_states: opts.mc_max_states,
-            threads: 1,
             ..prevv::analyze::ProtocolOptions::for_config(&config)
         },
     )
