@@ -502,6 +502,39 @@ mod tests {
     }
 
     #[test]
+    fn zero_queue_depth_is_reported_not_a_panic() {
+        let spec = parse(
+            "fig2a",
+            "int a[8];\nint b[8];\nfor (int i = 0; i < 8; ++i) {\n  a[b[i]] += 1;\n  b[i] += 2;\n}\n",
+        );
+        let popts = ProtocolOptions::for_config(&PrevvConfig::with_depth(0));
+        assert!(modelcheck::check(&spec, &popts).is_err());
+        let cex = modelcheck::Counterexample {
+            code: Code::ProtocolDeadlock,
+            events: Vec::new(),
+            cycle_from: None,
+        };
+        assert!(modelcheck::replay(&spec, &popts, &cex).is_err());
+
+        let analysis = lint_kernel(
+            &spec,
+            &AnalyzeOptions {
+                depth: 0,
+                protocol: Some(popts),
+                ..AnalyzeOptions::default()
+            },
+            None,
+        );
+        assert!(analysis.protocol.is_none());
+        let r = &analysis.report;
+        assert_eq!(r.with_code(Code::QueueDepth)[0].severity, Severity::Error);
+        assert!(r
+            .with_code(Code::ProtocolBound)
+            .iter()
+            .any(|d| d.severity == Severity::Warning && d.message.contains("could not run")));
+    }
+
+    #[test]
     fn pv003_depth_below_frontier_minimum_is_an_error() {
         let src = "int a[4];\nfor (int i = 0; i < 16; ++i) { a[0] += i; }\n";
         let spec = parse("accum", src);
