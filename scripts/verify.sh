@@ -158,6 +158,13 @@ out=$(cargo run -q --release -p prevv-analyze --bin prevv-lint -- \
     [ $? -eq 1 ]
 echo "$out" | audit_clean "fuzz corpus"
 
+echo "==> protocol model checker (gen_27 at its own depth 32 passes --deny-warnings)"
+# The PV202 search reads every squash edge of the explored graph, so the
+# corpus kernel with the most of them (32,903) must raise no PV200 warning.
+cargo run -q --release -p prevv-analyze --bin prevv-lint -- \
+    --protocol --deny-warnings tests/fuzz_corpus/gen_27.pvk >/dev/null
+echo "    gen_27.pvk: no warnings"
+
 echo "==> protocol model checker (bad fixtures must each fail)"
 lint_must_fail --protocol --no-forwarding kernels/bad/replay_livelock.pvk
 lint_must_fail --protocol --depth 2 kernels/bad/queue_too_small_mc.pvk
