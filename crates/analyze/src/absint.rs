@@ -47,6 +47,8 @@
 //! verified-contiguous variable domains) and is cross-checked against
 //! concrete enumeration by `tests/absint_properties.rs`.
 
+use std::collections::BTreeSet;
+
 use prevv_dataflow::components::BinOp;
 use prevv_dataflow::Value;
 pub use prevv_ir::depend::DischargeReason;
@@ -856,10 +858,18 @@ fn var_domains(spec: &KernelSpec, bounds: &[(Value, Value)]) -> Vec<AbsVal> {
     });
     let mut achieved: Vec<bool> = vec![rectangular; bounds.len()];
     if !rectangular && spec.iteration_count() <= ENUM_LIMIT {
-        // Verify per-level projection exactness concretely.
-        let space = spec.iteration_space();
-        for (l, &(lo, hi)) in bounds.iter().enumerate() {
-            achieved[l] = (lo..=hi).all(|v| space.iter().any(|row| row[l] == v));
+        // Verify per-level projection exactness concretely: every value of
+        // `lo..=hi` occurs at its level.
+        let mut seen: Vec<BTreeSet<Value>> = vec![BTreeSet::new(); bounds.len()];
+        let mut space = spec.iterations();
+        while let Some(row) = space.next_row() {
+            for (level, &v) in seen.iter_mut().zip(row) {
+                level.insert(v);
+            }
+        }
+        for ((ok, &(lo, hi)), level) in achieved.iter_mut().zip(bounds).zip(&seen) {
+            *ok = lo > hi
+                || level.range(lo..=hi).count() as i128 == i128::from(hi) - i128::from(lo) + 1;
         }
     }
     bounds

@@ -48,19 +48,18 @@ pub(crate) fn check_bounds(spec: &KernelSpec, deps: &Dependences, report: &mut R
         check_bounds_symbolic(spec, deps, report);
         return;
     }
-    let space = spec.iteration_space();
     let spans = op_spans(spec, &deps.ops);
     for op in &deps.ops {
         if op.index.is_runtime_dependent() {
             continue;
         }
         let len = spec.arrays[op.array.0].len as Value;
-        let hit = space
-            .iter()
+        let hit = spec
+            .iterations()
             .filter(|row| spec.body[op.stmt].runs(row))
             .find_map(|row| {
-                let raw = op.index.eval_affine(row);
-                (raw < 0 || raw >= len).then_some((raw, row.clone()))
+                let raw = op.index.eval_affine(&row);
+                (raw < 0 || raw >= len).then_some((raw, row))
             });
         if let Some((raw, row)) = hit {
             let kind = match op.kind {

@@ -877,11 +877,7 @@ impl<'a> Model<'a> {
         let bound = requested.min(total);
         let truncated = bound < total;
 
-        let rows: Vec<Vec<Value>> = spec
-            .iteration_space()
-            .into_iter()
-            .take(bound as usize)
-            .collect();
+        let rows: Vec<Vec<Value>> = spec.iterations().take(bound as usize).collect();
         let guard_taken: Vec<Vec<bool>> = rows
             .iter()
             .map(|row| spec.body.iter().map(|s| s.runs(row)).collect())

@@ -530,14 +530,20 @@ fn guard_densities(spec: &KernelSpec) -> Option<Vec<f64>> {
     if spec.iteration_count() > ENUM_LIMIT {
         return None;
     }
-    let space = spec.iteration_space();
-    let n = space.len().max(1);
+    let n = spec.iteration_count().max(1);
     Some(
         spec.body
             .iter()
             .map(|stmt| match &stmt.guard {
                 None => 1.0,
-                Some(_) => space.iter().filter(|row| stmt.runs(row)).count() as f64 / n as f64,
+                Some(_) => {
+                    let mut space = spec.iterations();
+                    let mut taken = 0usize;
+                    while let Some(row) = space.next_row() {
+                        taken += usize::from(stmt.runs(row));
+                    }
+                    taken as f64 / n as f64
+                }
             })
             .collect(),
     )

@@ -93,7 +93,7 @@ proptest! {
             return Ok(());
         };
         prop_assert!(spec.iteration_count() <= ENUM_LIMIT);
-        let space = spec.iteration_space();
+        let space: Vec<_> = spec.iterations().collect();
         let deps = depend_analyze(&spec);
         prop_assert_eq!(deps.verdicts.len(), deps.pairs.len());
         let levels = spec.levels.len();

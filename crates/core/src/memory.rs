@@ -489,6 +489,9 @@ impl PrevvMemory {
         // become retire- or commit-eligible this cycle.
         let cap = self.pending_squash.unwrap_or(u64::MAX);
         self.protocol.advance_frontier(self.ports_per_iter, cap);
+        // A squash restarts at or above the frontier (`ProtocolState::flush`
+        // asserts it), so the iteration source may drop the rows below it.
+        self.bus.raise_floor(self.protocol.frontier);
     }
 
     fn commit_stores(&mut self) {

@@ -20,4 +20,4 @@ mod source;
 pub use alu::{BinOp, BinaryAlu, UnOp, UnaryAlu};
 pub use basic::{Branch, Constant, Fork, Sink};
 pub use buffer::Buffer;
-pub use source::{count_iterations, iteration_space, Bound, IterSource, LoopLevel};
+pub use source::{count_iterations, Bound, IterSource, IterSpace, LoopLevel};

@@ -6,29 +6,52 @@
 //! set* enters the pipeline per cycle (initiation interval 1 at the source)
 //! in original program order, and that the source can be **rewound** when a
 //! premature-value-validation squash replays iterations. `IterSource`
-//! captures exactly that: it owns the precomputed iteration space (one row of
-//! induction-variable values per flattened iteration) and emits each row on
-//! its output channels, tagged with the flat iteration number. A rewind
-//! re-issues the same iteration numbers; the engine's same-cycle flush has
-//! already dropped every token they could be confused with.
+//! captures exactly that. It walks the loop nest with an odometer
+//! ([`IterSpace`]) and emits each row of induction-variable values on its
+//! output channels, tagged with the flat iteration number. It keeps a replay
+//! window: the rows it has emitted at or above the [`SquashBus`]'s squash
+//! floor. A rewind re-issues rows from that window under the same iteration
+//! numbers; the engine's same-cycle flush has already dropped every token
+//! they could be confused with. Since a squash never restarts below the
+//! floor, the source's memory is bounded by the in-flight window, never by
+//! the trip count.
+
+use std::collections::VecDeque;
 
 use crate::component::{Component, Ports};
 use crate::signal::{ChannelId, Signals};
+use crate::squash::SquashBus;
 use crate::token::{Token, Value};
 
 /// Emits one row of values per iteration, in program order, with rewind
 /// support for squash replay.
 #[derive(Debug)]
 pub struct IterSource {
-    rows: Vec<Vec<Value>>,
+    /// The rows not generated yet, for a loop-nest source; `None` for a
+    /// table source, whose rows all sit in the window from the start.
+    nest: Option<Nest>,
     outputs: Vec<ChannelId>,
-    pos: usize,
+    /// Rows `base..end`, flat: `outputs.len()` values per row.
+    window: VecDeque<Value>,
+    base: u64,
+    end: u64,
+    /// The iteration being issued.
+    pos: u64,
     sent: Vec<bool>,
+}
+
+#[derive(Debug)]
+struct Nest {
+    space: IterSpace,
+    /// Carries the squash floor that bounds the window.
+    bus: SquashBus,
 }
 
 impl IterSource {
     /// Creates a source that emits `rows[i][k]` on `outputs[k]` for each
-    /// iteration `i`, tagged `iter = i`.
+    /// iteration `i`, tagged `iter = i`. It holds every row for the whole
+    /// run, so it suits hand-built netlists; synthesis uses
+    /// [`IterSource::nest`].
     ///
     /// # Panics
     ///
@@ -36,25 +59,89 @@ impl IterSource {
     /// `outputs` is empty.
     pub fn new(rows: Vec<Vec<Value>>, outputs: Vec<ChannelId>) -> Self {
         assert!(!outputs.is_empty(), "iteration source needs outputs");
+        let mut window = VecDeque::with_capacity(rows.len() * outputs.len());
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(
                 r.len(),
                 outputs.len(),
                 "row {i} width must match output count"
             );
+            window.extend(r);
         }
         let n = outputs.len();
         IterSource {
-            rows,
+            nest: None,
             outputs,
+            window,
+            base: 0,
+            end: rows.len() as u64,
             pos: 0,
             sent: vec![false; n],
         }
     }
 
+    /// Creates a source that walks the loop nest `levels` in program order.
+    /// For iteration `i` with induction-variable values `row`, it emits `i`
+    /// on `outputs[0]` (the allocation stream) and `row[l]` on
+    /// `outputs[l + 1]`.
+    ///
+    /// Rows are generated as they are issued. A row stays in the replay
+    /// window until it is below both the row being issued and `bus`'s
+    /// squash floor ([`SquashBus::raise_floor`]); the window's size is
+    /// reported to [`SquashBus::window_high_water`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `outputs.len()` is not `levels.len() + 1`.
+    pub fn nest(levels: &[LoopLevel], outputs: Vec<ChannelId>, bus: SquashBus) -> Self {
+        assert_eq!(
+            outputs.len(),
+            levels.len() + 1,
+            "a loop-nest source has one output per level plus the iteration number"
+        );
+        let n = outputs.len();
+        let mut src = IterSource {
+            nest: Some(Nest {
+                space: IterSpace::new(levels),
+                bus,
+            }),
+            outputs,
+            window: VecDeque::new(),
+            base: 0,
+            end: 0,
+            pos: 0,
+            sent: vec![false; n],
+        };
+        src.refill();
+        src
+    }
+
     /// Has every iteration been fully issued?
     pub fn exhausted(&self) -> bool {
-        self.pos >= self.rows.len()
+        self.pos >= self.end
+    }
+
+    /// Drops the rows no squash can replay any more, then generates the row
+    /// to issue next if the window does not hold it yet.
+    fn refill(&mut self) {
+        let Some(nest) = &mut self.nest else {
+            return;
+        };
+        let width = self.outputs.len();
+        let keep = nest.bus.floor().min(self.pos);
+        if keep > self.base {
+            let rows = (keep - self.base) as usize;
+            self.window.drain(..rows * width);
+            self.base = keep;
+        }
+        if self.pos == self.end {
+            if let Some(row) = nest.space.next_row() {
+                self.window.push_back(self.end as Value);
+                self.window.extend(row);
+                self.end += 1;
+                nest.bus.note_window((self.end - self.base) as usize);
+            }
+        }
     }
 }
 
@@ -71,10 +158,10 @@ impl Component for IterSource {
         if self.exhausted() {
             return;
         }
-        let row = &self.rows[self.pos];
+        let at = (self.pos - self.base) as usize * self.outputs.len();
         for (k, &out) in self.outputs.iter().enumerate() {
             if !self.sent[k] {
-                sig.drive(out, Token::new(row[k], self.pos as u64));
+                sig.drive(out, Token::new(self.window[at + k], self.pos));
             }
         }
     }
@@ -99,15 +186,20 @@ impl Component for IterSource {
         if all {
             self.pos += 1;
             self.sent.iter_mut().for_each(|s| *s = false);
+            self.refill();
             changed = true;
         }
         changed
     }
 
     fn flush(&mut self, from_iter: u64) {
-        let from = from_iter as usize;
-        if self.pos >= from {
-            self.pos = from;
+        if self.pos >= from_iter {
+            debug_assert!(
+                from_iter >= self.base,
+                "rewind to iteration {from_iter} below the replay window (starts at {})",
+                self.base
+            );
+            self.pos = from_iter;
             self.sent.iter_mut().for_each(|s| *s = false);
         }
     }
@@ -121,7 +213,7 @@ impl Component for IterSource {
     }
 }
 
-/// Builds the iteration-space rows for a (possibly triangular) loop nest.
+/// One loop bound.
 ///
 /// Each level has an inclusive lower and exclusive upper bound; bounds may
 /// reference outer induction variables (`Bound::OuterPlus`), which is how
@@ -140,6 +232,15 @@ impl Bound {
         match self {
             Bound::Const(c) => c,
             Bound::OuterPlus(level, off) => outer[level] + off,
+        }
+    }
+
+    /// [`Bound::resolve`], or `None` when the referenced level does not
+    /// enclose this one or the sum overflows.
+    fn checked_resolve(self, outer: &[Value]) -> Option<Value> {
+        match self {
+            Bound::Const(c) => Some(c),
+            Bound::OuterPlus(level, off) => outer.get(level)?.checked_add(off),
         }
     }
 }
@@ -166,84 +267,156 @@ impl LoopLevel {
     pub fn new(lo: Bound, hi: Bound) -> Self {
         LoopLevel { lo, hi }
     }
+
+    /// `max(0, hi − lo)` under the enclosing values `outer`, or `None` when
+    /// a bound cannot be resolved.
+    fn extent(&self, outer: &[Value]) -> Option<usize> {
+        let (lo, hi) = (
+            self.lo.checked_resolve(outer)?,
+            self.hi.checked_resolve(outer)?,
+        );
+        if hi <= lo {
+            return Some(0);
+        }
+        usize::try_from(hi.abs_diff(lo)).ok()
+    }
 }
 
-/// Enumerates the full iteration space of a loop nest in program order,
-/// returning one row of induction-variable values per iteration.
+/// The iteration space of a loop nest, enumerated lazily in program order.
+///
+/// An odometer over the levels: the innermost level steps first, and a level
+/// that reaches its upper bound steps the level enclosing it and re-seats
+/// itself at its (possibly `OuterPlus`) lower bound. Empty ranges are
+/// skipped at any depth. A nest of zero levels has one, empty, row.
+/// [`IterSpace::next_row`] lends each row without allocating; the
+/// [`Iterator`] impl copies rows out, for callers that want `Vec`s.
 ///
 /// ```
-/// use prevv_dataflow::components::{iteration_space, Bound, LoopLevel};
+/// use prevv_dataflow::components::{Bound, IterSpace, LoopLevel};
 ///
 /// // for i in 0..3 { for j in i+1..3 { ... } }  — a triangular nest
-/// let space = iteration_space(&[
+/// let space: Vec<Vec<i64>> = IterSpace::new(&[
 ///     LoopLevel::upto(3),
 ///     LoopLevel::new(Bound::OuterPlus(0, 1), Bound::Const(3)),
-/// ]);
+/// ])
+/// .collect();
 /// assert_eq!(space, vec![vec![0, 1], vec![0, 2], vec![1, 2]]);
 /// ```
-pub fn iteration_space(levels: &[LoopLevel]) -> Vec<Vec<Value>> {
-    let mut rows = Vec::new();
-    let mut current: Vec<Value> = Vec::with_capacity(levels.len());
-    fn recurse(
-        levels: &[LoopLevel],
-        depth: usize,
-        current: &mut Vec<Value>,
-        rows: &mut Vec<Vec<Value>>,
-    ) {
-        if depth == levels.len() {
-            rows.push(current.clone());
-            return;
-        }
-        let lo = levels[depth].lo.resolve(current);
-        let hi = levels[depth].hi.resolve(current);
-        let mut v = lo;
-        while v < hi {
-            current.push(v);
-            recurse(levels, depth + 1, current, rows);
-            current.pop();
-            v += 1;
-        }
-    }
-    recurse(levels, 0, &mut current, &mut rows);
-    rows
+#[derive(Debug, Clone)]
+pub struct IterSpace {
+    levels: Vec<LoopLevel>,
+    row: Vec<Value>,
+    state: Odometer,
 }
 
-/// Counts the iterations of a loop nest without materializing the rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Odometer {
+    Fresh,
+    Running,
+    Done,
+}
+
+impl IterSpace {
+    /// An enumerator positioned before the first row of `levels`.
+    pub fn new(levels: &[LoopLevel]) -> Self {
+        IterSpace {
+            levels: levels.to_vec(),
+            row: vec![0; levels.len()],
+            state: Odometer::Fresh,
+        }
+    }
+
+    /// Advances to the next row and lends it, or returns `None` once the
+    /// space is exhausted.
+    pub fn next_row(&mut self) -> Option<&[Value]> {
+        let more = match self.state {
+            Odometer::Fresh => self.settle(0, false),
+            Odometer::Running => self.settle(self.levels.len(), true),
+            Odometer::Done => false,
+        };
+        self.state = if more {
+            Odometer::Running
+        } else {
+            Odometer::Done
+        };
+        more.then_some(&self.row[..])
+    }
+
+    /// Levels `..depth` hold a valid prefix. When `step`, steps level
+    /// `depth − 1` first; then seats every level from the stepped one
+    /// inward at its lower bound, stepping an enclosing level whenever a
+    /// level's range is empty or run out. Returns false when the outermost
+    /// level runs out.
+    fn settle(&mut self, mut depth: usize, mut step: bool) -> bool {
+        loop {
+            if step {
+                if depth == 0 {
+                    return false;
+                }
+                depth -= 1;
+                self.row[depth] += 1;
+            } else {
+                if depth == self.levels.len() {
+                    return true;
+                }
+                self.row[depth] = self.levels[depth].lo.resolve(&self.row[..depth]);
+            }
+            step = self.row[depth] >= self.levels[depth].hi.resolve(&self.row[..depth]);
+            if !step {
+                depth += 1;
+            }
+        }
+    }
+}
+
+impl Iterator for IterSpace {
+    type Item = Vec<Value>;
+
+    fn next(&mut self) -> Option<Vec<Value>> {
+        self.next_row().map(<[Value]>::to_vec)
+    }
+}
+
+/// Counts the iterations of a loop nest without enumerating it, or returns
+/// `None` when the count overflows, a bound overflows, or a bound refers to
+/// a level that does not enclose it.
 ///
-/// For a rectangular nest (all bounds [`Bound::Const`]) this is a product of
-/// extents and runs in O(levels), so static analyses can size 10^6+-iteration
-/// spaces cheaply; triangular nests fall back to a recursive count that still
-/// avoids allocating one `Vec` per iteration.
-pub fn count_iterations(levels: &[LoopLevel]) -> usize {
+/// The innermost level closes as `max(0, hi − lo)`, so only the enclosing
+/// levels of a triangular nest are stepped: `for i in 0..n { for j in
+/// i+1..n }` costs `n` steps, not `n²/2`. A rectangular nest (all bounds
+/// [`Bound::Const`]) is a product of extents, in O(levels).
+pub fn count_iterations(levels: &[LoopLevel]) -> Option<usize> {
     let rectangular = levels
         .iter()
         .all(|l| matches!((l.lo, l.hi), (Bound::Const(_), Bound::Const(_))));
     if rectangular {
-        return levels
-            .iter()
-            .map(|l| {
-                let (lo, hi) = (l.lo.resolve(&[]), l.hi.resolve(&[]));
-                (hi - lo).max(0) as usize
-            })
-            .product();
-    }
-    fn recurse(levels: &[LoopLevel], depth: usize, current: &mut Vec<Value>) -> usize {
-        if depth == levels.len() {
-            return 1;
+        // An empty level makes the count 0 whatever the other extents.
+        let mut product = Some(1usize);
+        for level in levels {
+            let extent = level.extent(&[])?;
+            if extent == 0 {
+                return Some(0);
+            }
+            product = product.and_then(|p| p.checked_mul(extent));
         }
-        let lo = levels[depth].lo.resolve(current);
-        let hi = levels[depth].hi.resolve(current);
-        let mut total = 0;
-        let mut v = lo;
-        while v < hi {
-            current.push(v);
-            total += recurse(levels, depth + 1, current);
-            current.pop();
-            v += 1;
-        }
-        total
+        return product;
     }
-    recurse(levels, 0, &mut Vec::with_capacity(levels.len()))
+    fn recurse(levels: &[LoopLevel], outer: &mut Vec<Value>) -> Option<usize> {
+        let level = levels[outer.len()];
+        if outer.len() + 1 == levels.len() {
+            return level.extent(outer);
+        }
+        let lo = level.lo.checked_resolve(outer)?;
+        let hi = level.hi.checked_resolve(outer)?;
+        let mut total: usize = 0;
+        for v in lo..hi {
+            outer.push(v);
+            total = total.checked_add(recurse(levels, outer)?)?;
+            outer.pop();
+        }
+        Some(total)
+    }
+    recurse(levels, &mut Vec::with_capacity(levels.len()))
 }
 
 #[cfg(test)]
@@ -322,10 +495,11 @@ mod tests {
 
     #[test]
     fn triangular_iteration_space() {
-        let space = iteration_space(&[
+        let space: Vec<Vec<Value>> = IterSpace::new(&[
             LoopLevel::upto(4),
             LoopLevel::new(Bound::OuterPlus(0, 0), Bound::Const(4)),
-        ]);
+        ])
+        .collect();
         // i in 0..4, j in i..4: 4+3+2+1 = 10 iterations
         assert_eq!(space.len(), 10);
         assert_eq!(space[0], vec![0, 0]);
@@ -334,7 +508,8 @@ mod tests {
 
     #[test]
     fn rectangular_three_level_space() {
-        let space = iteration_space(&[LoopLevel::upto(2), LoopLevel::upto(3), LoopLevel::upto(2)]);
+        let space: Vec<Vec<Value>> =
+            IterSpace::new(&[LoopLevel::upto(2), LoopLevel::upto(3), LoopLevel::upto(2)]).collect();
         assert_eq!(space.len(), 12);
         assert_eq!(space[0], vec![0, 0, 0]);
         assert_eq!(space[11], vec![1, 2, 1]);
@@ -343,6 +518,7 @@ mod tests {
     #[test]
     fn count_matches_materialized_space() {
         let nests: &[&[LoopLevel]] = &[
+            &[],
             &[LoopLevel::upto(4)],
             &[LoopLevel::upto(2), LoopLevel::upto(3), LoopLevel::upto(2)],
             &[
@@ -350,9 +526,14 @@ mod tests {
                 LoopLevel::new(Bound::OuterPlus(0, 1), Bound::Const(4)),
             ],
             &[LoopLevel::upto(0), LoopLevel::upto(5)],
+            &[
+                LoopLevel::upto(3),
+                LoopLevel::new(Bound::Const(2), Bound::OuterPlus(0, 0)),
+                LoopLevel::upto(2),
+            ],
         ];
         for nest in nests {
-            assert_eq!(count_iterations(nest), iteration_space(nest).len());
+            assert_eq!(count_iterations(nest), Some(IterSpace::new(nest).count()));
         }
     }
 
@@ -363,7 +544,52 @@ mod tests {
             LoopLevel::upto(1_000),
             LoopLevel::upto(1_000),
         ];
-        assert_eq!(count_iterations(&nest), 1_000_000_000);
+        assert_eq!(count_iterations(&nest), Some(1_000_000_000));
+    }
+
+    #[test]
+    fn count_closes_the_innermost_triangular_level() {
+        // 10^5 outer steps, 4,999,950,000 points: stepping every point
+        // would take seconds.
+        let nest = [
+            LoopLevel::upto(100_000),
+            LoopLevel::new(Bound::OuterPlus(0, 1), Bound::Const(100_000)),
+        ];
+        assert_eq!(count_iterations(&nest), Some(4_999_950_000));
+    }
+
+    #[test]
+    fn count_reports_overflow() {
+        let huge = LoopLevel::upto(10_000_000_000);
+        assert_eq!(count_iterations(&[huge, huge]), None);
+        // An empty level makes the product 0 whatever the other extents.
+        assert_eq!(count_iterations(&[huge, huge, LoopLevel::upto(0)]), Some(0));
+        let wide = LoopLevel::new(Bound::Const(Value::MIN), Bound::Const(Value::MAX));
+        assert_eq!(count_iterations(&[wide]), Some(u64::MAX as usize));
+        let shifted = LoopLevel::new(Bound::Const(0), Bound::OuterPlus(0, Value::MAX));
+        assert_eq!(count_iterations(&[LoopLevel::upto(2), shifted]), None);
+        let not_enclosing = LoopLevel::new(Bound::OuterPlus(1, 0), Bound::Const(4));
+        assert_eq!(count_iterations(&[LoopLevel::upto(2), not_enclosing]), None);
+    }
+
+    #[test]
+    fn zero_levels_have_one_empty_row() {
+        let mut space = IterSpace::new(&[]);
+        assert_eq!(space.next_row(), Some(&[][..]));
+        assert_eq!(space.next_row(), None);
+        assert_eq!(space.next_row(), None);
+    }
+
+    #[test]
+    fn the_window_holds_only_rows_at_or_above_the_floor() {
+        let bus = SquashBus::new();
+        bus.raise_floor(u64::MAX);
+        let mut src = IterSource::nest(&[LoopLevel::upto(100)], vec![ch(0), ch(1)], bus.clone());
+        for _ in 0..100 {
+            one_cycle(&mut src, &[true, true]);
+        }
+        assert!(src.exhausted());
+        assert_eq!(bus.window_high_water(), 1, "only the row being issued");
     }
 
     #[test]

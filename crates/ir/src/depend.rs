@@ -236,11 +236,6 @@ pub fn analyze(spec: &KernelSpec) -> Dependences {
     let ops = enumerate_ops(spec);
     let levels = spec.levels.len();
     let small = spec.iteration_count() <= ENUM_LIMIT;
-    let space = if small {
-        spec.iteration_space()
-    } else {
-        Vec::new()
-    };
     // Each op's address stream in iteration order (None = runtime-dependent
     // index or a space too large to enumerate); stores also keep theirs as
     // sorted `(address, iteration)` pairs for the nearest-store search.
@@ -248,10 +243,12 @@ pub fn analyze(spec: &KernelSpec) -> Dependences {
         .iter()
         .map(|op| {
             (small && !op.index.is_runtime_dependent()).then(|| {
-                space
-                    .iter()
-                    .map(|row| spec.resolve_index(op.array, op.index.eval_affine(row)))
-                    .collect()
+                let mut space = spec.iterations();
+                let mut addrs = Vec::new();
+                while let Some(row) = space.next_row() {
+                    addrs.push(spec.resolve_index(op.array, op.index.eval_affine(row)));
+                }
+                addrs
             })
         })
         .collect();
@@ -333,7 +330,7 @@ fn must_alias(load: &StaticMemOp, store: &StaticMemOp, levels: usize) -> bool {
     }
 }
 
-/// Exact collision search of one pair over the materialized space: `None`
+/// Exact collision search of one pair over the enumerated address streams: `None`
 /// when the load's and the store's address sets never meet, otherwise the
 /// minimum `|iter(load) − iter(store)|` over the collisions program order
 /// does not protect (`Some(None)` when it protects them all).

@@ -99,9 +99,11 @@ pub fn replay(
 ) -> (Vec<Vec<Value>>, u64) {
     let mut arrays: Vec<Vec<Value>> = spec.arrays.iter().map(|a| a.initial()).collect();
     let mut guards_skipped = 0;
-    let space = spec.iteration_space();
-    for (iter, row) in space.iter().take(iterations).enumerate() {
-        let iter = iter as u64;
+    let mut space = spec.iterations();
+    for iter in 0..iterations as u64 {
+        let Some(row) = space.next_row() else {
+            break;
+        };
         let mut seq: u32 = 0;
         for stmt in &spec.body {
             if !stmt.runs(row) {

@@ -2,7 +2,7 @@
 //! update statements — the input language of the synthesizer, standing in
 //! for the C kernels the paper compiles with Dynamatic.
 
-use prevv_dataflow::components::{count_iterations, iteration_space, LoopLevel};
+use prevv_dataflow::components::{count_iterations, Bound, IterSpace, LoopLevel};
 use prevv_dataflow::Value;
 
 use crate::expr::{ArrayId, Expr};
@@ -229,6 +229,9 @@ pub enum KernelError {
     NoLoops,
     /// The kernel body is empty.
     EmptyBody,
+    /// The trip count, or a loop bound, overflows (see
+    /// [`count_iterations`]).
+    TripCountOverflow,
 }
 
 impl std::fmt::Display for KernelError {
@@ -243,6 +246,9 @@ impl std::fmt::Display for KernelError {
             }
             KernelError::NoLoops => write!(f, "kernel has no loop levels"),
             KernelError::EmptyBody => write!(f, "kernel body is empty"),
+            KernelError::TripCountOverflow => {
+                write!(f, "the loop nest's trip count (or a loop bound) overflows")
+            }
         }
     }
 }
@@ -297,6 +303,18 @@ impl KernelSpec {
         if self.body.is_empty() {
             return Err(KernelError::EmptyBody);
         }
+        for (depth, level) in self.levels.iter().enumerate() {
+            for bound in [level.lo, level.hi] {
+                if let Bound::OuterPlus(l, _) = bound {
+                    if l >= depth {
+                        return Err(KernelError::UnknownIndVar(l));
+                    }
+                }
+            }
+        }
+        if count_iterations(&self.levels).is_none() {
+            return Err(KernelError::TripCountOverflow);
+        }
         for (si, stmt) in self.body.iter().enumerate() {
             self.check_expr(&stmt.index)?;
             self.check_expr(&stmt.value)?;
@@ -337,18 +355,18 @@ impl KernelSpec {
         }
     }
 
-    /// The full iteration space in program order.
-    pub fn iteration_space(&self) -> Vec<Vec<Value>> {
-        iteration_space(&self.levels)
+    /// The iteration space in program order, enumerated lazily: one row of
+    /// induction-variable values per innermost iteration.
+    pub fn iterations(&self) -> IterSpace {
+        IterSpace::new(&self.levels)
     }
 
-    /// Total number of innermost iterations.
-    ///
-    /// Computed without materializing the space, so it is cheap even for
-    /// 10^6+-iteration nests that [`KernelSpec::iteration_space`] could not
-    /// reasonably enumerate.
+    /// Total number of innermost iterations, computed without enumerating
+    /// the space ([`count_iterations`]). Saturates at `usize::MAX` for a
+    /// nest that [`KernelSpec::validate`] rejects as
+    /// [`KernelError::TripCountOverflow`].
     pub fn iteration_count(&self) -> usize {
-        count_iterations(&self.levels)
+        count_iterations(&self.levels).unwrap_or(usize::MAX)
     }
 
     /// Memory operations per iteration (loads + stores over all statements,
@@ -472,5 +490,34 @@ mod tests {
         )
         .expect("valid");
         assert_eq!(k.iteration_count(), 10);
+    }
+
+    fn one_store(levels: Vec<LoopLevel>) -> Result<KernelSpec, KernelError> {
+        KernelSpec::new(
+            "nest",
+            levels,
+            vec![ArrayDecl::zeroed("a", 16)],
+            vec![Stmt::store(ArrayId(0), Expr::var(0), Expr::lit(1))],
+        )
+    }
+
+    #[test]
+    fn validation_rejects_overflowing_trip_counts() {
+        let huge = LoopLevel::upto(10_000_000_000);
+        assert_eq!(
+            one_store(vec![huge, huge]).unwrap_err(),
+            KernelError::TripCountOverflow
+        );
+        let k = one_store(vec![huge, LoopLevel::upto(1_000_000_000)]).expect("10^19 fits");
+        assert_eq!(k.iteration_count(), 10_000_000_000_000_000_000);
+    }
+
+    #[test]
+    fn validation_rejects_bounds_on_inner_levels() {
+        let r = one_store(vec![
+            LoopLevel::upto(4),
+            LoopLevel::new(Bound::OuterPlus(1, 0), Bound::Const(4)),
+        ]);
+        assert_eq!(r.unwrap_err(), KernelError::UnknownIndVar(1));
     }
 }

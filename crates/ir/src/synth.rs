@@ -21,7 +21,7 @@
 use prevv_dataflow::components::{
     BinaryAlu, Branch, Buffer, Constant, Fork, IterSource, Sink, UnOp, UnaryAlu,
 };
-use prevv_dataflow::{ChannelId, Netlist, SquashBus, Value};
+use prevv_dataflow::{ChannelId, Netlist, SquashBus};
 
 use crate::depend::{analyze, AmbiguousPair, Dependences};
 use crate::expr::Expr;
@@ -129,21 +129,12 @@ pub fn synthesize_with(
     let bus = SquashBus::new();
     let alloc_in = b.net.channel();
     let level_chs: Vec<ChannelId> = (0..spec.levels.len()).map(|_| b.net.channel()).collect();
-    let space = spec.iteration_space();
-    let iterations = space.len();
-    let rows: Vec<Vec<Value>> = space
-        .into_iter()
-        .enumerate()
-        .map(|(it, row)| {
-            let mut r = Vec::with_capacity(1 + row.len());
-            r.push(it as Value);
-            r.extend(row);
-            r
-        })
-        .collect();
     let mut outs = vec![alloc_in];
     outs.extend(level_chs.iter().copied());
-    b.net.add("iter_source", IterSource::new(rows, outs));
+    b.net.add(
+        "iter_source",
+        IterSource::nest(&spec.levels, outs, bus.clone()),
+    );
 
     // Distribute each induction variable to its use sites, decoupling each
     // consumer with an elastic buffer so one slow consumer does not stall
@@ -187,7 +178,7 @@ pub fn synthesize_with(
         ports: b.ports,
         alloc_in,
         arrays,
-        iterations,
+        iterations: spec.iteration_count(),
         pairs,
     };
 

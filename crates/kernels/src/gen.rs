@@ -191,7 +191,7 @@ fn gen_levels(rng: &mut StdRng, config: &GenConfig) -> Option<Vec<LoopLevel>> {
             levels.push(LoopLevel::new(lo, Bound::Const(hi)));
         }
         let count = prevv_dataflow::components::count_iterations(&levels);
-        if (1..=config.max_iterations).contains(&count) {
+        if count.is_some_and(|c| (1..=config.max_iterations).contains(&c)) {
             return Some(levels);
         }
     }
@@ -683,7 +683,7 @@ mod tests {
                 raw as usize
             };
             let mut ram: Vec<Vec<Value>> = k.arrays.iter().map(|a| a.initial()).collect();
-            for iter in k.iteration_space() {
+            for iter in k.iterations() {
                 for stmt in k.body.iter().filter(|s| s.runs(&iter)) {
                     let mut load = |a: ArrayId, raw: Value| ram[a.0][checked(a, raw)];
                     let raw = stmt.index.eval(&iter, &mut load);

@@ -56,6 +56,41 @@ if [ -z "$replayed" ] || [ "$replayed" -eq 0 ]; then
 fi
 echo "    histogram.pvk: $replayed iteration(s) replayed"
 
+echo "==> large iteration space (10^7 iterations: peak RSS bounded by the horizon)"
+# Every tool streams the iteration space, so memory follows the checker's
+# horizon and the simulator's in-flight window, not the trip count. The
+# kernel lives in a temp dir, away from kernels/*.pvk, which the smoke
+# step above simulates to completion.
+bigdir=$(mktemp -d)
+trap 'rm -rf "$bigdir"' EXIT
+cat > "$bigdir/big.pvk" <<'EOF'
+int a[16];
+for (int i = 0; i < 10000000; ++i) {
+  a[i % 16] += 5;
+}
+EOF
+# Runs one command under a 60-s timeout and gates its exit status and its
+# peak RSS (ru_maxrss of the waited-for children) at 64 MB.
+rss_gate() {
+  python3 -c '
+import resource, subprocess, sys
+want, cmd = int(sys.argv[1]), sys.argv[2:]
+code = subprocess.run(["timeout", "60"] + cmd, stdout=subprocess.DEVNULL,
+                      stderr=subprocess.DEVNULL).returncode
+mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+name = " ".join(a.rsplit("/", 1)[-1] for a in cmd)
+if code != want:
+    sys.exit(f"{name}: exit {code}, expected {want}")
+if mb > 64:
+    sys.exit(f"{name}: peak RSS {mb:.1f} MB exceeds 64 MB")
+print(f"    {name}: exit {code}, peak RSS {mb:.1f} MB")
+' "$@"
+}
+rss_gate 0 ./target/release/prevv-lint --circuit --perf --protocol "$bigdir/big.pvk"
+# 10^7 iterations need more than runkernel's 2M-cycle budget: exit 1.
+rss_gate 1 ./target/release/runkernel "$bigdir/big.pvk"
+rm -rf "$bigdir"
+
 echo "==> reproduce (every headline paper claim, exit 1 on any FAIL)"
 cargo run -q --release -p prevv-bench --bin reproduce
 

@@ -142,6 +142,11 @@ impl Controller {
     /// returned handles stay readable after the netlist moves into the
     /// simulator; [`Attached::finish`] turns them into a [`RunResult`].
     ///
+    /// Only PreVV squashes. For every other controller the squash floor
+    /// goes to `u64::MAX` here, so the iteration source keeps no row behind
+    /// the one it is issuing; PreVV raises the floor to its retirement
+    /// frontier as it runs.
+    ///
     /// # Errors
     ///
     /// Returns [`RunError::Lsq`] / [`RunError::Prevv`] when the queues
@@ -155,6 +160,9 @@ impl Controller {
             prevv: None,
             squash_log: None,
         };
+        if !matches!(self, Controller::Prevv(_)) {
+            synth.bus.raise_floor(u64::MAX);
+        }
         let (config, label) = match self {
             Controller::Direct => {
                 let (ctrl, ram) = prevv_mem::DirectMemory::new(iface, MemTiming::default());

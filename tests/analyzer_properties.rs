@@ -139,7 +139,7 @@ fn brute_collisions(
     load: &StaticMemOp,
     store: &StaticMemOp,
 ) -> Vec<(usize, usize)> {
-    let space = spec.iteration_space();
+    let space: Vec<_> = spec.iterations().collect();
     let addr =
         |op: &StaticMemOp, row: &[i64]| spec.resolve_index(op.array, eval_affine(&op.index, row));
     let mut hits = Vec::new();
@@ -184,7 +184,7 @@ proptest! {
         prop_assert!(spec.iteration_count() <= ENUM_LIMIT);
         let deps = depend::analyze(&spec);
         prop_assert_eq!(deps.verdicts.len(), deps.pairs.len());
-        let space = spec.iteration_space();
+        let space: Vec<_> = spec.iterations().collect();
         let levels = spec.levels.len();
         for (pair, verdict) in deps.pairs.iter().zip(&deps.verdicts) {
             let load = &deps.ops[pair.load];

@@ -46,7 +46,7 @@ fn assert_eval_follows_loads(name: &str, e: &Expr, row: &[Value]) {
 fn assert_canonical_order(spec: &KernelSpec) {
     let name = &spec.name;
     let ops = enumerate_ops(spec);
-    let space = spec.iteration_space();
+    let space: Vec<_> = spec.iterations().collect();
     let result = golden::execute(spec);
     for ev in &result.trace {
         let op = ops

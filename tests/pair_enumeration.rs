@@ -26,7 +26,7 @@ fn eval_affine(e: &Expr, row: &[i64]) -> i64 {
 /// iteration) pair, skipping same-iteration collisions where the load is
 /// sequenced before the store.
 fn brute_min_distance(spec: &KernelSpec, load: &StaticMemOp, store: &StaticMemOp) -> Option<u64> {
-    let space = spec.iteration_space();
+    let space: Vec<_> = spec.iterations().collect();
     let addrs = |op: &StaticMemOp| -> Vec<usize> {
         space
             .iter()

@@ -17,7 +17,7 @@ use prevv::dataflow::{ChannelId, Component};
 use prevv::ir::parse::parse_kernel;
 
 /// Exports of `components` that are not components.
-const NON_COMPONENTS: [&str; 4] = ["BinOp", "UnOp", "Bound", "LoopLevel"];
+const NON_COMPONENTS: [&str; 5] = ["BinOp", "UnOp", "Bound", "LoopLevel", "IterSpace"];
 
 /// One instance of every exported component, by exported name.
 fn library() -> Vec<(&'static str, Box<dyn Component>)> {
