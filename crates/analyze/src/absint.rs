@@ -54,7 +54,7 @@ use prevv_dataflow::Value;
 pub use prevv_ir::depend::DischargeReason;
 use prevv_ir::depend::{AmbiguousPair, Dependences, Proof, StaticMemOp, VerdictClass, ENUM_LIMIT};
 use prevv_ir::symdep::{hull_bounds, AffineForm};
-use prevv_ir::{ArrayInit, Expr, KernelSpec, MemOpKind};
+use prevv_ir::{ArrayInit, Expr, KernelSpec};
 
 use crate::diag::{Code, Diagnostic, Report, Suggestion};
 use crate::lints::op_spans;
@@ -1124,8 +1124,8 @@ pub fn discharge_pairs(
 /// The upgrade step over a box, given the invariants [`analyze_within`]
 /// computed for it: every [`VerdictClass::MustAlias`] or
 /// [`VerdictClass::Unknown`] verdict that value reasoning discharges becomes
-/// a [`Proof::Invariant`] verdict (disjoint, or order-protected for the
-/// same-address path). Proved verdicts are left as they are.
+/// [`VerdictClass::Proved`] by a [`Proof::Invariant`], whose
+/// [`DischargeReason`] says how. Proved verdicts are left as they are.
 pub fn upgrade_verdicts(
     spec: &KernelSpec,
     deps: &mut Dependences,
@@ -1139,13 +1139,7 @@ pub fn upgrade_verdicts(
         let Some(reason) = discharge(spec, inv, deps, deps.pairs[k], bounds) else {
             continue;
         };
-        let proof = Proof::Invariant(reason);
-        deps.verdicts[k].class = match reason {
-            DischargeReason::SameIterationOrdered => VerdictClass::OrderProtected(proof),
-            DischargeReason::DisjointValues | DischargeReason::DeadCode => {
-                VerdictClass::Disjoint(proof)
-            }
-        };
+        deps.verdicts[k].class = VerdictClass::Proved(Proof::Invariant(reason));
     }
 }
 
@@ -1265,10 +1259,7 @@ pub(crate) fn check_values(
                 .and_then(|vs| vs.into_iter().find(|&v| v < 0 || v >= len))
         };
         let Some(raw) = witness else { continue };
-        let kind = match op.kind {
-            MemOpKind::Load => "load",
-            MemOpKind::Store => "store",
-        };
+        let kind = op.kind;
         let name = &spec.arrays[op.array.0].name;
         let diag = if runtime {
             Diagnostic::warning(

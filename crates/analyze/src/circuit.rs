@@ -248,7 +248,15 @@ impl CircuitGraph {
     /// elastic storage is a combinational handshake loop.
     fn check_cycles(&self, report: &mut Report) {
         let succ = self.successors();
-        for scc in tarjan_sccs(&succ) {
+        let mut sccs: Vec<Vec<usize>> = Vec::new();
+        tarjan(
+            succ.len(),
+            0..succ.len() as u32,
+            |v| succ[v as usize].iter().map(|&w| w as u32),
+            // Listed as the stack pops them.
+            |scc| sccs.push(scc.iter().rev().map(|&v| v as usize).collect()),
+        );
+        for scc in sccs {
             let cyclic = scc.len() > 1 || succ[scc[0]].contains(&scc[0]);
             if !cyclic {
                 continue;
@@ -319,61 +327,63 @@ impl CircuitGraph {
     }
 }
 
-/// Tarjan's algorithm; returns every strongly connected component.
-fn tarjan_sccs(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    struct State<'a> {
-        succ: &'a [Vec<usize>],
-        index: Vec<Option<usize>>,
-        low: Vec<usize>,
-        on_stack: Vec<bool>,
-        stack: Vec<usize>,
-        next: usize,
-        out: Vec<Vec<usize>>,
-    }
-    fn strongconnect(s: &mut State, v: usize) {
-        s.index[v] = Some(s.next);
-        s.low[v] = s.next;
-        s.next += 1;
-        s.stack.push(v);
-        s.on_stack[v] = true;
-        for i in 0..s.succ[v].len() {
-            let w = s.succ[v][i];
-            if s.index[w].is_none() {
-                strongconnect(s, w);
-                s.low[v] = s.low[v].min(s.low[w]);
-            } else if s.on_stack[w] {
-                s.low[v] = s.low[v].min(s.index[w].expect("visited"));
-            }
+/// Tarjan's strongly connected components of a graph on `0..n`, by an
+/// iterative depth-first search: from each of `roots` not yet visited, in
+/// order, taking each node's `succ` edges in order. Calls `component` with
+/// each component's nodes as it completes, in the order the search reached
+/// them. Nodes no root reaches are in no component.
+pub(crate) fn tarjan<I: Iterator<Item = u32>>(
+    n: usize,
+    roots: impl IntoIterator<Item = u32>,
+    succ: impl Fn(u32) -> I,
+    mut component: impl FnMut(&[u32]),
+) {
+    const UNSEEN: u32 = u32::MAX;
+    // A completed node's index becomes DONE, which no `min` ever picks.
+    const DONE: u32 = u32::MAX - 1;
+    let mut index = vec![UNSEEN; n];
+    let mut low = vec![0u32; n];
+    let mut stack: Vec<u32> = Vec::new();
+    // The search path: each node with the rest of its edges.
+    let mut path: Vec<(u32, I)> = Vec::new();
+    let mut next = 0u32;
+    for root in roots {
+        if index[root as usize] != UNSEEN {
+            continue;
         }
-        if s.low[v] == s.index[v].expect("set above") {
-            let mut scc = Vec::new();
-            loop {
-                let w = s.stack.pop().expect("stack invariant");
-                s.on_stack[w] = false;
-                scc.push(w);
-                if w == v {
-                    break;
+        path.push((root, succ(root)));
+        while let Some((v, edges)) = path.last_mut() {
+            let v = *v as usize;
+            if index[v] == UNSEEN {
+                (index[v], low[v]) = (next, next);
+                next += 1;
+                stack.push(v as u32);
+            }
+            if let Some(w) = edges.next() {
+                if index[w as usize] == UNSEEN {
+                    path.push((w, succ(w)));
+                } else {
+                    low[v] = low[v].min(index[w as usize]);
                 }
+                continue;
             }
-            s.out.push(scc);
+            path.pop();
+            if let Some(&(p, _)) = path.last() {
+                low[p as usize] = low[p as usize].min(low[v]);
+            }
+            if low[v] == index[v] {
+                let at = stack
+                    .iter()
+                    .rposition(|&w| w as usize == v)
+                    .expect("on the stack");
+                component(&stack[at..]);
+                for &w in &stack[at..] {
+                    index[w as usize] = DONE;
+                }
+                stack.truncate(at);
+            }
         }
     }
-    let n = succ.len();
-    let mut s = State {
-        succ,
-        index: vec![None; n],
-        low: vec![0; n],
-        on_stack: vec![false; n],
-        stack: Vec::new(),
-        next: 0,
-        out: Vec::new(),
-    };
-    for v in 0..n {
-        if s.index[v].is_none() {
-            strongconnect(&mut s, v);
-        }
-    }
-    s.out
 }
 
 /// Runs the structural circuit lints (PV101, PV102, PV103, PV105) over a

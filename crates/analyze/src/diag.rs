@@ -21,9 +21,6 @@ pub enum Code {
     DeadlockRisk,
     /// `PV003` — the configured premature-queue depth is insufficient.
     QueueDepth,
-    /// `PV004` — an ambiguous pair is provably disjoint and the arbiter is
-    /// bypassed for it.
-    DisjointPair,
     /// `PV005` — a dead store or an unused array.
     DeadStore,
     /// `PV006` — pair reduction (paper §V-B) would help but is disabled.
@@ -60,8 +57,9 @@ pub enum Code {
     /// pair to the dynamic arbiter (the symbolic horizon).
     SeparationHorizon,
     /// `PV301` — a pair's access footprints are proven separate: no
-    /// cross-iteration collision is possible, the pair never enters the
-    /// model checker's validated set.
+    /// cross-iteration collision is possible, synthesis bypasses the arbiter
+    /// for the pair, and it never enters the model checker's validated set.
+    /// (`PV004`, which reported the same pairs, is an `--explain` alias.)
     ProvenDisjoint,
     /// `PV302` — a pair's access footprints provably coincide on every
     /// iteration pair (must-alias): the arbiter validation is guaranteed
@@ -106,7 +104,6 @@ impl Code {
             Code::OutOfBounds => "PV001",
             Code::DeadlockRisk => "PV002",
             Code::QueueDepth => "PV003",
-            Code::DisjointPair => "PV004",
             Code::DeadStore => "PV005",
             Code::PairReduction => "PV006",
             Code::DanglingChannel => "PV101",
@@ -432,7 +429,6 @@ mod tests {
         assert_eq!(Code::OutOfBounds.as_str(), "PV001");
         assert_eq!(Code::DeadlockRisk.as_str(), "PV002");
         assert_eq!(Code::QueueDepth.as_str(), "PV003");
-        assert_eq!(Code::DisjointPair.as_str(), "PV004");
         assert_eq!(Code::DeadStore.as_str(), "PV005");
         assert_eq!(Code::PairReduction.as_str(), "PV006");
         assert_eq!(Code::DanglingChannel.as_str(), "PV101");
@@ -505,7 +501,7 @@ mod tests {
         let mut r = Report::default();
         r.push(Diagnostic::error(Code::OutOfBounds, "oob"));
         r.push(Diagnostic::warning(Code::DeadStore, "dead"));
-        r.push(Diagnostic::note(Code::DisjointPair, "safe"));
+        r.push(Diagnostic::note(Code::ProvenDisjoint, "safe"));
         assert!(r.has_errors());
         assert_eq!(r.count(Severity::Error), 1);
         assert_eq!(r.count(Severity::Warning), 1);
@@ -535,9 +531,10 @@ mod tests {
     #[test]
     fn diagnostic_json_carries_line_and_column() {
         let src = "int a[4];\nfor (int i = 0; i < 4; ++i) {\n  a[i] = 1;\n}\n";
-        let d = Diagnostic::note(Code::DisjointPair, "bypassed").with_span(Some(Span::new(42, 46)));
+        let d =
+            Diagnostic::note(Code::ProvenDisjoint, "bypassed").with_span(Some(Span::new(42, 46)));
         let j = d.to_json(Some(src));
-        assert!(j.contains("\"code\":\"PV004\""));
+        assert!(j.contains("\"code\":\"PV301\""));
         assert!(j.contains("\"severity\":\"note\""));
         assert!(j.contains("\"start\":42"));
         assert!(j.contains("\"line\":"));

@@ -4,8 +4,8 @@
 //! severity the lint emits at, a few sentences of documentation, and a
 //! minimal kernel (plus the flags needed, when the default configuration
 //! would not trigger it) that produces the finding. The examples are real:
-//! `tests/explain_examples.rs`-style coverage lives in the CLI fixture
-//! tests, and the strings below are the canonical cheat sheet.
+//! `tests/explain_examples.rs` runs `prevv-lint` on every kernel example
+//! under its flags and checks that it emits its own code.
 
 use crate::diag::Code;
 
@@ -62,7 +62,7 @@ pub const ALL: &[Explanation] = &[
               placeholder arrival so the queue always drains; with \
               `--no-fake-tokens` this becomes a hard error.",
         example: "int a[8];\nfor (int i = 0; i < 8; ++i) { if (i % 2 == 0) \
-                  { a[0] = a[0] + i; } }\n\nflags: --no-fake-tokens",
+                  a[0] = a[0] + i; }\n\nflags: --no-fake-tokens",
     },
     Explanation {
         code: Code::QueueDepth,
@@ -74,17 +74,6 @@ pub const ALL: &[Explanation] = &[
               recommendation (warning: squash-rate and stall penalties).",
         example: "int a[8];\nfor (int i = 0; i < 8; ++i) { a[i] = a[i] + \
                   a[i + 0]; }\n\nflags: --depth 1",
-    },
-    Explanation {
-        code: Code::DisjointPair,
-        title: "provably-disjoint pair — arbiter bypassed",
-        severity: "note",
-        doc: "A potentially-aliasing load/store pair is provably disjoint \
-              (GCD / Banerjee tests), so the arbiter never needs to compare \
-              them and synthesis drops the validation. Informational: it \
-              explains why a pair you expected to see validated is not.",
-        example: "int a[16];\nfor (int i = 0; i < 8; ++i) { a[2 * i] = \
-                  a[2 * i + 1]; }",
     },
     Explanation {
         code: Code::DeadStore,
@@ -107,8 +96,9 @@ pub const ALL: &[Explanation] = &[
               hazards — but the configuration disables the reduction. \
               Enable it to save comparators; the PV204 model-checker lint \
               verifies the reduction's soundness on the abstract protocol.",
-        example: "int a[8];\nfor (int i = 0; i < 8; ++i) { a[i] = a[i] + 1; \
-                  }\n\nflags: --no-pair-reduction",
+        example: "int a[16];\nfor (int i = 0; i < 4; ++i) { for (int j = 0; j \
+                  < 4; ++j) { a[i] = a[i] + a[i + 1]; } }\n\nflags: \
+                  --no-pair-reduction",
     },
     Explanation {
         code: Code::DanglingChannel,
@@ -144,7 +134,8 @@ pub const ALL: &[Explanation] = &[
               moment a token enters it. Loop-carried kernels synthesize \
               buffers on every back edge; their absence is a structural \
               bug.",
-        example: "kernels/bad/combinational_loop.pvk\n\nflags: --circuit",
+        example: "kernels/bad/combinational_loop.pvk\n\nflags: --circuit \
+                  --controller direct",
     },
     Explanation {
         code: Code::FrontierCapacity,
@@ -192,7 +183,7 @@ pub const ALL: &[Explanation] = &[
               (\u{a7}V-C). The diagnostic carries the shortest event trace \
               into the dead state.",
         example: "int a[8];\nfor (int i = 0; i < 8; ++i) { if (i % 2 == 0) \
-                  { a[0] = a[0] + i; } }\n\nflags: --protocol --no-fake-tokens",
+                  a[0] = a[0] + i; }\n\nflags: --protocol --no-fake-tokens",
     },
     Explanation {
         code: Code::SquashLivelock,
@@ -259,16 +250,19 @@ pub const ALL: &[Explanation] = &[
     },
     Explanation {
         code: Code::ProvenDisjoint,
-        title: "pair footprints proven separate — discharged",
+        title: "pair footprints proven separate — arbiter bypassed",
         severity: "note",
         doc: "A conservative ambiguous pair's affine footprints are proven \
               separate: either the two address envelopes never overlap in \
               any pair of iterations, or every overlap is same-iteration \
               with the load sequenced before the store (which the in-order \
-              commit already serializes). The pair never enters the \
-              arbiter's validated set or the model checker's state space — \
-              a whole pair-class is discharged symbolically, shrinking both \
-              the arbiter area and the exploration frontier.",
+              commit already serializes). Synthesis bypasses the arbiter \
+              for the pair: it never enters the arbiter's validated set or \
+              the model checker's state space — a whole pair-class is \
+              discharged symbolically, shrinking both the arbiter area and \
+              the exploration frontier. `--explain PV004` resolves here: \
+              PV004 reported exactly these pairs until it was folded into \
+              this note.",
         example: "int a[8];\nfor (int i = 0; i < 8; ++i) { a[i] = a[i] + 1; }",
     },
     Explanation {
@@ -407,9 +401,13 @@ pub const ALL: &[Explanation] = &[
     },
 ];
 
-/// Looks up one code by its `PVxxx` string (case-insensitive).
+/// Looks up one code by its `PVxxx` string (case-insensitive). The retired
+/// `PV004` resolves to PV301, the note that reports its pairs.
 pub fn explain(code: &str) -> Option<&'static Explanation> {
-    let want = code.to_ascii_uppercase();
+    let mut want = code.to_ascii_uppercase();
+    if want == "PV004" {
+        want = Code::ProvenDisjoint.as_str().into();
+    }
     ALL.iter().find(|e| e.code.as_str() == want)
 }
 
@@ -427,7 +425,6 @@ mod tests {
                 | Code::OutOfBounds
                 | Code::DeadlockRisk
                 | Code::QueueDepth
-                | Code::DisjointPair
                 | Code::DeadStore
                 | Code::PairReduction
                 | Code::DanglingChannel
@@ -453,7 +450,7 @@ mod tests {
                 | Code::OccupancyBound => {}
             }
         }
-        assert_eq!(ALL.len(), 28, "one entry per Code variant");
+        assert_eq!(ALL.len(), 27, "one entry per Code variant");
         // No duplicates, sorted by code string.
         let strs: Vec<_> = ALL.iter().map(|e| e.code.as_str()).collect();
         let mut sorted = strs.clone();
@@ -466,6 +463,7 @@ mod tests {
     fn lookup_is_case_insensitive_and_total() {
         assert_eq!(explain("pv201").unwrap().code, Code::ProtocolDeadlock);
         assert_eq!(explain("PV001").unwrap().code, Code::OutOfBounds);
+        assert_eq!(explain("pv004").unwrap().code, Code::ProvenDisjoint);
         assert!(explain("PV999").is_none());
         assert!(explain("nonsense").is_none());
     }

@@ -11,7 +11,7 @@
 //! | PV001 | error    | affine index provably out of bounds |
 //! | PV002 | note/error | guarded op in an ambiguous pair (§V-C); error when fake tokens are disabled |
 //! | PV003 | error/warn | premature-queue depth below the frontier minimum / the §V-A recommendation |
-//! | PV004 | note     | provably-disjoint pair — arbiter bypassed |
+//! | PV004 | —        | folded into PV301 (same pairs); `--explain PV004` prints PV301 |
 //! | PV005 | warning  | dead store or unused array |
 //! | PV006 | note     | pair reduction (§V-B) profitable but disabled |
 //! | PV101 | error    | circuit: channel with no producer or no consumer |
@@ -25,7 +25,7 @@
 //! | PV203 | error    | protocol: queue capacity insufficient on some interleaving |
 //! | PV204 | warning  | protocol: §V-B pair-reduction representative diverges from the unreduced set |
 //! | PV300 | note     | separation horizon: pairs left to the dynamic arbiter |
-//! | PV301 | note     | pair footprints proven separate — discharged before model checking |
+//! | PV301 | note     | pair footprints proven separate — arbiter bypassed, discharged before model checking |
 //! | PV302 | note     | pair footprints must-alias — validation provably live |
 //! | PV400 | note     | perf: steady-state II bound + binding resource (+ critical cycle) |
 //! | PV401 | warning  | perf: zero-slack backpressure cycle; buffer insertion suggested |
@@ -41,7 +41,7 @@
 //! of `prevv-dataflow`; the `PV2xx` lints ([`modelcheck`]) bounded-model-
 //! check the abstract arbiter/premature-queue/squash protocol itself,
 //! reusing the pure `prevv_core::ProtocolState` step functions the
-//! simulator runs. The affine machinery behind PV001/PV004 is the
+//! simulator runs. The affine machinery behind PV001/PV301 is the
 //! symbolic dependence engine [`prevv_ir::symdep`] (GCD and Banerjee
 //! tests), which lets the lint families scale past enumerable iteration
 //! spaces; the `PV3xx` notes ([`seplog`]) report the one verdict
@@ -97,7 +97,7 @@ pub mod modelcheck;
 pub mod perf;
 pub mod seplog;
 
-pub use absint::{analyze_kernel as infer_invariants, occupancy_bound, DischargeReason};
+pub use absint::{occupancy_bound, DischargeReason};
 pub use circuit::{lint_circuit, lint_netlist, CircuitOptions, ControllerModel};
 pub use diag::{Code, Diagnostic, Report, Severity, Suggestion};
 pub use explain::{explain as explain_code, Explanation};
@@ -220,7 +220,6 @@ pub fn lint_kernel(
     lints::check_bounds(spec, &deps, &mut report);
     lints::check_deadlock(spec, &deps, opts, &mut report);
     lints::check_depth(spec, &deps, opts, &mut report);
-    lints::check_disjoint(spec, &deps, &mut report);
     lints::check_dead_stores(spec, &deps, &mut report);
     lints::check_pair_reduction(spec, &deps, opts, &mut report);
     seplog::check_separation(spec, &deps, &mut report);
@@ -231,7 +230,6 @@ pub fn lint_kernel(
     let synth = (circuit.is_some() || opts.perf.is_some()).then(|| {
         let synth_opts = SynthOptions {
             fake_tokens: opts.fake_tokens,
-            ..SynthOptions::default()
         };
         let synth = prevv_ir::synthesize_with(spec, &synth_opts)?;
         if let Some(circuit) = circuit {
@@ -602,15 +600,16 @@ mod tests {
     }
 
     #[test]
-    fn pv004_reports_bypassed_pairs() {
+    fn pv301_reports_bypassed_pairs() {
         // a[i] += 1 over one level: load-before-store in the same iteration
         // only.
         let src = "int a[8];\nfor (int i = 0; i < 8; ++i) { a[i] += 1; }\n";
         let spec = parse("pure", src);
         let r = analyze(&spec, &AnalyzeOptions::default());
-        let d = r.with_code(Code::DisjointPair);
+        let d = r.with_code(Code::ProvenDisjoint);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].severity, Severity::Note);
+        assert!(d[0].message.contains("the arbiter is bypassed"));
         assert!(d[0].span.is_some(), "parsed kernels carry spans");
     }
 
@@ -700,7 +699,7 @@ mod tests {
         );
         let (synth, report) = synthesize(&good).expect("clean kernel synthesizes");
         assert!(!report.has_errors());
-        assert!(!synth.bypassed.is_empty(), "PV004 pair is bypassed");
+        assert!(!synth.bypassed.is_empty(), "PV301 pair is bypassed");
     }
 
     #[test]

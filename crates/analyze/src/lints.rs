@@ -1,4 +1,4 @@
-//! The individual analyses (PV001–PV006). Each lint pushes into a shared
+//! The individual analyses (PV001–PV003, PV005, PV006). Each lint pushes into a shared
 //! [`Report`]; the orchestration lives in [`crate::analyze`].
 //!
 //! Concrete values come from the IR's one kernel semantics: affine indices
@@ -7,8 +7,9 @@
 //! through [`golden::replay`] — the interpreter the simulator's results are
 //! checked against.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
+use prevv_core::reduce::reduce;
 use prevv_core::sizing::{expr_latency, recommend_depth, PairTiming};
 use prevv_dataflow::Value;
 use prevv_ir::depend::{Dependences, StaticMemOp, ENUM_LIMIT};
@@ -62,10 +63,7 @@ pub(crate) fn check_bounds(spec: &KernelSpec, deps: &Dependences, report: &mut R
                 (raw < 0 || raw >= len).then_some((raw, row))
             });
         if let Some((raw, row)) = hit {
-            let kind = match op.kind {
-                MemOpKind::Load => "load",
-                MemOpKind::Store => "store",
-            };
+            let kind = op.kind;
             let name = array_name(spec, op.array);
             report.push(
                 Diagnostic::error(
@@ -106,10 +104,7 @@ fn check_bounds_symbolic(spec: &KernelSpec, deps: &Dependences, report: &mut Rep
         let (lo, hi) = form.range(&bounds);
         if lo < 0 || hi >= len {
             let raw = if lo < 0 { lo } else { hi };
-            let kind = match op.kind {
-                MemOpKind::Load => "load",
-                MemOpKind::Store => "store",
-            };
+            let kind = op.kind;
             let name = array_name(spec, op.array);
             report.push(
                 Diagnostic::error(
@@ -216,10 +211,7 @@ pub(crate) fn check_depth(
         .map(|s| expr_latency(&s.index, read_latency) + expr_latency(&s.value, read_latency) + 1.0)
         .sum();
     let timings: Vec<PairTiming> = deps
-        .pairs
-        .iter()
-        .zip(&deps.verdicts)
-        .filter(|(_, v)| !v.dependence_proved())
+        .validated()
         .map(|(pair, v)| {
             let stmt = &spec.body[deps.ops[pair.store].stmt];
             let t_org = expr_latency(&stmt.index, read_latency)
@@ -251,31 +243,6 @@ pub(crate) fn check_depth(
                 ),
             )
             .with_help(format!("configure depth_q = {recommended}")),
-        );
-    }
-}
-
-/// PV004 — provably-disjoint pairs. Reports every pair whose dependence
-/// verdict is proved ([`prevv_ir::depend::PairVerdict::dependence_proved`]):
-/// all address collisions are same-iteration load-before-store, which the
-/// in-order store commit already serializes, so synthesis drops the pair
-/// from the arbiter's validated set.
-pub(crate) fn check_disjoint(spec: &KernelSpec, deps: &Dependences, report: &mut Report) {
-    let spans = op_spans(spec, &deps.ops);
-    let pairs = deps.pairs.iter().zip(&deps.verdicts);
-    for (pair, _) in pairs.filter(|(_, v)| v.dependence_proved()) {
-        let load = &deps.ops[pair.load];
-        let name = array_name(spec, load.array);
-        report.push(
-            Diagnostic::note(
-                Code::DisjointPair,
-                format!(
-                    "load/store pair on `{name}` is provably disjoint across iterations \
-                     (every collision is same-iteration, program-order protected); the \
-                     arbiter is bypassed for it"
-                ),
-            )
-            .with_span(spans[pair.load].or(spans[pair.store])),
         );
     }
 }
@@ -378,10 +345,12 @@ pub(crate) fn check_dead_stores(spec: &KernelSpec, deps: &Dependences, report: &
     }
 }
 
-/// PV006 — pair-reduction opportunity (paper §V-B, Eq. 11–12). Counts the
-/// validation searches that collapsing runs of consecutive same-kind
-/// ambiguous ops would eliminate; emitted only when `pair_reduction` is
-/// disabled (when enabled, synthesis already applies it).
+/// PV006 — pair-reduction opportunity (paper §V-B, Eq. 11–12). Counts,
+/// through [`reduce`], the validation searches that collapsing runs of
+/// consecutive same-kind ops among the validated pairs
+/// ([`Dependences::validated`]) would eliminate; emitted only when
+/// `pair_reduction` is disabled (when enabled, synthesis already applies
+/// it).
 pub(crate) fn check_pair_reduction(
     spec: &KernelSpec,
     deps: &Dependences,
@@ -391,30 +360,11 @@ pub(crate) fn check_pair_reduction(
     if opts.pair_reduction {
         return;
     }
-    let ambiguous = deps.ambiguous_ops();
-    let mut per_array: BTreeMap<usize, Vec<&StaticMemOp>> = BTreeMap::new();
-    for op in &deps.ops {
-        if ambiguous.contains(&op.id) {
-            per_array.entry(op.array.0).or_default().push(op);
-        }
-    }
-    let mut eliminable = 0usize;
-    for ops in per_array.values() {
-        let mut run_kind: Option<MemOpKind> = None;
-        let mut run_len = 0usize;
-        for op in ops {
-            if run_kind == Some(op.kind) {
-                run_len += 1;
-            } else {
-                eliminable += run_len.saturating_sub(1);
-                run_kind = Some(op.kind);
-                run_len = 1;
-            }
-        }
-        eliminable += run_len.saturating_sub(1);
-    }
+    let validated = deps.validated().flat_map(|(p, _)| [p.load, p.store]);
+    let reduction = reduce(&deps.ops, validated.collect(), true);
+    let eliminable = reduction.eliminated();
     if eliminable > 0 {
-        let total = ambiguous.len();
+        let total = reduction.ambiguous.len();
         report.push(
             Diagnostic::note(
                 Code::PairReduction,

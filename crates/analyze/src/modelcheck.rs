@@ -99,6 +99,7 @@ use prevv_ir::{
 };
 
 use crate::absint;
+use crate::circuit::tarjan;
 use crate::diag::{Code, Diagnostic, Report};
 use crate::seplog::SeparationStats;
 
@@ -764,60 +765,28 @@ impl Exploration {
         Some(ids)
     }
 
-    /// The strongly connected components of the in-plane edges, by an
-    /// iterative Tarjan search rooted at the squash sources: each state's
+    /// The strongly connected components of the in-plane edges, by a
+    /// Tarjan search ([`tarjan`]) rooted at the squash sources: each state's
     /// component number, [`NO_ID`] for states no squash source reaches.
     fn plane_components(&self) -> Vec<u32> {
-        let n = self.visited.len();
-        let mut index = vec![NO_ID; n];
-        let mut low = vec![0u32; n];
-        let mut comp = vec![NO_ID; n];
-        let mut stack: Vec<u32> = Vec::new();
-        // The DFS: each state with the position of its next edge.
-        let mut calls: Vec<(u32, usize)> = Vec::new();
-        let (mut next_index, mut next_comp) = (0u32, 0u32);
-        for &(root, _) in &self.squashes {
-            if index[root as usize] != NO_ID {
-                continue;
-            }
-            calls.push((root, 0));
-            while let Some(&(s, at)) = calls.last() {
-                if index[s as usize] == NO_ID {
-                    index[s as usize] = next_index;
-                    low[s as usize] = next_index;
-                    next_index += 1;
-                    stack.push(s);
+        let mut comp = vec![NO_ID; self.visited.len()];
+        let mut next_comp = 0u32;
+        tarjan(
+            comp.len(),
+            self.squashes.iter().map(|&(root, _)| root),
+            |s| {
+                let edges = self.out(s).iter();
+                edges
+                    .filter(|&&e| e & IN_PLANE != 0)
+                    .map(|&e| e & !IN_PLANE)
+            },
+            |scc| {
+                for &s in scc {
+                    comp[s as usize] = next_comp;
                 }
-                if let Some(&e) = self.out(s).get(at) {
-                    let top = calls.len() - 1;
-                    calls[top].1 += 1;
-                    if e & IN_PLANE == 0 {
-                        continue;
-                    }
-                    let t = (e & !IN_PLANE) as usize;
-                    if index[t] == NO_ID {
-                        calls.push((t as u32, 0));
-                    } else if comp[t] == NO_ID {
-                        low[s as usize] = low[s as usize].min(index[t]);
-                    }
-                    continue;
-                }
-                calls.pop();
-                let s = s as usize;
-                if let Some(&(p, _)) = calls.last() {
-                    low[p as usize] = low[p as usize].min(low[s]);
-                }
-                if low[s] == index[s] {
-                    while let Some(t) = stack.pop() {
-                        comp[t as usize] = next_comp;
-                        if t as usize == s {
-                            break;
-                        }
-                    }
-                    next_comp += 1;
-                }
-            }
-        }
+                next_comp += 1;
+            },
+        );
         comp
     }
 }
@@ -929,13 +898,7 @@ impl<'a> Model<'a> {
             .collect();
         let labels: Vec<String> = ops
             .iter()
-            .map(|o| {
-                let kind = match o.kind {
-                    MemOpKind::Load => "load",
-                    MemOpKind::Store => "store",
-                };
-                format!("{kind} {}", spec.arrays[o.array.0].name)
-            })
+            .map(|o| format!("{} {}", o.kind, spec.arrays[o.array.0].name))
             .collect();
         let store_seqs: Vec<u32> = ops
             .iter()
@@ -956,7 +919,7 @@ impl<'a> Model<'a> {
         let validated_set = iface.ambiguous_ops();
         let mask = |set: &HashSet<usize>| (0..ops.len()).map(|op| set.contains(&op)).collect();
         let validated: Vec<bool> = mask(&validated_set);
-        let reduced: Vec<bool> = mask(&reduce(iface, true).validated);
+        let reduced: Vec<bool> = mask(&reduce(&ops, validated_set.clone(), true).validated);
         let arbiter = Arbiter::new(validated_set, opts.config.forwarding);
 
         // The operand ops of each op: loads depend on the loads nested in

@@ -10,8 +10,10 @@
 //!
 //! * **PV301 (proven separate)** — every collision is same-iteration and
 //!   program-order protected (load sequenced before the store), proved by
-//!   the affine tests or by enumeration. Such a pair never needs the
-//!   arbiter and never enters the model checker's validated set.
+//!   the affine tests or by enumeration. Synthesis bypasses the arbiter for
+//!   such a pair, and it never enters the model checker's validated set.
+//!   (`--explain PV004`, the code this note once shared the pairs with,
+//!   resolves here.)
 //! * **PV302 (must-alias)** — the two footprints are the *same* affine
 //!   function, so they collide on every traversal: the arbiter validation
 //!   for this pair is live, not defensive. Constant footprints (`a[0]`)
@@ -56,9 +58,7 @@ impl SeparationStats {
         };
         for v in &deps.verdicts {
             match v.class {
-                VerdictClass::OrderProtected(_) | VerdictClass::Disjoint(_) => {
-                    stats.discharged += 1
-                }
+                VerdictClass::Proved(_) => stats.discharged += 1,
                 VerdictClass::MustAlias => stats.must_alias += 1,
                 VerdictClass::Unknown => stats.residual += 1,
             }
@@ -68,7 +68,7 @@ impl SeparationStats {
 }
 
 /// The lint pass: one PV301 note per pair dependence analysis proved
-/// order-protected, one PV502 note per pair value invariants discharged,
+/// (the pairs synthesis bypasses), one PV502 note per pair value invariants discharged,
 /// one PV302 note per must-alias pair, and a single PV300 horizon note when
 /// anything remains for the dynamic arbiter.
 pub(crate) fn check_separation(spec: &KernelSpec, deps: &Dependences, report: &mut Report) {
@@ -78,8 +78,7 @@ pub(crate) fn check_separation(spec: &KernelSpec, deps: &Dependences, report: &m
         let name = &spec.arrays[deps.ops[pair.load].array.0].name;
         let span = spans[pair.load].or(spans[pair.store]);
         let note = match verdict.class {
-            VerdictClass::OrderProtected(Proof::Invariant(reason))
-            | VerdictClass::Disjoint(Proof::Invariant(reason)) => Diagnostic::note(
+            VerdictClass::Proved(Proof::Invariant(reason)) => Diagnostic::note(
                 Code::InvariantDischarge,
                 format!(
                     "value invariants discharge the load/store pair on `{name}`: \
@@ -87,12 +86,12 @@ pub(crate) fn check_separation(spec: &KernelSpec, deps: &Dependences, report: &m
                     reason.describe()
                 ),
             ),
-            VerdictClass::OrderProtected(_) | VerdictClass::Disjoint(_) => Diagnostic::note(
+            VerdictClass::Proved(_) => Diagnostic::note(
                 Code::ProvenDisjoint,
                 format!(
                     "load/store footprints on `{name}` are proven separate: every overlap \
                      is same-iteration and the load is sequenced before the store, which \
-                     the in-order commit serializes"
+                     the in-order commit serializes; the arbiter is bypassed for the pair"
                 ),
             ),
             VerdictClass::MustAlias => {
@@ -156,7 +155,7 @@ mod tests {
     #[test]
     fn order_protected_accumulator_is_discharged() {
         let v = verdicts("int a[8];\nfor (int i = 0; i < 8; ++i) { a[i] = a[i] + 1; }");
-        assert_eq!(v, vec![VerdictClass::OrderProtected(Proof::Affine)]);
+        assert_eq!(v, vec![VerdictClass::Proved(Proof::Affine)]);
     }
 
     #[test]

@@ -168,7 +168,11 @@ pub fn controller_cost(synth: &SynthesizedKernel, kind: ControllerKind) -> Resou
             pair_reduction,
         } => {
             let _ = n_arrays;
-            let red = reduce::reduce(&synth.interface, pair_reduction);
+            let red = reduce::reduce(
+                &synth.deps.ops,
+                synth.interface.ambiguous_ops(),
+                pair_reduction,
+            );
             let pairs = synth.interface.pairs.len().max(1);
             prevv_instance_cost(depth, pairs, red.validated.len())
         }

@@ -189,10 +189,7 @@ pub fn deadlock_demo() -> Result<DeadlockDemo, RunError> {
             ..SimConfig::default()
         },
     )?;
-    let no_fakes = SynthOptions {
-        fake_tokens: false,
-        ..SynthOptions::default()
-    };
+    let no_fakes = SynthOptions { fake_tokens: false };
     let err = match run_kernel_with(
         &spec,
         Controller::Prevv(PrevvConfig::with_depth(4)),

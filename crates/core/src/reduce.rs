@@ -12,24 +12,25 @@
 //! surrounding opposite-kind operations.
 //!
 //! This module computes the representative set; `prevv-area` uses it to
-//! price the arbiter, and the controller can restrict validation triggering
-//! to it.
+//! price the arbiter, the PV2xx checker to test the reduction (PV204), and
+//! the PV006 lint to count what it would save.
 
 use std::collections::{BTreeMap, HashSet};
 
-use prevv_ir::{MemOpKind, MemoryInterface};
+use prevv_ir::depend::StaticMemOp;
+use prevv_ir::MemOpKind;
 
 /// Result of the reduction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reduction {
-    /// All ambiguous port ids (before reduction).
+    /// All ambiguous op ids (before reduction).
     pub ambiguous: HashSet<usize>,
-    /// The representative ports whose arrivals must trigger validation.
+    /// The representative ops whose arrivals must trigger validation.
     pub validated: HashSet<usize>,
 }
 
 impl Reduction {
-    /// Ports whose validation searches were eliminated.
+    /// Ops whose validation searches were eliminated.
     pub fn eliminated(&self) -> usize {
         self.ambiguous.len() - self.validated.len()
     }
@@ -46,7 +47,9 @@ pub fn naive_frequency_factor(n: u32) -> f64 {
     1.0 / (1.0 + (n as f64).log2().max(0.0))
 }
 
-/// Computes the validated representative set for an interface.
+/// Computes the validated representative set of the `ambiguous` op ids
+/// among `ops` (the static memory ops in program order, indexed by id —
+/// the same ids as a synthesized interface's ports).
 ///
 /// Ambiguous ops are grouped per array and ordered by their program-order
 /// sequence number; each maximal run of consecutive same-kind ops keeps one
@@ -60,8 +63,7 @@ pub fn naive_frequency_factor(n: u32) -> f64 {
 ///
 /// With `pair_reduction` disabled the validated set equals the ambiguous
 /// set.
-pub fn reduce(iface: &MemoryInterface, pair_reduction: bool) -> Reduction {
-    let ambiguous = iface.ambiguous_ops();
+pub fn reduce(ops: &[StaticMemOp], ambiguous: HashSet<usize>, pair_reduction: bool) -> Reduction {
     if !pair_reduction {
         return Reduction {
             validated: ambiguous.clone(),
@@ -69,39 +71,18 @@ pub fn reduce(iface: &MemoryInterface, pair_reduction: bool) -> Reduction {
         };
     }
     // Group ambiguous ops per array, ordered by seq.
-    let mut per_array: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (pid, port) in iface.ports.iter().enumerate() {
-        if ambiguous.contains(&pid) {
-            per_array.entry(port.op.array.0).or_default().push(pid);
-        }
+    let mut per_array: BTreeMap<usize, Vec<&StaticMemOp>> = BTreeMap::new();
+    for op in ops.iter().filter(|op| ambiguous.contains(&op.id)) {
+        per_array.entry(op.array.0).or_default().push(op);
     }
     let mut validated = HashSet::new();
     for ops in per_array.values() {
-        let mut run: Vec<usize> = Vec::new();
-        let mut run_kind: Option<MemOpKind> = None;
-        let flush_run = |run: &mut Vec<usize>, kind: Option<MemOpKind>| {
-            if run.is_empty() {
-                return None;
-            }
-            let rep = match kind.expect("non-empty run has a kind") {
+        for run in ops.chunk_by(|a, b| a.kind == b.kind) {
+            let rep = match run[0].kind {
                 MemOpKind::Load => run[0],
-                MemOpKind::Store => *run.last().expect("non-empty"),
+                MemOpKind::Store => run[run.len() - 1],
             };
-            run.clear();
-            Some(rep)
-        };
-        for &pid in ops {
-            let kind = iface.ports[pid].op.kind;
-            if run_kind != Some(kind) {
-                if let Some(rep) = flush_run(&mut run, run_kind) {
-                    validated.insert(rep);
-                }
-                run_kind = Some(kind);
-            }
-            run.push(pid);
-        }
-        if let Some(rep) = flush_run(&mut run, run_kind) {
-            validated.insert(rep);
+            validated.insert(rep.id);
         }
     }
     Reduction {
@@ -142,7 +123,7 @@ mod tests {
         )
         .expect("valid");
         let s = synthesize(&spec).expect("synth");
-        let r = reduce(&s.interface, true);
+        let r = reduce(&s.deps.ops, s.interface.ambiguous_ops(), true);
         assert_eq!(r.ambiguous.len(), 4, "3 loads + 1 store are ambiguous");
         // One representative load + the store.
         assert_eq!(r.validated.len(), 2);
@@ -174,7 +155,7 @@ mod tests {
         )
         .expect("valid");
         let s = synthesize(&spec).expect("synth");
-        let r = reduce(&s.interface, false);
+        let r = reduce(&s.deps.ops, s.interface.ambiguous_ops(), false);
         assert_eq!(r.validated, r.ambiguous);
         assert_eq!(r.eliminated(), 0);
     }
@@ -202,7 +183,7 @@ mod tests {
         )
         .expect("valid");
         let s = synthesize(&spec).expect("synth");
-        let r = reduce(&s.interface, true);
+        let r = reduce(&s.deps.ops, s.interface.ambiguous_ops(), true);
         // Each array keeps its load + store representative.
         assert_eq!(r.validated.len(), 4);
     }

@@ -237,10 +237,7 @@ fn guarded_kernel_deadlocks_without_fake_tokens() {
     // arbiter waits forever for arrivals of untaken iterations and the full
     // queue stalls the pipeline.
     let spec = guarded(64);
-    let opts = SynthOptions {
-        fake_tokens: false,
-        ..SynthOptions::default()
-    };
+    let opts = SynthOptions { fake_tokens: false };
     let err = run_prevv_with(&spec, PrevvConfig::with_depth(4), &opts)
         .expect_err("must deadlock without fake tokens");
     assert!(

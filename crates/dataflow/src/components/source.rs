@@ -287,7 +287,10 @@ impl LoopLevel {
 /// An odometer over the levels: the innermost level steps first, and a level
 /// that reaches its upper bound steps the level enclosing it and re-seats
 /// itself at its (possibly `OuterPlus`) lower bound. Empty ranges are
-/// skipped at any depth. A nest of zero levels has one, empty, row.
+/// skipped at any depth, and a run of values on which a deeper level is
+/// empty is jumped over, not stepped (a bound is affine in one enclosing
+/// value, so where a level is empty has a closed form). A nest of zero
+/// levels has one, empty, row.
 /// [`IterSpace::next_row`] lends each row without allocating; the
 /// [`Iterator`] impl copies rows out, for callers that want `Vec`s.
 ///
@@ -306,6 +309,9 @@ impl LoopLevel {
 pub struct IterSpace {
     levels: Vec<LoopLevel>,
     row: Vec<Value>,
+    /// Per level, the exclusive end of its live range under the current
+    /// prefix.
+    end: Vec<Value>,
     state: Odometer,
 }
 
@@ -322,6 +328,7 @@ impl IterSpace {
         IterSpace {
             levels: levels.to_vec(),
             row: vec![0; levels.len()],
+            end: vec![0; levels.len()],
             state: Odometer::Fresh,
         }
     }
@@ -344,9 +351,9 @@ impl IterSpace {
 
     /// Levels `..depth` hold a valid prefix. When `step`, steps level
     /// `depth − 1` first; then seats every level from the stepped one
-    /// inward at its lower bound, stepping an enclosing level whenever a
-    /// level's range is empty or run out. Returns false when the outermost
-    /// level runs out.
+    /// inward at the start of its live range, stepping an enclosing level
+    /// whenever a level's range is empty or run out. Returns false when the
+    /// outermost level runs out.
     fn settle(&mut self, mut depth: usize, mut step: bool) -> bool {
         loop {
             if step {
@@ -359,9 +366,12 @@ impl IterSpace {
                 if depth == self.levels.len() {
                     return true;
                 }
-                self.row[depth] = self.levels[depth].lo.resolve(&self.row[..depth]);
+                let outer = &self.row[..depth];
+                let level = self.levels[depth];
+                let (lo, hi) = (level.lo.resolve(outer), level.hi.resolve(outer));
+                (self.row[depth], self.end[depth]) = live_range(&self.levels, outer, lo, hi);
             }
-            step = self.row[depth] >= self.levels[depth].hi.resolve(&self.row[..depth]);
+            step = self.row[depth] >= self.end[depth];
             if !step {
                 depth += 1;
             }
@@ -382,9 +392,11 @@ impl Iterator for IterSpace {
 /// a level that does not enclose it.
 ///
 /// The innermost level closes as `max(0, hi − lo)`, so only the enclosing
-/// levels of a triangular nest are stepped: `for i in 0..n { for j in
-/// i+1..n }` costs `n` steps, not `n²/2`. A rectangular nest (all bounds
-/// [`Bound::Const`]) is a product of extents, in O(levels).
+/// levels of a triangular nest are stepped, and only over the values on
+/// which the deeper levels are non-empty: `for i in 0..n { for j in
+/// i+1..n }` costs `n` steps, not `n²/2`, and `for i in 0..10¹¹ { for j in
+/// i..4 }` costs 4. A rectangular nest (all bounds [`Bound::Const`]) is a
+/// product of extents, in O(levels).
 pub fn count_iterations(levels: &[LoopLevel]) -> Option<usize> {
     let rectangular = levels
         .iter()
@@ -408,6 +420,7 @@ pub fn count_iterations(levels: &[LoopLevel]) -> Option<usize> {
         }
         let lo = level.lo.checked_resolve(outer)?;
         let hi = level.hi.checked_resolve(outer)?;
+        let (lo, hi) = live_range(levels, outer, lo, hi);
         let mut total: usize = 0;
         for v in lo..hi {
             outer.push(v);
@@ -417,6 +430,42 @@ pub fn count_iterations(levels: &[LoopLevel]) -> Option<usize> {
         Some(total)
     }
     recurse(levels, &mut Vec::with_capacity(levels.len()))
+}
+
+/// The values `lo..hi` of level `outer.len()`, under the enclosing values
+/// `outer`, clamped to those on which no deeper level is empty whose bounds
+/// read only this level and its enclosing ones. Values outside lead to no
+/// row. Such a bound is affine in this level's value `v` (`c` or `v + c`),
+/// so each of those levels is non-empty on one interval of `v`, in closed
+/// form: `v + a < b` below `b − a`, `a < v + b` above `a − b`. Returns an
+/// empty range (`lo == hi`) when no value is live.
+fn live_range(levels: &[LoopLevel], outer: &[Value], lo: Value, hi: Value) -> (Value, Value) {
+    let d = outer.len();
+    // A deeper bound as (reads v, constant part), or None when it reads a
+    // level between this one and its own.
+    let affine = |b: Bound| match b {
+        Bound::Const(c) => Some((false, i128::from(c))),
+        Bound::OuterPlus(k, off) if k < d => Some((false, i128::from(outer[k]) + i128::from(off))),
+        Bound::OuterPlus(k, off) if k == d => Some((true, i128::from(off))),
+        Bound::OuterPlus(..) => None,
+    };
+    let (mut first, mut end) = (i128::from(lo), i128::from(hi));
+    for level in &levels[d + 1..] {
+        let (Some((lo_v, a)), Some((hi_v, b))) = (affine(level.lo), affine(level.hi)) else {
+            continue;
+        };
+        match (lo_v, hi_v) {
+            (true, false) => end = end.min(b - a),
+            (false, true) => first = first.max(a - b + 1),
+            _ if a >= b => end = first,
+            _ => {}
+        }
+    }
+    if first >= end {
+        return (lo, lo);
+    }
+    // Both lie within `lo..=hi` now.
+    (first as Value, end as Value)
 }
 
 #[cfg(test)]
@@ -556,6 +605,24 @@ mod tests {
             LoopLevel::new(Bound::OuterPlus(0, 1), Bound::Const(100_000)),
         ];
         assert_eq!(count_iterations(&nest), Some(4_999_950_000));
+    }
+
+    #[test]
+    fn empty_inner_ranges_are_jumped_over() {
+        // for i in 0..10¹¹ { for j in i..4 }: rows only while i < 4. The
+        // third nest's innermost level reads level 0 past a rectangular one.
+        let far = LoopLevel::upto(100_000_000_000);
+        let tail = LoopLevel::new(Bound::OuterPlus(0, 0), Bound::Const(4));
+        let head = LoopLevel::new(Bound::Const(99_999_999_998), Bound::OuterPlus(0, 0));
+        for (nest, count) in [
+            (vec![far, tail], 10),
+            (vec![far, head], 1),
+            (vec![far, LoopLevel::upto(2), tail], 20),
+            (vec![far, LoopLevel::upto(0)], 0),
+        ] {
+            assert_eq!(count_iterations(&nest), Some(count), "{nest:?}");
+            assert_eq!(IterSpace::new(&nest).count(), count, "{nest:?}");
+        }
     }
 
     #[test]

@@ -107,12 +107,13 @@ pub enum Proof {
 /// What is known about one ambiguous pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerdictClass {
-    /// Proved: every collision is same-iteration with the load sequenced
-    /// before the store, which the in-order commit already serializes.
-    OrderProtected(Proof),
-    /// Proved: the accesses never touch the same cell. Dependence analysis
-    /// drops such pairs outright, so only value invariants produce this.
-    Disjoint(Proof),
+    /// Proved: the pair never needs the arbiter. Dependence analysis drops
+    /// outright-disjoint pairs, so its proofs ([`Proof::Affine`],
+    /// [`Proof::Enumerated`]) say every collision is same-iteration with the
+    /// load sequenced before the store, which the in-order commit already
+    /// serializes; a [`Proof::Invariant`]'s [`DischargeReason`] says whether
+    /// the footprints are disjoint or ordered.
+    Proved(Proof),
     /// The load and store follow the same affine index function, so they
     /// collide on every traversal: the arbiter's validation is live.
     MustAlias,
@@ -138,7 +139,7 @@ impl PairVerdict {
     /// The proof that the pair never needs the arbiter, if any.
     pub fn proof(&self) -> Option<Proof> {
         match self.class {
-            VerdictClass::OrderProtected(p) | VerdictClass::Disjoint(p) => Some(p),
+            VerdictClass::Proved(p) => Some(p),
             VerdictClass::MustAlias | VerdictClass::Unknown => None,
         }
     }
@@ -171,6 +172,14 @@ impl Dependences {
     /// True if the kernel needs any disambiguation at all.
     pub fn needs_disambiguation(&self) -> bool {
         !self.pairs.is_empty()
+    }
+
+    /// The pairs synthesis validates, with their verdicts: every pair
+    /// dependence analysis did not prove ([`PairVerdict::dependence_proved`]).
+    /// A pair that only value invariants discharge stays validated.
+    pub fn validated(&self) -> impl Iterator<Item = (AmbiguousPair, &PairVerdict)> {
+        let pairs = self.pairs.iter().copied().zip(&self.verdicts);
+        pairs.filter(|(_, v)| !v.dependence_proved())
     }
 }
 
@@ -289,16 +298,16 @@ pub fn analyze(spec: &KernelSpec) -> Dependences {
                 _ => None,
             };
             let class = if symbolic == PairClass::SameIterationOnly && protected {
-                VerdictClass::OrderProtected(Proof::Affine)
+                VerdictClass::Proved(Proof::Affine)
             } else if enumerated == Some(None) {
-                VerdictClass::OrderProtected(Proof::Enumerated)
+                VerdictClass::Proved(Proof::Enumerated)
             } else if must_alias(l, s, levels) {
                 VerdictClass::MustAlias
             } else {
                 VerdictClass::Unknown
             };
             let min_distance = match class {
-                VerdictClass::OrderProtected(_) => None,
+                VerdictClass::Proved(_) => None,
                 _ => enumerated.flatten(),
             };
             pairs.push(AmbiguousPair {
@@ -523,10 +532,7 @@ mod tests {
         )
         .expect("valid");
         let d = analyze(&k);
-        assert_eq!(
-            d.verdicts[0].class,
-            VerdictClass::OrderProtected(Proof::Affine)
-        );
+        assert_eq!(d.verdicts[0].class, VerdictClass::Proved(Proof::Affine));
         assert!(d.verdicts[0].dependence_proved());
     }
 
@@ -613,10 +619,7 @@ mod tests {
         assert_eq!(d.pairs.len(), 1);
         // ...whose every collision is same-iteration load-before-store, so
         // the symbolic tests prove it order-protected.
-        assert_eq!(
-            d.verdicts[0].class,
-            VerdictClass::OrderProtected(Proof::Affine)
-        );
+        assert_eq!(d.verdicts[0].class, VerdictClass::Proved(Proof::Affine));
         assert_eq!(d.verdicts[0].min_distance, None);
     }
 
@@ -688,7 +691,7 @@ mod tests {
         assert_eq!(
             d.verdicts,
             vec![PairVerdict {
-                class: VerdictClass::OrderProtected(Proof::Enumerated),
+                class: VerdictClass::Proved(Proof::Enumerated),
                 min_distance: None,
             }]
         );

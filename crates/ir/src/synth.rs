@@ -44,21 +44,11 @@ pub struct SynthOptions {
     /// Emit fake tokens for guarded ops (paper §V-C). Disabling this
     /// reproduces the premature-queue deadlock the paper describes.
     pub fake_tokens: bool,
-    /// Drop ambiguous pairs whose dependence verdict is proved safe (every
-    /// collision protected by same-iteration program order, see
-    /// [`crate::depend::PairVerdict::dependence_proved`]) from the
-    /// controller's validated set, so the arbiter skips searching for them —
-    /// the `prevv-analyze` PV004 fast path. The conservative analysis is
-    /// still available in [`SynthesizedKernel::deps`].
-    pub bypass_safe_pairs: bool,
 }
 
 impl Default for SynthOptions {
     fn default() -> Self {
-        SynthOptions {
-            fake_tokens: true,
-            bypass_safe_pairs: true,
-        }
+        SynthOptions { fake_tokens: true }
     }
 }
 
@@ -78,8 +68,9 @@ pub struct SynthesizedKernel {
     /// Dependence analysis results (conservative: every ambiguous pair,
     /// including any the interface bypasses).
     pub deps: Dependences,
-    /// Pairs proven safe and excluded from `interface.pairs` (empty unless
-    /// [`SynthOptions::bypass_safe_pairs`] found any).
+    /// Pairs dependence analysis proved safe, excluded from
+    /// `interface.pairs` ([`Dependences::validated`]): the arbiter never
+    /// searches for them (the `prevv-analyze` PV301 note).
     pub bypassed: Vec<AmbiguousPair>,
 }
 
@@ -103,14 +94,13 @@ pub fn synthesize_with(
 ) -> Result<SynthesizedKernel, KernelError> {
     spec.validate()?;
     let deps = analyze(spec);
-    let (mut pairs, mut bypassed) = (Vec::new(), Vec::new());
-    for (&pair, v) in deps.pairs.iter().zip(&deps.verdicts) {
-        if opts.bypass_safe_pairs && v.dependence_proved() {
-            bypassed.push(pair);
-        } else {
-            pairs.push(pair);
-        }
-    }
+    let pairs: Vec<AmbiguousPair> = deps.validated().map(|(p, _)| p).collect();
+    let bypassed = deps
+        .pairs
+        .iter()
+        .copied()
+        .filter(|p| !pairs.contains(p))
+        .collect();
     let mut b = Builder {
         opts,
         net: Netlist::new(),
@@ -444,14 +434,7 @@ mod tests {
         let s = synthesize(&k).expect("synthesizes");
         assert!(s.interface.ports.iter().all(|p| p.fake_in.is_some()));
 
-        let s2 = synthesize_with(
-            &k,
-            &SynthOptions {
-                fake_tokens: false,
-                ..Default::default()
-            },
-        )
-        .expect("synthesizes");
+        let s2 = synthesize_with(&k, &SynthOptions { fake_tokens: false }).expect("synthesizes");
         assert!(s2.interface.ports.iter().all(|p| p.fake_in.is_none()));
     }
 
@@ -477,25 +460,13 @@ mod tests {
     #[test]
     fn interface_counts() {
         // The single-level accumulation's load/store pair only ever collides
-        // within one iteration (load before store), so the default
-        // `bypass_safe_pairs` refinement removes it from the validated set.
+        // within one iteration (load before store), so synthesis removes it
+        // from the validated set.
         let s = synthesize(&accum_kernel()).expect("synthesizes");
         assert_eq!(s.interface.load_ports(), 1);
         assert_eq!(s.interface.store_ports(), 1);
         assert_eq!(s.interface.ambiguous_ops().len(), 0);
         assert_eq!(s.bypassed.len(), 1);
         assert_eq!(s.deps.pairs.len(), 1, "conservative analysis is retained");
-
-        // Opting out restores the conservative interface.
-        let s = synthesize_with(
-            &accum_kernel(),
-            &SynthOptions {
-                bypass_safe_pairs: false,
-                ..Default::default()
-            },
-        )
-        .expect("synthesizes");
-        assert_eq!(s.interface.ambiguous_ops().len(), 2);
-        assert!(s.bypassed.is_empty());
     }
 }

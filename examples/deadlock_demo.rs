@@ -31,10 +31,7 @@ fn main() {
         with_fakes.report.cycles, stats.fakes, with_fakes.matches_golden
     );
 
-    let no_fakes = SynthOptions {
-        fake_tokens: false,
-        ..SynthOptions::default()
-    };
+    let no_fakes = SynthOptions { fake_tokens: false };
     match run_kernel_with(&spec, config(), &no_fakes, &sim) {
         Err(e) => println!("fake tokens OFF:  {e}"),
         Ok(r) => println!(

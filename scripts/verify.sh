@@ -56,7 +56,7 @@ if [ -z "$replayed" ] || [ "$replayed" -eq 0 ]; then
 fi
 echo "    histogram.pvk: $replayed iteration(s) replayed"
 
-echo "==> large iteration space (10^7 iterations: peak RSS bounded by the horizon)"
+echo "==> large iteration spaces (10^7 iterations; 10^11 outer values, 10 rows: peak RSS bounded by the horizon)"
 # Every tool streams the iteration space, so memory follows the checker's
 # horizon and the simulator's in-flight window, not the trip count. The
 # kernel lives in a temp dir, away from kernels/*.pvk, which the smoke
@@ -89,6 +89,18 @@ print(f"    {name}: exit {code}, peak RSS {mb:.1f} MB")
 rss_gate 0 ./target/release/prevv-lint --circuit --perf --protocol "$bigdir/big.pvk"
 # 10^7 iterations need more than runkernel's 2M-cycle budget: exit 1.
 rss_gate 1 ./target/release/runkernel "$bigdir/big.pvk"
+# 10 iterations behind 10^11 outer values whose inner range is empty: the
+# tools jump over the empty range instead of stepping it.
+cat > "$bigdir/empty_tail.pvk" <<'EOF'
+int a[16];
+for (int i = 0; i < 100000000000; ++i) {
+  for (int j = i; j < 4; ++j) {
+    a[j] += 1;
+  }
+}
+EOF
+rss_gate 0 ./target/release/prevv-lint --circuit --perf --protocol "$bigdir/empty_tail.pvk"
+rss_gate 0 ./target/release/runkernel "$bigdir/empty_tail.pvk"
 rm -rf "$bigdir"
 
 echo "==> reproduce (every headline paper claim, exit 1 on any FAIL)"

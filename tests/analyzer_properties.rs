@@ -159,7 +159,7 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// PV004 soundness: the dependence verdicts, and above all the pairs
+    /// PV301 soundness: the dependence verdicts, and above all the pairs
     /// synthesis bypasses, agree with brute-force enumeration of both
     /// address streams (wrapped the way the runtime wraps) and of their
     /// raw affine forms:
@@ -167,9 +167,8 @@ proptest! {
     /// * every pair is a load and a store of one array, and when both
     ///   indices are static their address streams do meet;
     /// * a pair dependence analysis proved (the pairs synthesis bypasses,
-    ///   PV004/PV301) has static indices, the load sequenced before the
+    ///   PV301) has static indices, the load sequenced before the
     ///   store, and collides only within one iteration, raw or wrapped;
-    /// * a disjoint pair never collides, raw or wrapped;
     /// * a must-alias pair's raw affine forms agree in every iteration;
     /// * an index without an affine form gets neither an affine proof nor
     ///   a must-alias verdict;
@@ -180,7 +179,7 @@ proptest! {
     /// The source-text affine kernels get the same check in
     /// `crates/analyze/tests/checker_properties.rs`.
     #[test]
-    fn pv004_bypass_is_sound(spec in kernel()) {
+    fn pv301_bypass_is_sound(spec in kernel()) {
         prop_assert!(spec.iteration_count() <= ENUM_LIMIT);
         let deps = depend::analyze(&spec);
         prop_assert_eq!(deps.verdicts.len(), deps.pairs.len());
@@ -218,12 +217,11 @@ proptest! {
                 .min();
             prop_assert_eq!(verdict.min_distance, brute, "min_distance of {:?}", verdict);
             match verdict.class {
-                // Equal raw addresses wrap to equal cells, so no wrapped
-                // collision means no raw one either.
-                VerdictClass::Disjoint(_) => {
-                    prop_assert!(hits.is_empty(), "disjoint pair collides at {:?}", hits);
-                }
-                VerdictClass::OrderProtected(_) => {
+                // Dependence analysis proves only by the affine tests or
+                // enumeration (value invariants come later, in the
+                // analyzer): same-iteration collisions, load first.
+                VerdictClass::Proved(_) => {
+                    prop_assert!(verdict.dependence_proved());
                     prop_assert!(load.seq < store.seq, "order protection needs program order");
                     prop_assert!(
                         hits.iter().all(|&(i1, i2)| i1 == i2),
@@ -253,7 +251,7 @@ proptest! {
     })]
 
     /// End-to-end: a kernel the analyzer passes (no error diagnostics at
-    /// depth 64) simulates correctly under PreVV with the PV004 bypass
+    /// depth 64) simulates correctly under PreVV with the PV301 bypass
     /// active by default.
     #[test]
     fn analyzer_clean_kernels_match_golden(spec in kernel()) {

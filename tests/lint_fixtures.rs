@@ -1,7 +1,7 @@
 //! Fixture tests for the static analyzer: the `kernels/bad/` sources must
 //! produce exactly the advertised diagnostic codes (kernel-level PV0xx and
 //! circuit-level PV1xx alike), the stock paper kernels must lint clean of
-//! errors, and the PV004 arbiter bypass must be active (and correct) on a
+//! errors, and the PV301 arbiter bypass must be active (and correct) on a
 //! real paper kernel — with the symbolic dependence engine alone proving
 //! every bypassed pair.
 
@@ -10,9 +10,7 @@ use std::path::PathBuf;
 use prevv::analyze::{self, AnalyzeOptions, Code, ControllerModel, Severity};
 use prevv::ir::depend::{Proof, VerdictClass};
 use prevv::ir::parse::parse_kernel;
-use prevv::{
-    run_kernel, run_kernel_with, CircuitOptions, Controller, PrevvConfig, SimConfig, SynthOptions,
-};
+use prevv::{run_kernel, CircuitOptions, Controller, PrevvConfig, Simulator};
 
 fn read_fixture(rel: &str) -> (String, String) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(rel);
@@ -295,18 +293,18 @@ fn fig2a_simulates_with_bypassed_arbiter_and_matches_golden() {
     let run = run_kernel(&spec, Controller::Prevv(PrevvConfig::prevv16())).expect("runs");
     assert!(run.matches_golden, "bypassed arbiter still matches golden");
 
-    // The conservative circuit (bypass disabled) agrees, so the bypass is
-    // an optimization, not a behavior change.
-    let conservative = run_kernel_with(
-        &spec,
-        Controller::Prevv(PrevvConfig::prevv16()),
-        &SynthOptions {
-            bypass_safe_pairs: false,
-            ..SynthOptions::default()
-        },
-        &SimConfig::default(),
-    )
-    .expect("runs");
+    // The conservative circuit (every pair validated) agrees, so the bypass
+    // is an optimization, not a behavior change.
+    let mut synth = prevv::ir::synthesize(&spec).expect("synthesizes");
+    synth.interface.pairs = synth.deps.pairs.clone();
+    let attached = Controller::Prevv(PrevvConfig::prevv16())
+        .attach(&mut synth)
+        .expect("attaches");
+    let report = Simulator::new(synth.netlist, synth.bus)
+        .expect("builds")
+        .run()
+        .expect("runs");
+    let conservative = attached.finish(&spec, &synth.interface, report);
     assert!(conservative.matches_golden);
     assert_eq!(run.arrays, conservative.arrays);
 }
@@ -580,7 +578,7 @@ fn fig2a_affine_pairs_are_proven_by_the_symbolic_engine_alone() {
         affine += 1;
         assert_eq!(
             verdict.class,
-            VerdictClass::OrderProtected(Proof::Affine),
+            VerdictClass::Proved(Proof::Affine),
             "symbolic engine must prove the affine pair (load {} / store {})",
             pair.load,
             pair.store,

@@ -1,8 +1,9 @@
 //! Consumer agreement: every reader of a pair's verdict sees the same one.
 //!
 //! `prevv::ir::depend::analyze` decides each ambiguous load/store pair once.
-//! Synthesis bypasses the pairs it proved, PV004 and PV301 report exactly
-//! those, and the model checker's pair counts partition the conservative
+//! Synthesis validates `Dependences::validated` and bypasses the rest, PV301
+//! reports exactly the bypassed pairs, and the model checker's pair counts
+//! partition the conservative
 //! set. This suite checks that on every parseable kernel file (stock, bad
 //! and the pinned fuzz corpus), on the paper kernels at twice their default
 //! size, and on the first 200 kernels of the `runkernel --fuzz 200 --seed
@@ -53,7 +54,7 @@ fn parseable_files(dir: &str) -> Vec<KernelSpec> {
         .collect()
 }
 
-/// Where PV004/PV301 anchor a pair: the load's span, else the store's.
+/// Where PV301 anchors a pair: the load's span, else the store's.
 /// Notes with equal anchor and array are one diagnostic after
 /// `Report::normalize`, so the expected count is the number of distinct
 /// anchors.
@@ -88,6 +89,8 @@ fn assert_consumers_agree(spec: &KernelSpec) {
 
     let synth = prevv::ir::synthesize(spec).unwrap_or_else(|e| panic!("{name}: {e}"));
     assert_eq!(synth.bypassed, proved, "{name}: synthesis bypass");
+    let validated: Vec<AmbiguousPair> = deps.validated().map(|(p, _)| p).collect();
+    assert_eq!(synth.interface.pairs, validated, "{name}: validated set");
     assert_eq!(
         synth.deps, deps,
         "{name}: synthesis reads the same verdicts"
@@ -95,13 +98,11 @@ fn assert_consumers_agree(spec: &KernelSpec) {
 
     let anchors: BTreeSet<_> = proved.iter().map(|&p| anchor(spec, &deps, p)).collect();
     let report = analyze::analyze(spec, &AnalyzeOptions::default());
-    for code in [Code::DisjointPair, Code::ProvenDisjoint] {
-        assert_eq!(
-            report.with_code(code).len(),
-            anchors.len(),
-            "{name}: {code:?} notes vs proved pairs {proved:?}"
-        );
-    }
+    assert_eq!(
+        report.with_code(Code::ProvenDisjoint).len(),
+        anchors.len(),
+        "{name}: PV301 notes vs proved pairs {proved:?}"
+    );
 
     // One iteration of horizon is enough: the counts are fixed before the
     // search starts.

@@ -155,8 +155,7 @@ fn pinned_pv204_reduction_escape_replays() {
 /// store `a[0]` (op 6) meet only in that iteration, load first. The affine
 /// tests cannot see it — over the rectangular hull `a[i]` meets `a[0]`
 /// across iterations — but enumeration can, and every consumer reads that
-/// one verdict: synthesis bypasses the pair, PV004 and PV301 both report
-/// it, and neither the PV300 horizon nor the checker's stats count it as
+/// one verdict: synthesis bypasses the pair, PV301 reports it, and neither the PV300 horizon nor the checker's stats count it as
 /// residual.
 #[test]
 fn pinned_enumeration_only_proof_reaches_every_consumer() {
@@ -182,19 +181,17 @@ fn pinned_enumeration_only_proof_reaches_every_consumer() {
         .expect("a conservative pair");
     assert_eq!(
         deps.verdicts[k].class,
-        VerdictClass::OrderProtected(Proof::Enumerated)
+        VerdictClass::Proved(Proof::Enumerated)
     );
     let synth = prevv::ir::synthesize(&spec).expect("synthesizes");
     assert_eq!(synth.bypassed, vec![pair]);
 
-    // PV004 and PV301 both anchor at the load `a[i]`.
+    // PV301 anchors at the load `a[i]`.
     let report = analyze::analyze(&spec, &AnalyzeOptions::default());
-    for code in [Code::DisjointPair, Code::ProvenDisjoint] {
-        let found = report.with_code(code);
-        assert_eq!(found.len(), 1, "{code:?}: {:?}", report.diagnostics);
-        let span = found[0].span.expect("spanned");
-        assert_eq!(&source[span.start..span.end], "a[i]");
-    }
+    let found = report.with_code(Code::ProvenDisjoint);
+    assert_eq!(found.len(), 1, "{:?}", report.diagnostics);
+    let span = found[0].span.expect("spanned");
+    assert_eq!(&source[span.start..span.end], "a[i]");
     // The other two pairs reach dead guarded statements (PV502), so no pair
     // is left for the horizon.
     assert_eq!(report.with_code(Code::InvariantDischarge).len(), 2);

@@ -34,6 +34,16 @@ for (int i = 0; i < 100000; ++i) {
 }
 ";
 
+/// A triangular nest whose inner range is empty for every outer value from
+/// 4 on: 10 iterations over 10¹¹ outer values.
+const EMPTY_TAIL: &str = "int a[16];
+for (int i = 0; i < 100000000000; ++i) {
+  for (int j = i; j < 4; ++j) {
+    a[j] += 1;
+  }
+}
+";
+
 /// Two levels of 10¹⁰: 10²⁰ iterations overflow a 64-bit count.
 const OVERFLOW: &str = "int a[16];
 for (int i = 0; i < 10000000000; ++i) {
@@ -115,6 +125,36 @@ fn triangular_trip_counts_are_exact_and_cheap() {
     // point each time ran for minutes.
     let found = codes(TRIANGLE, &AnalyzeOptions::default(), None);
     assert!(!found.contains(&Code::Parse), "{found:?}");
+}
+
+#[test]
+fn empty_inner_ranges_are_jumped_over_not_stepped() {
+    let spec = parse_kernel("empty_tail", EMPTY_TAIL).expect("parses");
+    assert_eq!(spec.iteration_count(), 10);
+    // Stepping the 10¹¹ outer values (as validation, the lints and the
+    // iteration source once did) would run for minutes.
+    let analysis = lint_text(
+        "empty_tail",
+        EMPTY_TAIL,
+        &every_pass(),
+        Some(&CircuitOptions::default()),
+    );
+    assert_eq!(
+        analysis.report.count(Severity::Error),
+        0,
+        "{:?}",
+        analysis.report
+    );
+    assert_eq!(analysis.perf.expect("the perf pass ran").iterations, 10);
+    let r = run_kernel_with(
+        &spec,
+        Controller::Prevv(PrevvConfig::prevv16()),
+        &SynthOptions::default(),
+        &SimConfig::default(),
+    )
+    .expect("runs");
+    assert!(r.matches_golden);
+    assert_eq!(r.arrays[0][..5], [1, 2, 3, 4, 0]);
 }
 
 #[test]

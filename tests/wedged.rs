@@ -42,10 +42,7 @@ fn watchdog_catches_generated_premature_queue_deadlock() {
         allow_depth_hint: false,
         ..GenConfig::corpus()
     };
-    let starved = SynthOptions {
-        fake_tokens: false,
-        ..SynthOptions::default()
-    };
+    let starved = SynthOptions { fake_tokens: false };
     let controller = Controller::Prevv(PrevvConfig::prevv16());
 
     let mut wedged = 0usize;
@@ -133,10 +130,7 @@ fn watchdog_fires_on_the_same_cycle_across_quiet_run_skips() {
     };
     let spec = generate(56, &cfg);
     assert_eq!(spec.name, "fuzz_0x38");
-    let starved = SynthOptions {
-        fake_tokens: false,
-        ..SynthOptions::default()
-    };
+    let starved = SynthOptions { fake_tokens: false };
     let mut config = PrevvConfig::prevv16();
     config.timing = MemTiming {
         read_latency: 200,
