@@ -40,6 +40,7 @@ pub enum Code {
     UnreachableComponent,
     /// `PV200` — the protocol model checker hit its state or depth bound
     /// before exhausting the space: PV201–PV204 verdicts are incomplete.
+    /// Also lists the pairs value invariants prove safe only within it.
     ProtocolBound,
     /// `PV201` — a reachable protocol state has no enabled transition and
     /// the kernel has not completed (protocol deadlock).
@@ -56,10 +57,11 @@ pub enum Code {
     /// `PV300` — the separation-logic prover left at least one ambiguous
     /// pair to the dynamic arbiter (the symbolic horizon).
     SeparationHorizon,
-    /// `PV301` — a pair's access footprints are proven separate: no
-    /// cross-iteration collision is possible, synthesis bypasses the arbiter
-    /// for the pair, and it never enters the model checker's validated set.
-    /// (`PV004`, which reported the same pairs, is an `--explain` alias.)
+    /// `PV301` — a pair is proven safe (affine tests, enumeration or value
+    /// invariants): no cross-iteration collision is possible, synthesis
+    /// bypasses the arbiter for the pair, and it never enters the model
+    /// checker's validated set. (`PV004` and `PV502`, which reported some of
+    /// these pairs, are `--explain` aliases.)
     ProvenDisjoint,
     /// `PV302` — a pair's access footprints provably coincide on every
     /// iteration pair (must-alias): the arbiter validation is guaranteed
@@ -87,10 +89,6 @@ pub enum Code {
     /// `PV501` — a guard predicate is infeasible over the whole iteration
     /// space: the statement is dead and can be removed.
     InfeasibleGuard,
-    /// `PV502` — an ambiguous pair is discharged by value-range/congruence
-    /// invariants that GCD/Banerjee cannot derive; the arbiter never needs
-    /// to validate it.
-    InvariantDischarge,
     /// `PV503` — the static premature-queue occupancy bound differs from
     /// the configured `depth_q` (the queue can never fill past the bound).
     OccupancyBound,
@@ -125,7 +123,6 @@ impl Code {
             Code::ModelDivergence => "PV403",
             Code::RangeOutOfBounds => "PV500",
             Code::InfeasibleGuard => "PV501",
-            Code::InvariantDischarge => "PV502",
             Code::OccupancyBound => "PV503",
         }
     }
@@ -450,7 +447,6 @@ mod tests {
         assert_eq!(Code::ModelDivergence.as_str(), "PV403");
         assert_eq!(Code::RangeOutOfBounds.as_str(), "PV500");
         assert_eq!(Code::InfeasibleGuard.as_str(), "PV501");
-        assert_eq!(Code::InvariantDischarge.as_str(), "PV502");
         assert_eq!(Code::OccupancyBound.as_str(), "PV503");
     }
 

@@ -166,7 +166,10 @@ pub const ALL: &[Explanation] = &[
               bound or state cap before exhausting the reachable abstract \
               state space. PV201–PV204 verdicts are sound only up to the \
               reported horizon: \"clean\" means \"clean within the bound\". \
-              Raise `--mc-depth` / `--mc-states` to push the horizon.",
+              Raise `--mc-depth` / `--mc-states` to push the horizon. A \
+              second note lists the pairs value invariants prove safe only \
+              within the explored iterations: the checker drops them from \
+              its validated set, while the netlist still validates them.",
         example: "int a[4];\nfor (int i = 0; i < 64; ++i) { a[0] = a[0] + 1; \
                   }\n\nflags: --protocol   (note: bound 2 < 64 iterations)",
     },
@@ -252,17 +255,21 @@ pub const ALL: &[Explanation] = &[
         code: Code::ProvenDisjoint,
         title: "pair footprints proven separate — arbiter bypassed",
         severity: "note",
-        doc: "A conservative ambiguous pair's affine footprints are proven \
-              separate: either the two address envelopes never overlap in \
-              any pair of iterations, or every overlap is same-iteration \
-              with the load sequenced before the store (which the in-order \
-              commit already serializes). Synthesis bypasses the arbiter \
+        doc: "A conservative ambiguous pair's footprints are proven \
+              separate: every overlap is same-iteration with the load \
+              sequenced before the store (which the in-order commit already \
+              serializes), by the affine tests or by enumeration; or \
+              inferred value invariants (intervals, strides, guard \
+              predicates) over the whole iteration space prove the pair \
+              safe where those cannot — e.g. a store guarded to even \
+              iterations against a load guarded to odd ones — and the note \
+              names the reason. Synthesis bypasses the arbiter \
               for the pair: it never enters the arbiter's validated set or \
               the model checker's state space — a whole pair-class is \
               discharged symbolically, shrinking both the arbiter area and \
-              the exploration frontier. `--explain PV004` resolves here: \
-              PV004 reported exactly these pairs until it was folded into \
-              this note.",
+              the exploration frontier. `--explain PV004` and `--explain \
+              PV502` resolve here: they reported these pairs until they \
+              were folded into this note.",
         example: "int a[8];\nfor (int i = 0; i < 8; ++i) { a[i] = a[i] + 1; }",
     },
     Explanation {
@@ -369,21 +376,6 @@ pub const ALL: &[Explanation] = &[
                   a[i] = 1;\n  a[i] = a[i] + 1; }",
     },
     Explanation {
-        code: Code::InvariantDischarge,
-        title: "invariant-backed pair discharge",
-        severity: "note",
-        doc: "Inferred value invariants (intervals, strides, guard \
-              predicates) prove an ambiguous load/store pair disjoint where \
-              the affine GCD/Banerjee tests cannot — e.g. a store guarded \
-              to even iterations against a load guarded to odd ones, or a \
-              triangular pair separated within the model checker's horizon \
-              box. The pair leaves the arbiter's validated set (full-space \
-              proofs) or the model checker's state space (horizon-bounded \
-              proofs), shrinking both.",
-        example: "int a[8];\nint s[8];\nfor (int i = 0; i < 8; ++i) { if \
-                  (i % 2 == 0) a[i] = i;\n  if (i % 2 == 1) s[i] = a[i]; }",
-    },
-    Explanation {
         code: Code::OccupancyBound,
         title: "static occupancy bound below configured depth_q",
         severity: "note",
@@ -402,10 +394,10 @@ pub const ALL: &[Explanation] = &[
 ];
 
 /// Looks up one code by its `PVxxx` string (case-insensitive). The retired
-/// `PV004` resolves to PV301, the note that reports its pairs.
+/// `PV004` and `PV502` resolve to PV301, the note that reports their pairs.
 pub fn explain(code: &str) -> Option<&'static Explanation> {
     let mut want = code.to_ascii_uppercase();
-    if want == "PV004" {
+    if want == "PV004" || want == "PV502" {
         want = Code::ProvenDisjoint.as_str().into();
     }
     ALL.iter().find(|e| e.code.as_str() == want)
@@ -446,11 +438,10 @@ mod tests {
                 | Code::ModelDivergence
                 | Code::RangeOutOfBounds
                 | Code::InfeasibleGuard
-                | Code::InvariantDischarge
                 | Code::OccupancyBound => {}
             }
         }
-        assert_eq!(ALL.len(), 27, "one entry per Code variant");
+        assert_eq!(ALL.len(), 26, "one entry per Code variant");
         // No duplicates, sorted by code string.
         let strs: Vec<_> = ALL.iter().map(|e| e.code.as_str()).collect();
         let mut sorted = strs.clone();
@@ -464,6 +455,7 @@ mod tests {
         assert_eq!(explain("pv201").unwrap().code, Code::ProtocolDeadlock);
         assert_eq!(explain("PV001").unwrap().code, Code::OutOfBounds);
         assert_eq!(explain("pv004").unwrap().code, Code::ProvenDisjoint);
+        assert_eq!(explain("PV502").unwrap().code, Code::ProvenDisjoint);
         assert!(explain("PV999").is_none());
         assert!(explain("nonsense").is_none());
     }

@@ -25,7 +25,7 @@
 //! | PV203 | error    | protocol: queue capacity insufficient on some interleaving |
 //! | PV204 | warning  | protocol: §V-B pair-reduction representative diverges from the unreduced set |
 //! | PV300 | note     | separation horizon: pairs left to the dynamic arbiter |
-//! | PV301 | note     | pair footprints proven separate — arbiter bypassed, discharged before model checking |
+//! | PV301 | note     | pair proven safe (affine, enumeration or value invariants) — arbiter bypassed |
 //! | PV302 | note     | pair footprints must-alias — validation provably live |
 //! | PV400 | note     | perf: steady-state II bound + binding resource (+ critical cycle) |
 //! | PV401 | warning  | perf: zero-slack backpressure cycle; buffer insertion suggested |
@@ -33,7 +33,7 @@
 //! | PV403 | warning  | perf: measured II diverged from the static prediction |
 //! | PV500 | error/warn | value-range analysis proves an index out of bounds (warning for opaque wraparound) |
 //! | PV501 | warning  | guard is provably false on every iteration — dead statement |
-//! | PV502 | note     | invariant-backed pair discharge beyond GCD/Banerjee |
+//! | PV502 | —        | folded into PV301 (value-invariant proofs); `--explain PV502` prints PV301 |
 //! | PV503 | note     | static occupancy bound below the configured `depth_q` |
 //!
 //! The `PV0xx` lints run on the kernel; the `PV1xx` lints ([`circuit`])
@@ -51,10 +51,11 @@
 //! the synthesized netlist as a timed marked graph and bound its
 //! steady-state initiation interval (maximum cycle ratio plus the
 //! controller's port/validation/retire budgets); the `PV5xx` lints
-//! ([`absint`]) run a fixpoint abstract interpreter (interval ×
-//! congruence × guard domains) over the loop nest, proving value-range
-//! facts the affine engines cannot — and some of its diagnostics carry
-//! machine-applicable suggestions that `prevv-lint --fix` applies.
+//! ([`absint`]) read the invariants of the fixpoint abstract interpreter
+//! [`prevv_ir::absint`] (interval × congruence × guard domains), proving
+//! value-range facts the affine engines cannot — and some of its
+//! diagnostics carry machine-applicable suggestions that `prevv-lint --fix`
+//! applies.
 //! [`explain`] documents every code with a minimal triggering example
 //! (`prevv-lint --explain PVxxx`).
 //!
@@ -97,7 +98,7 @@ pub mod modelcheck;
 pub mod perf;
 pub mod seplog;
 
-pub use absint::{occupancy_bound, DischargeReason};
+pub use absint::occupancy_bound;
 pub use circuit::{lint_circuit, lint_netlist, CircuitOptions, ControllerModel};
 pub use diag::{Code, Diagnostic, Report, Severity, Suggestion};
 pub use explain::{explain as explain_code, Explanation};
@@ -211,11 +212,8 @@ pub fn lint_kernel(
         depth,
         ..opts.clone()
     };
-    let mut deps = depend::analyze(spec);
-    let invariants = absint::analyze_kernel(spec);
-    if let Some(hull) = absint::hull_box(spec) {
-        absint::upgrade_verdicts(spec, &mut deps, &invariants, &hull);
-    }
+    let deps = depend::analyze(spec);
+    let invariants = prevv_ir::absint::analyze_kernel(spec);
     let mut report = Report::default();
     lints::check_bounds(spec, &deps, &mut report);
     lints::check_deadlock(spec, &deps, opts, &mut report);

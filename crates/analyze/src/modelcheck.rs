@@ -94,11 +94,11 @@ use prevv_core::{Arbiter, CommitStep, PrematureRecord, PrevvConfig, ProtocolStat
 use prevv_dataflow::Value;
 use prevv_ir::symdep::{classify_accesses, PairClass};
 use prevv_ir::{
+    absint,
     depend::{AmbiguousPair, DischargeReason, Proof, StaticMemOp},
     golden, KernelSpec, MemOpKind, Span,
 };
 
-use crate::absint;
 use crate::circuit::tarjan;
 use crate::diag::{Code, Diagnostic, Report};
 use crate::seplog::SeparationStats;
@@ -822,9 +822,10 @@ struct Model<'a> {
     /// is proven independent of every conflicting op on the same array.
     ample_ok: Vec<bool>,
     pair_stats: SeparationStats,
-    /// Pairs the absint value domains discharged within the horizon box —
-    /// already removed from `validated`; reported as PV502 notes.
-    discharged: Vec<(AmbiguousPair, DischargeReason)>,
+    /// Pairs the netlist validates that value invariants prove safe within
+    /// the horizon box — already removed from `validated`; reported in a
+    /// PV200 note.
+    narrowed: Vec<(AmbiguousPair, DischargeReason)>,
     expected_ram: Vec<Value>,
 }
 
@@ -852,13 +853,14 @@ impl<'a> Model<'a> {
             .map(|row| spec.body.iter().map(|s| s.runs(row)).collect())
             .collect();
 
-        // Horizon-box invariant discharge (PV502): the per-level min/max of
-        // the explored iteration prefix is a rectangular box covering every
-        // explored induction-variable value; pairs the absint value domains
-        // prove safe within that box never collide in any explored
-        // interleaving, so they leave the validated set before exploration
-        // starts. Sound for the bounded verdicts only — PV2xx claims were
-        // already relative to the horizon (PV200, DESIGN.md).
+        // Horizon-box narrowing: the per-level min/max of the explored
+        // iteration prefix is a rectangular box covering every explored
+        // induction-variable value; a validated pair the value invariants
+        // prove safe within that box never collides in any explored
+        // interleaving, so it leaves the checker's validated set before
+        // exploration starts. The netlist still validates it. Sound for the
+        // bounded verdicts only — PV2xx claims were already relative to the
+        // horizon (PV200, DESIGN.md).
         let horizon_box: Vec<(Value, Value)> = (0..spec.levels.len())
             .map(|l| {
                 let lo = rows.iter().map(|r| r[l]).min().unwrap_or(0);
@@ -866,23 +868,24 @@ impl<'a> Model<'a> {
                 (lo, hi)
             })
             .collect();
-        let invariants = absint::analyze_within(spec, &horizon_box);
-        absint::upgrade_verdicts(spec, &mut synth.deps, &invariants, &horizon_box);
+        absint::upgrade_verdicts(spec, &mut synth.deps, &horizon_box);
         let pair_stats = SeparationStats::of(&synth.deps);
-        let discharged: Vec<(AmbiguousPair, DischargeReason)> = synth
+        let narrowed: Vec<(AmbiguousPair, DischargeReason)> = synth
             .deps
             .pairs
             .iter()
             .zip(&synth.deps.verdicts)
             .filter_map(|(&p, v)| match v.proof() {
-                Some(Proof::Invariant(reason)) => Some((p, reason)),
+                Some(Proof::Invariant(reason)) if synth.interface.pairs.contains(&p) => {
+                    Some((p, reason))
+                }
                 _ => None,
             })
             .collect();
         synth
             .interface
             .pairs
-            .retain(|p| !discharged.iter().any(|(d, _)| d == p));
+            .retain(|p| !narrowed.iter().any(|(d, _)| d == p));
         let iface = &synth.interface;
 
         let ops: Vec<StaticMemOp> = iface.ports.iter().map(|p| p.op.clone()).collect();
@@ -916,7 +919,7 @@ impl<'a> Model<'a> {
         }
         let init_ram = iface.initial_ram();
 
-        let validated_set = iface.ambiguous_ops();
+        let validated_set = iface.validated_ops();
         let mask = |set: &HashSet<usize>| (0..ops.len()).map(|op| set.contains(&op)).collect();
         let validated: Vec<bool> = mask(&validated_set);
         let reduced: Vec<bool> = mask(&reduce(&ops, validated_set.clone(), true).validated);
@@ -1019,7 +1022,7 @@ impl<'a> Model<'a> {
             reduced,
             ample_ok,
             pair_stats,
-            discharged,
+            narrowed,
             expected_ram,
         })
     }
@@ -1562,23 +1565,26 @@ impl<'a> Model<'a> {
                 ),
             ));
         }
-        for (pair, reason) in &self.discharged {
+        if let Some((first, _)) = self.narrowed.first() {
+            let op = |id: usize| format!("{}#{id}", self.labels[id]);
+            let pairs: Vec<String> = self
+                .narrowed
+                .iter()
+                .map(|(p, why)| format!("{} / {}: {}", op(p.load), op(p.store), why.describe()))
+                .collect();
             report.push(
                 Diagnostic::note(
-                    Code::InvariantDischarge,
+                    Code::ProtocolBound,
                     format!(
-                        "value invariants discharge the {}#{} / {}#{} pair within the \
-                         explored bound ({} iteration(s)): {} — the pair leaves the \
-                         checker's validated set",
-                        self.labels[pair.load],
-                        pair.load,
-                        self.labels[pair.store],
-                        pair.store,
-                        self.bound,
-                        reason.describe()
+                        "value invariants prove {} validated pair(s) safe only within the \
+                         explored bound ({} iteration(s)): the checker drops them from its \
+                         validated set, the netlist still validates them",
+                        pairs.len(),
+                        self.bound
                     ),
                 )
-                .with_span(self.spans[pair.load].or(self.spans[pair.store])),
+                .with_span(self.spans[first.load].or(self.spans[first.store]))
+                .with_help(pairs.join("\n")),
             );
         }
         if !complete {
@@ -1670,8 +1676,13 @@ impl<'a> Model<'a> {
                 )
                 .with_span(squash.span)
                 .with_help(format!(
-                    "{}\nenable forwarding (queue bypass) so replayed loads take the resident store's value instead of re-squashing",
-                    render_events(&events, Some(cycle_from))
+                    "{}\n{}",
+                    render_events(&events, Some(cycle_from)),
+                    if self.cfg.forwarding {
+                        "forwarding is already on: this model omits the dependence predictor (DESIGN.md \u{a7}4.0), which holds a load back after its first squash; `runkernel` shows whether the shipped controller completes"
+                    } else {
+                        "enable forwarding (queue bypass) so replayed loads take the resident store's value instead of re-squashing"
+                    }
                 )),
             );
             counterexamples.push(Counterexample {
@@ -1838,7 +1849,10 @@ mod tests {
         let mut opts = ProtocolOptions::default();
         opts.config.forwarding = false;
         let r = check(&spec, &opts).expect("checks");
-        assert_eq!(r.report.with_code(Code::SquashLivelock).len(), 1);
+        let pv202 = r.report.with_code(Code::SquashLivelock);
+        assert_eq!(pv202.len(), 1);
+        let help = pv202[0].help.as_deref().expect("fix-it");
+        assert!(help.contains("enable forwarding (queue bypass)"), "{help}");
         let cex = r
             .counterexamples
             .iter()
@@ -1908,7 +1922,13 @@ mod tests {
         );
         let r = check(&spec, &ProtocolOptions::default()).expect("checks");
         assert_eq!(r.bound, DEFAULT_ITERATION_BOUND);
-        assert_eq!(r.report.with_code(Code::ProtocolBound).len(), 1);
+        // One note for the horizon, one for the `a` pair that value
+        // invariants prove safe only within it (the index wraps past it).
+        let notes = r.report.with_code(Code::ProtocolBound);
+        assert_eq!(notes.len(), 2, "{notes:?}");
+        assert!(notes
+            .iter()
+            .any(|d| d.message.contains("1 validated pair(s) safe only within")));
         assert!(r.is_clean());
     }
 
@@ -2329,6 +2349,15 @@ mod tests {
             .map(|p| p.file_stem().expect("stem").to_string_lossy().into_owned())
             .collect();
         assert_eq!(found, ["gen_22", "gen_29"], "the pinned PV202 kernels");
+        // Forwarding is on, so the fix-it names the model's missing
+        // predictor instead of asking for forwarding.
+        let r = check(
+            &parse_file(&repo_file("tests/fuzz_corpus/gen_29.pvk")),
+            &opts,
+        )
+        .expect("checks");
+        let help = r.report.with_code(Code::SquashLivelock)[0].help.clone();
+        assert!(help.expect("fix-it").contains("forwarding is already on"));
     }
 
     #[test]

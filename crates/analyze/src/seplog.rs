@@ -3,24 +3,22 @@
 //! Separation logic phrases "these two accesses never interfere" as one
 //! judgment on their footprints (the sets of cells each can touch). Here
 //! that judgment is the `PairVerdict` that `prevv_ir::depend::analyze` hands
-//! every conservative pair — the affine tests, exact enumeration and the
-//! must-alias check, run once — after the [`absint`](crate::absint) value
-//! domains upgraded what they could over the iteration hull. This pass only
-//! reports it:
+//! every conservative pair — the affine tests, exact enumeration, the
+//! must-alias check and the [`prevv_ir::absint`] value domains over the
+//! iteration hull, run once. This pass only reports it:
 //!
 //! * **PV301 (proven separate)** — every collision is same-iteration and
 //!   program-order protected (load sequenced before the store), proved by
-//!   the affine tests or by enumeration. Synthesis bypasses the arbiter for
-//!   such a pair, and it never enters the model checker's validated set.
-//!   (`--explain PV004`, the code this note once shared the pairs with,
-//!   resolves here.)
+//!   the affine tests or by enumeration; or value invariants proved the
+//!   pair safe, and the message carries their `DischargeReason`. Synthesis
+//!   bypasses the arbiter for such a pair, and it never enters the model
+//!   checker's validated set. (`--explain PV004` and `--explain PV502`, the
+//!   codes that once reported some of these pairs, resolve here.)
 //! * **PV302 (must-alias)** — the two footprints are the *same* affine
 //!   function, so they collide on every traversal: the arbiter validation
 //!   for this pair is live, not defensive. Constant footprints (`a[0]`)
 //!   additionally collide across iterations — the canonical squash-replay
 //!   generator.
-//! * **PV502 (invariant discharge)** — the value domains proved the pair
-//!   safe where the affine tests and enumeration could not.
 //! * **PV300 (separation horizon)** — at least one pair is must-alias or
 //!   unproved (runtime-dependent index, cross-iteration reuse); the dynamic
 //!   arbiter and the PV2xx bounded checker remain the only line of defense
@@ -41,7 +39,8 @@ use crate::lints::op_spans;
 pub struct SeparationStats {
     /// Conservative ambiguous pairs found by dependence analysis.
     pub conservative: usize,
-    /// Pairs with a proof, by any method (PV301, PV502).
+    /// Pairs with a proof, by any method (PV301); in the checker's stats
+    /// also the pairs proved only within its horizon (PV200).
     pub discharged: usize,
     /// Pairs proven must-alias (PV302) — validated, and provably live.
     pub must_alias: usize,
@@ -67,10 +66,9 @@ impl SeparationStats {
     }
 }
 
-/// The lint pass: one PV301 note per pair dependence analysis proved
-/// (the pairs synthesis bypasses), one PV502 note per pair value invariants discharged,
-/// one PV302 note per must-alias pair, and a single PV300 horizon note when
-/// anything remains for the dynamic arbiter.
+/// The lint pass: one PV301 note per proved pair (the pairs synthesis
+/// bypasses), one PV302 note per must-alias pair, and a single PV300 horizon
+/// note when anything remains for the dynamic arbiter.
 pub(crate) fn check_separation(spec: &KernelSpec, deps: &Dependences, report: &mut Report) {
     let spans = op_spans(spec, &deps.ops);
     let mut residual = 0usize;
@@ -78,22 +76,22 @@ pub(crate) fn check_separation(spec: &KernelSpec, deps: &Dependences, report: &m
         let name = &spec.arrays[deps.ops[pair.load].array.0].name;
         let span = spans[pair.load].or(spans[pair.store]);
         let note = match verdict.class {
-            VerdictClass::Proved(Proof::Invariant(reason)) => Diagnostic::note(
-                Code::InvariantDischarge,
-                format!(
-                    "value invariants discharge the load/store pair on `{name}`: \
-                     {} — the pair leaves the arbiter's validated set",
-                    reason.describe()
-                ),
-            ),
-            VerdictClass::Proved(_) => Diagnostic::note(
-                Code::ProvenDisjoint,
-                format!(
-                    "load/store footprints on `{name}` are proven separate: every overlap \
-                     is same-iteration and the load is sequenced before the store, which \
-                     the in-order commit serializes; the arbiter is bypassed for the pair"
-                ),
-            ),
+            VerdictClass::Proved(proof) => {
+                let why = match proof {
+                    Proof::Invariant(reason) => reason.describe(),
+                    Proof::Affine | Proof::Enumerated => {
+                        "every overlap is same-iteration and the load is sequenced before \
+                         the store, which the in-order commit serializes"
+                    }
+                };
+                Diagnostic::note(
+                    Code::ProvenDisjoint,
+                    format!(
+                        "load/store footprints on `{name}` are proven separate: {why}; the \
+                         arbiter is bypassed for the pair"
+                    ),
+                )
+            }
             VerdictClass::MustAlias => {
                 residual += 1;
                 Diagnostic::note(
@@ -134,18 +132,8 @@ pub(crate) fn check_separation(spec: &KernelSpec, deps: &Dependences, report: &m
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::absint;
+    use prevv_ir::depend::analyze;
     use prevv_ir::parse::parse_kernel;
-
-    /// Dependence verdicts after the hull upgrade, as `analyze` runs them.
-    fn analyze(spec: &KernelSpec) -> Dependences {
-        let mut deps = prevv_ir::depend::analyze(spec);
-        if let Some(hull) = absint::hull_box(spec) {
-            let invariants = absint::analyze_within(spec, &hull);
-            absint::upgrade_verdicts(spec, &mut deps, &invariants, &hull);
-        }
-        deps
-    }
 
     fn verdicts(src: &str) -> Vec<VerdictClass> {
         let spec = parse_kernel("t", src).expect("parses");
@@ -212,7 +200,8 @@ mod tests {
         // Both accesses follow the same affine index `i`, so dependence
         // analysis says must-alias — but the guards confine the store to even
         // iterations and the load to odd ones, and the congruence domain
-        // proves the footprints disjoint (PV502, no horizon note).
+        // proves the footprints disjoint (PV301 with the reason, no horizon
+        // note).
         let spec = parse_kernel(
             "parity",
             "int a[8];\nint s[8];\nfor (int i = 0; i < 8; ++i) {\n  \
@@ -222,7 +211,10 @@ mod tests {
         let deps = analyze(&spec);
         let mut report = Report::default();
         check_separation(&spec, &deps, &mut report);
-        assert_eq!(report.with_code(Code::InvariantDischarge).len(), 1);
+        let proved = report.with_code(Code::ProvenDisjoint);
+        assert_eq!(proved.len(), 1);
+        let why = prevv_ir::depend::DischargeReason::DisjointValues.describe();
+        assert!(proved[0].message.contains(why), "{}", proved[0].message);
         assert!(report.with_code(Code::MustAlias).is_empty());
         assert!(report.with_code(Code::SeparationHorizon).is_empty());
     }

@@ -1,4 +1,5 @@
-//! Property-based cross-checks for the abstract interpreter (`absint`):
+//! Property-based cross-checks for the abstract interpreter
+//! (`prevv_ir::absint`) and the PV5xx lints over it:
 //! on randomized small kernels — iteration spaces well inside the
 //! `ENUM_LIMIT = 4096` concrete-enumeration budget — every verdict the
 //! domains hand out is compared against the golden sequential execution,
@@ -13,17 +14,19 @@
 //! 4. the PV500/PV501 lints agree with the trace (a PV501 statement has
 //!    zero events; a PV500 proof implies a concrete out-of-bounds raw
 //!    store index); and
-//! 5. every `discharge_pairs` verdict holds on the trace: disjoint pairs
-//!    never collide, same-iteration-ordered pairs only collide within an
-//!    iteration, dead-code pairs have a side with no events at all.
+//! 5. every invariant proof `upgrade_verdicts` gives over the hull holds on
+//!    the trace, with every pair's earlier proof cleared so each one faces
+//!    the value domains: disjoint pairs never collide,
+//!    same-iteration-ordered pairs only collide within an iteration,
+//!    dead-code pairs have a side with no events at all.
 
 use proptest::prelude::*;
 
-use prevv_analyze::absint::{
-    analyze_kernel, discharge_pairs, hull_box, occupancy_bound, DischargeReason, GuardStatus,
+use prevv_analyze::{self as analyze, occupancy_bound, AnalyzeOptions, Code};
+use prevv_ir::absint::{analyze_kernel, hull_box, upgrade_verdicts, GuardStatus};
+use prevv_ir::depend::{
+    analyze as depend_analyze, Dependences, DischargeReason, Proof, VerdictClass, ENUM_LIMIT,
 };
-use prevv_analyze::{self as analyze, AnalyzeOptions, Code};
-use prevv_ir::depend::{analyze as depend_analyze, ENUM_LIMIT};
 use prevv_ir::golden::{self, MemOpKind};
 use prevv_ir::parse::parse_kernel;
 
@@ -189,15 +192,25 @@ fn generator_exercises_the_interesting_verdicts() {
         }],
     );
     let spec = parse_kernel("prop", &acc).expect("parses");
-    let deps = depend_analyze(&spec);
-    let bounds = hull_box(&spec).expect("nonempty space");
-    let discharged = discharge_pairs(&spec, &deps, &deps.pairs, &bounds);
+    let deps = hull_upgraded(&spec).expect("nonempty space");
+    let ordered = Some(Proof::Invariant(DischargeReason::SameIterationOrdered));
     assert!(
-        discharged
-            .iter()
-            .any(|(_, r)| *r == DischargeReason::SameIterationOrdered),
-        "accumulator pair must discharge: {discharged:?}\n{acc}"
+        deps.verdicts.iter().any(|v| v.proof() == ordered),
+        "accumulator pair must discharge: {:?}\n{acc}",
+        deps.verdicts
     );
+}
+
+/// Dependence verdicts with every proof cleared, then upgraded by the value
+/// domains over the iteration hull: each pair faces the invariants alone,
+/// even those the affine tests or enumeration prove first.
+fn hull_upgraded(spec: &prevv_ir::KernelSpec) -> Option<Dependences> {
+    let mut deps = depend_analyze(spec);
+    for v in &mut deps.verdicts {
+        v.class = VerdictClass::Unknown;
+    }
+    upgrade_verdicts(spec, &mut deps, &hull_box(spec)?);
+    Some(deps)
 }
 
 proptest! {
@@ -327,10 +340,10 @@ proptest! {
             prop_assert!(witness, "PV500 without a concrete witness\n{src}");
         }
 
-        // 5. Every discharge verdict holds on the trace.
-        let deps = depend_analyze(&spec);
-        let Some(bounds) = hull_box(&spec) else { return Ok(()); };
-        for (pair, reason) in discharge_pairs(&spec, &deps, &deps.pairs, &bounds) {
+        // 5. Every invariant proof holds on the trace.
+        let Some(deps) = hull_upgraded(&spec) else { return Ok(()); };
+        for (pair, verdict) in deps.pairs.iter().zip(&deps.verdicts) {
+            let Some(Proof::Invariant(reason)) = verdict.proof() else { continue };
             let loads: Vec<_> = g
                 .trace
                 .iter()

@@ -22,21 +22,26 @@ use prevv_ir::symdep::AffineForm;
 // Pair verdicts vs. enumeration.
 // ---------------------------------------------------------------------------
 
-/// An affine read-modify-write statement `a[c1*i + d1] = a[c2*i + d2] + k;`.
+/// An affine read-modify-write statement `a[c1*i + d1] = a[c2*i + d2] + k;`,
+/// optionally guarded by `i % m == r` (never taken when `r >= m`), the
+/// guards value-invariant proofs see through.
 #[derive(Debug, Clone)]
 struct AffineStmt {
     write_coeff: i64,
     write_off: i64,
     read_coeff: i64,
     read_off: i64,
+    guard: Option<(i64, i64)>,
 }
 
 fn affine_stmt() -> impl Strategy<Value = AffineStmt> {
-    (0i64..3, 0i64..6, 0i64..3, 0i64..6).prop_map(|(wc, wo, rc, ro)| AffineStmt {
+    let guard = proptest::option::weighted(0.3, (2i64..4, 0i64..3));
+    (0i64..3, 0i64..6, 0i64..3, 0i64..6, guard).prop_map(|(wc, wo, rc, ro, guard)| AffineStmt {
         write_coeff: wc,
         write_off: wo,
         read_coeff: rc,
         read_off: ro,
+        guard,
     })
 }
 
@@ -54,6 +59,9 @@ fn index_src(coeff: i64, off: i64) -> String {
 fn affine_kernel(len: usize, trip: usize, stmts: &[AffineStmt]) -> String {
     let mut src = format!("int a[{len}];\nfor (int i = 0; i < {trip}; ++i) {{\n");
     for s in stmts {
+        if let Some((m, r)) = s.guard {
+            src.push_str(&format!("  if (i % {m} == {r})"));
+        }
         src.push_str(&format!(
             "  a[{}] = a[{}] + 1;\n",
             index_src(s.write_coeff, s.write_off),
@@ -71,9 +79,10 @@ proptest! {
     /// enumerating the full cross product of iteration pairs, both raw
     /// (the affine forms) and wrapped (the addresses the runtime touches):
     ///
-    /// * order protected (PV301) → the load is sequenced first and no
-    ///   cross-iteration collision exists;
-    /// * disjoint (PV301) → no collision at all;
+    /// * proved (PV301) → no collision program order does not protect: by
+    ///   the affine tests or enumeration, the load is sequenced first and
+    ///   no cross-iteration collision exists; by value invariants, none
+    ///   between two accesses whose guards fire;
     /// * must-alias (PV302) → the footprints collide in *every* iteration;
     /// * `min_distance` is the minimum iteration distance over the
     ///   collisions program order does not protect.
@@ -115,28 +124,36 @@ proptest! {
             let wrapped = |f: &AffineForm, op: &StaticMemOp, row: &[i64]| {
                 spec.resolve_index(op.array, f.eval(row))
             };
+            // (load iteration, store iteration, both statements run).
             let mut hits = Vec::new();
             for (i1, r1) in space.iter().enumerate() {
                 for (i2, r2) in space.iter().enumerate() {
                     if wrapped(&lf, load, r1) == wrapped(&sf, store, r2) {
-                        hits.push((i1, i2));
+                        let runs = spec.body[load.stmt].runs(r1) && spec.body[store.stmt].runs(r2);
+                        hits.push((i1, i2, runs));
                     }
                 }
             }
+            let protected = |i1: usize, i2: usize| i1 == i2 && load.seq < store.seq;
             let brute = hits
                 .iter()
-                .filter(|&&(i1, i2)| !(i1 == i2 && load.seq < store.seq))
-                .map(|&(i1, i2)| i1.abs_diff(i2) as u64)
+                .filter(|&&(i1, i2, _)| !protected(i1, i2))
+                .map(|&(i1, i2, _)| i1.abs_diff(i2) as u64)
                 .min();
             prop_assert_eq!(verdict.min_distance, brute, "min_distance of {:?}\n{}", verdict, src);
             match verdict.class {
-                // Dependence analysis proves only by the affine tests or
-                // enumeration: same-iteration collisions, load first.
+                // Value invariants see guards: two accesses that run collide
+                // only within program order.
+                VerdictClass::Proved(Proof::Invariant(_)) => prop_assert!(
+                    hits.iter().all(|&(i1, i2, runs)| !runs || protected(i1, i2)),
+                    "invariant-proved pair collides outside program order {:?}\n{}", hits, src
+                ),
+                // The affine tests and enumeration ignore guards:
+                // same-iteration collisions, load first.
                 VerdictClass::Proved(_) => {
-                    prop_assert!(verdict.dependence_proved());
                     prop_assert!(load.seq < store.seq, "order protection needs program order");
                     prop_assert!(
-                        hits.iter().all(|&(i1, i2)| i1 == i2),
+                        hits.iter().all(|&(i1, i2, _)| i1 == i2),
                         "order-protected pair collides across iterations {:?}\n{}", hits, src
                     );
                     for (i1, r1) in space.iter().enumerate() {

@@ -96,7 +96,7 @@ pub fn datapath_cost_of(inv: &CircuitInventory, mem_ports: usize) -> Resources {
 /// granularity at which \[15\] instantiates LSQs and PreVV instantiates
 /// arbiters.
 pub fn ambiguous_array_count(synth: &SynthesizedKernel) -> usize {
-    let ambiguous = synth.interface.ambiguous_ops();
+    let ambiguous = synth.interface.validated_ops();
     let arrays: HashSet<usize> = synth
         .interface
         .ports
@@ -170,7 +170,7 @@ pub fn controller_cost(synth: &SynthesizedKernel, kind: ControllerKind) -> Resou
             let _ = n_arrays;
             let red = reduce::reduce(
                 &synth.deps.ops,
-                synth.interface.ambiguous_ops(),
+                synth.interface.validated_ops(),
                 pair_reduction,
             );
             let pairs = synth.interface.pairs.len().max(1);

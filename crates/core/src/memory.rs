@@ -207,7 +207,7 @@ impl PrevvMemory {
         let stats = Rc::new(RefCell::new(PrevvStats::default()));
         // Runtime validation always covers the full ambiguous set; the §V-B
         // pair reduction is an area-model concern (see DESIGN.md §4).
-        let validated = iface.ambiguous_ops();
+        let validated = iface.validated_ops();
         let store_seqs: Vec<u32> = iface
             .ports
             .iter()

@@ -123,7 +123,7 @@ mod tests {
         )
         .expect("valid");
         let s = synthesize(&spec).expect("synth");
-        let r = reduce(&s.deps.ops, s.interface.ambiguous_ops(), true);
+        let r = reduce(&s.deps.ops, s.interface.validated_ops(), true);
         assert_eq!(r.ambiguous.len(), 4, "3 loads + 1 store are ambiguous");
         // One representative load + the store.
         assert_eq!(r.validated.len(), 2);
@@ -155,7 +155,7 @@ mod tests {
         )
         .expect("valid");
         let s = synthesize(&spec).expect("synth");
-        let r = reduce(&s.deps.ops, s.interface.ambiguous_ops(), false);
+        let r = reduce(&s.deps.ops, s.interface.validated_ops(), false);
         assert_eq!(r.validated, r.ambiguous);
         assert_eq!(r.eliminated(), 0);
     }
@@ -183,7 +183,7 @@ mod tests {
         )
         .expect("valid");
         let s = synthesize(&spec).expect("synth");
-        let r = reduce(&s.deps.ops, s.interface.ambiguous_ops(), true);
+        let r = reduce(&s.deps.ops, s.interface.validated_ops(), true);
         // Each array keeps its load + store representative.
         assert_eq!(r.validated.len(), 4);
     }

@@ -14,6 +14,7 @@
 
 use std::collections::HashSet;
 
+use crate::absint;
 use crate::expr::{ArrayId, Expr};
 use crate::golden::MemOpKind;
 use crate::kernel::KernelSpec;
@@ -59,8 +60,8 @@ pub struct AmbiguousPair {
     pub store: usize,
 }
 
-/// Why value invariants (the `prevv-analyze` abstract interpreter) proved a
-/// pair safe over a box of induction values.
+/// Why value invariants (the [`absint`] interpreter) proved a pair safe over
+/// a box of induction values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DischargeReason {
     /// The guard-refined wrapped footprints share no address (interval or
@@ -99,8 +100,8 @@ pub enum Proof {
     /// Exact enumeration of both address streams (spaces up to
     /// [`ENUM_LIMIT`]).
     Enumerated,
-    /// Value invariants over a box, added after dependence analysis by the
-    /// `prevv-analyze` abstract interpreter.
+    /// Value invariants ([`absint`]) over the iteration hull, the last step
+    /// of [`analyze`]; the model checker adds more over its horizon box.
     Invariant(DischargeReason),
 }
 
@@ -143,12 +144,6 @@ impl PairVerdict {
             VerdictClass::MustAlias | VerdictClass::Unknown => None,
         }
     }
-
-    /// True when dependence analysis itself (the affine tests or
-    /// enumeration) proved the pair safe: the pairs synthesis bypasses.
-    pub fn dependence_proved(&self) -> bool {
-        matches!(self.proof(), Some(Proof::Affine | Proof::Enumerated))
-    }
 }
 
 /// The result of dependence analysis.
@@ -175,11 +170,10 @@ impl Dependences {
     }
 
     /// The pairs synthesis validates, with their verdicts: every pair
-    /// dependence analysis did not prove ([`PairVerdict::dependence_proved`]).
-    /// A pair that only value invariants discharge stays validated.
+    /// without a proof ([`PairVerdict::proof`]).
     pub fn validated(&self) -> impl Iterator<Item = (AmbiguousPair, &PairVerdict)> {
         let pairs = self.pairs.iter().copied().zip(&self.verdicts);
-        pairs.filter(|(_, v)| !v.dependence_proved())
+        pairs.filter(|(_, v)| v.proof().is_none())
     }
 }
 
@@ -235,7 +229,11 @@ pub fn enumerate_ops(spec: &KernelSpec) -> Vec<StaticMemOp> {
 ///    yields the minimum unprotected distance, and makes the pair
 ///    [`Proof::Enumerated`] order-protected when no unprotected collision
 ///    exists;
-/// 3. for pairs still unproved, the must-alias check (equal affine forms).
+/// 3. for pairs still unproved, the must-alias check (equal affine forms);
+/// 4. over the iteration hull, the value invariants of [`absint`]
+///    ([`absint::upgrade_verdicts`]): a must-alias or unknown pair whose
+///    guard-refined footprints are disjoint, or coincide only
+///    same-iteration with the load first, becomes [`Proof::Invariant`].
 ///
 /// An order-protected pair never needs the arbiter: removing it from the
 /// validated set skips the arbiter's head-to-tail search for its ops without
@@ -320,11 +318,15 @@ pub fn analyze(spec: &KernelSpec) -> Dependences {
             });
         }
     }
-    Dependences {
+    let mut deps = Dependences {
         ops,
         pairs,
         verdicts,
+    };
+    if let Some(hull) = absint::hull_box(spec) {
+        absint::upgrade_verdicts(spec, &mut deps, &hull);
     }
+    deps
 }
 
 /// Identical affine index functions collide on every traversal, even when
@@ -533,7 +535,6 @@ mod tests {
         .expect("valid");
         let d = analyze(&k);
         assert_eq!(d.verdicts[0].class, VerdictClass::Proved(Proof::Affine));
-        assert!(d.verdicts[0].dependence_proved());
     }
 
     #[test]
@@ -554,7 +555,7 @@ mod tests {
         .expect("valid");
         let d = analyze(&k);
         assert_eq!(d.verdicts.len(), 1);
-        assert!(!d.verdicts[0].dependence_proved());
+        assert_eq!(d.verdicts[0].proof(), None);
 
         // Runtime-dependent indices always stay validated, even though their
         // distance is unknowable.

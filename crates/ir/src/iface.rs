@@ -81,7 +81,8 @@ pub struct MemoryInterface {
     pub arrays: Vec<ArrayLayout>,
     /// Total number of iterations the kernel will issue.
     pub iterations: usize,
-    /// The ambiguous pairs found by dependence analysis.
+    /// The ambiguous pairs the arbiter validates: those without a proof
+    /// ([`Dependences::validated`](crate::depend::Dependences::validated)).
     pub pairs: Vec<AmbiguousPair>,
 }
 
@@ -100,8 +101,9 @@ impl MemoryInterface {
         ram
     }
 
-    /// Ids (into [`Self::ports`]) of ops in at least one ambiguous pair.
-    pub fn ambiguous_ops(&self) -> HashSet<usize> {
+    /// Ids (into [`Self::ports`]) of ops in at least one validated pair
+    /// ([`Self::pairs`]).
+    pub fn validated_ops(&self) -> HashSet<usize> {
         self.pairs.iter().flat_map(|p| [p.load, p.store]).collect()
     }
 

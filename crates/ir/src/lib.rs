@@ -8,7 +8,8 @@
 //!   semantics every circuit must match;
 //! * **dependence analysis** ([`depend::analyze`]) finding the ambiguous
 //!   load/store pairs (paper Def. 1) — exact for affine indices, conservative
-//!   for runtime-dependent ones;
+//!   for runtime-dependent ones, and every pair settled once over the whole
+//!   iteration space, value invariants ([`absint`]) included;
 //! * a **synthesizer** ([`synth::synthesize`]) lowering kernels to elastic
 //!   netlists with *open memory ports*, onto which a disambiguation
 //!   controller (LSQ from `prevv-mem`, or PreVV from `prevv-core`) is
@@ -43,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod absint;
 pub mod depend;
 mod expr;
 pub mod golden;

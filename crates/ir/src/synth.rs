@@ -68,9 +68,9 @@ pub struct SynthesizedKernel {
     /// Dependence analysis results (conservative: every ambiguous pair,
     /// including any the interface bypasses).
     pub deps: Dependences,
-    /// Pairs dependence analysis proved safe, excluded from
-    /// `interface.pairs` ([`Dependences::validated`]): the arbiter never
-    /// searches for them (the `prevv-analyze` PV301 note).
+    /// Pairs with a proof, excluded from `interface.pairs`
+    /// ([`Dependences::validated`]): the arbiter never searches for them
+    /// (the `prevv-analyze` PV301 note).
     pub bypassed: Vec<AmbiguousPair>,
 }
 
@@ -465,7 +465,7 @@ mod tests {
         let s = synthesize(&accum_kernel()).expect("synthesizes");
         assert_eq!(s.interface.load_ports(), 1);
         assert_eq!(s.interface.store_ports(), 1);
-        assert_eq!(s.interface.ambiguous_ops().len(), 0);
+        assert_eq!(s.interface.validated_ops().len(), 0);
         assert_eq!(s.bypassed.len(), 1);
         assert_eq!(s.deps.pairs.len(), 1, "conservative analysis is retained");
     }

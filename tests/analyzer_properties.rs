@@ -11,7 +11,7 @@ use prevv::analyze::{
 use prevv::dataflow::components::LoopLevel;
 use prevv::ir::depend::{self, Proof, StaticMemOp, VerdictClass, ENUM_LIMIT};
 use prevv::ir::symdep::{classify_pair, AffineForm, PairClass};
-use prevv::ir::{ArrayDecl, ArrayId, BinOp, Expr, KernelSpec, MemOpKind, OpaqueFn, Stmt};
+use prevv::ir::{golden, ArrayDecl, ArrayId, BinOp, Expr, KernelSpec, MemOpKind, OpaqueFn, Stmt};
 use prevv::{run_kernel, Controller, MemTiming, PrevvConfig};
 
 const ARRAY_LEN: usize = 12;
@@ -51,6 +51,7 @@ prop_compose! {
         value in value_expr(ArrayId(target), index),
         guarded in proptest::bool::weighted(0.3),
         every in 2i64..4,
+        phase in 0i64..3,
     ) -> Stmt {
         let array = ArrayId(target);
         if guarded {
@@ -58,10 +59,12 @@ prop_compose! {
                 array,
                 index,
                 value,
+                // `phase >= every` never fires: dead code whose pairs value
+                // invariants prove safe.
                 Expr::bin(
                     BinOp::Eq,
                     Expr::bin(BinOp::Rem, Expr::var(0), Expr::lit(every)),
-                    Expr::lit(0),
+                    Expr::lit(phase),
                 ),
             )
         } else {
@@ -166,9 +169,12 @@ proptest! {
     ///
     /// * every pair is a load and a store of one array, and when both
     ///   indices are static their address streams do meet;
-    /// * a pair dependence analysis proved (the pairs synthesis bypasses,
-    ///   PV301) has static indices, the load sequenced before the
-    ///   store, and collides only within one iteration, raw or wrapped;
+    /// * no proved pair (the pairs synthesis bypasses, PV301) collides
+    ///   outside program order in the golden trace, which sees guards and
+    ///   runtime indices the way value-invariant proofs do;
+    /// * an affine or enumeration proof has static indices, the load
+    ///   sequenced before the store, and collides only within one
+    ///   iteration, raw or wrapped, guards ignored;
     /// * a must-alias pair's raw affine forms agree in every iteration;
     /// * an index without an affine form gets neither an affine proof nor
     ///   a must-alias verdict;
@@ -184,6 +190,7 @@ proptest! {
         let deps = depend::analyze(&spec);
         prop_assert_eq!(deps.verdicts.len(), deps.pairs.len());
         let space: Vec<_> = spec.iterations().collect();
+        let trace = golden::execute(&spec).trace;
         let levels = spec.levels.len();
         for (pair, verdict) in deps.pairs.iter().zip(&deps.verdicts) {
             let load = &deps.ops[pair.load];
@@ -191,6 +198,18 @@ proptest! {
             prop_assert_eq!(load.kind, MemOpKind::Load);
             prop_assert_eq!(store.kind, MemOpKind::Store);
             prop_assert_eq!(load.array, store.array);
+            if verdict.proof().is_some() {
+                let events =
+                    |op: &StaticMemOp| trace.iter().filter(|e| e.seq == op.seq).collect::<Vec<_>>();
+                for l in events(load) {
+                    for s in events(store) {
+                        prop_assert!(
+                            l.index != s.index || (l.iter == s.iter && load.seq < store.seq),
+                            "{:?} pair collides outside program order: {:?} / {:?}", verdict, l, s
+                        );
+                    }
+                }
+            }
             let forms = (
                 AffineForm::from_expr(&load.index, levels),
                 AffineForm::from_expr(&store.index, levels),
@@ -202,7 +221,7 @@ proptest! {
                     "non-affine pair got {:?}", verdict
                 );
                 if load.index.is_runtime_dependent() || store.index.is_runtime_dependent() {
-                    prop_assert!(!verdict.dependence_proved());
+                    prop_assert!(!matches!(verdict.proof(), Some(Proof::Enumerated)));
                     prop_assert_eq!(verdict.min_distance, None);
                 }
                 continue;
@@ -217,11 +236,11 @@ proptest! {
                 .min();
             prop_assert_eq!(verdict.min_distance, brute, "min_distance of {:?}", verdict);
             match verdict.class {
-                // Dependence analysis proves only by the affine tests or
-                // enumeration (value invariants come later, in the
-                // analyzer): same-iteration collisions, load first.
+                // Checked against the trace above.
+                VerdictClass::Proved(Proof::Invariant(_)) => {}
+                // The affine tests and enumeration ignore guards: every
+                // collision is same-iteration, load first.
                 VerdictClass::Proved(_) => {
-                    prop_assert!(verdict.dependence_proved());
                     prop_assert!(load.seq < store.seq, "order protection needs program order");
                     prop_assert!(
                         hits.iter().all(|&(i1, i2)| i1 == i2),

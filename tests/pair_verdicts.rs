@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 use prevv::analyze::{self, AnalyzeOptions, Code, ProtocolOptions};
-use prevv::ir::depend::{self, AmbiguousPair};
+use prevv::ir::depend::{self, AmbiguousPair, Proof};
 use prevv::ir::parse::parse_kernel;
 use prevv::ir::KernelSpec;
 use prevv::kernels::{gen, paper};
@@ -54,15 +54,17 @@ fn parseable_files(dir: &str) -> Vec<KernelSpec> {
         .collect()
 }
 
-/// Where PV301 anchors a pair: the load's span, else the store's.
-/// Notes with equal anchor and array are one diagnostic after
+/// Where PV301 anchors a pair: the load's span, else the store's, with the
+/// array and the value-invariant reason its message names. Notes with equal
+/// anchor, array and reason are one diagnostic after
 /// `Report::normalize`, so the expected count is the number of distinct
 /// anchors.
 fn anchor(
     spec: &KernelSpec,
     deps: &depend::Dependences,
     pair: AmbiguousPair,
-) -> (Option<(usize, usize)>, usize) {
+    proof: Option<Proof>,
+) -> (Option<(usize, usize)>, usize, Option<&'static str>) {
     let span = |id: usize| {
         let op = &deps.ops[id];
         let first = deps
@@ -73,22 +75,31 @@ fn anchor(
         spec.body[op.stmt].op_span(id - first)
     };
     let span = span(pair.load).or(span(pair.store));
-    (span.map(|s| (s.start, s.end)), deps.ops[pair.load].array.0)
+    let reason = match proof {
+        Some(Proof::Invariant(reason)) => Some(reason.describe()),
+        _ => None,
+    };
+    (
+        span.map(|s| (s.start, s.end)),
+        deps.ops[pair.load].array.0,
+        reason,
+    )
 }
 
 fn assert_consumers_agree(spec: &KernelSpec) {
     let name = &spec.name;
     let deps = depend::analyze(spec);
-    let proved: Vec<AmbiguousPair> = deps
+    let proved: Vec<(AmbiguousPair, Option<Proof>)> = deps
         .pairs
         .iter()
         .zip(&deps.verdicts)
-        .filter(|(_, v)| v.dependence_proved())
-        .map(|(&p, _)| p)
+        .filter(|(_, v)| v.proof().is_some())
+        .map(|(&p, v)| (p, v.proof()))
         .collect();
 
     let synth = prevv::ir::synthesize(spec).unwrap_or_else(|e| panic!("{name}: {e}"));
-    assert_eq!(synth.bypassed, proved, "{name}: synthesis bypass");
+    let bypassed: Vec<AmbiguousPair> = proved.iter().map(|&(p, _)| p).collect();
+    assert_eq!(synth.bypassed, bypassed, "{name}: synthesis bypass");
     let validated: Vec<AmbiguousPair> = deps.validated().map(|(p, _)| p).collect();
     assert_eq!(synth.interface.pairs, validated, "{name}: validated set");
     assert_eq!(
@@ -96,7 +107,10 @@ fn assert_consumers_agree(spec: &KernelSpec) {
         "{name}: synthesis reads the same verdicts"
     );
 
-    let anchors: BTreeSet<_> = proved.iter().map(|&p| anchor(spec, &deps, p)).collect();
+    let anchors: BTreeSet<_> = proved
+        .iter()
+        .map(|&(p, v)| anchor(spec, &deps, p, v))
+        .collect();
     let report = analyze::analyze(spec, &AnalyzeOptions::default());
     assert_eq!(
         report.with_code(Code::ProvenDisjoint).len(),

@@ -155,12 +155,14 @@ fn pinned_pv204_reduction_escape_replays() {
 /// store `a[0]` (op 6) meet only in that iteration, load first. The affine
 /// tests cannot see it — over the rectangular hull `a[i]` meets `a[0]`
 /// across iterations — but enumeration can, and every consumer reads that
-/// one verdict: synthesis bypasses the pair, PV301 reports it, and neither the PV300 horizon nor the checker's stats count it as
-/// residual.
+/// one verdict: synthesis bypasses the pair, PV301 reports it, and neither
+/// the PV300 horizon nor the checker's stats count it as residual. The
+/// kernel's two other pairs reach statements whose guards never fire, which
+/// the value invariants prove over the hull: synthesis bypasses them too.
 #[test]
 fn pinned_enumeration_only_proof_reaches_every_consumer() {
     use prevv::analyze::{self, AnalyzeOptions, Code, ProtocolOptions};
-    use prevv::ir::depend::{self, AmbiguousPair, Proof, VerdictClass};
+    use prevv::ir::depend::{self, AmbiguousPair, DischargeReason, Proof, VerdictClass};
 
     let source = "int a[8];\n\
                   int b[12] = { 4, 0, 1, 2, 2, 1, 0, 6, 7, 7, 1, 7 };\n\
@@ -183,18 +185,33 @@ fn pinned_enumeration_only_proof_reaches_every_consumer() {
         deps.verdicts[k].class,
         VerdictClass::Proved(Proof::Enumerated)
     );
+    let dead = VerdictClass::Proved(Proof::Invariant(DischargeReason::DeadCode));
+    let others: Vec<_> = deps
+        .verdicts
+        .iter()
+        .map(|v| v.class)
+        .filter(|&c| c != deps.verdicts[k].class)
+        .collect();
+    assert_eq!(others, [dead, dead]);
     let synth = prevv::ir::synthesize(&spec).expect("synthesizes");
-    assert_eq!(synth.bypassed, vec![pair]);
+    assert_eq!(synth.bypassed, deps.pairs);
+    assert!(synth.interface.pairs.is_empty());
 
-    // PV301 anchors at the load `a[i]`.
+    // PV301 anchors the enumerated pair at the load `a[i]` and names the
+    // dead guard for the other two, so no pair is left for the horizon.
     let report = analyze::analyze(&spec, &AnalyzeOptions::default());
     let found = report.with_code(Code::ProvenDisjoint);
-    assert_eq!(found.len(), 1, "{:?}", report.diagnostics);
-    let span = found[0].span.expect("spanned");
+    let (dead, ordered): (Vec<_>, Vec<_>) = found
+        .into_iter()
+        .partition(|d| d.message.contains(DischargeReason::DeadCode.describe()));
+    assert_eq!(
+        (ordered.len(), dead.len()),
+        (1, 2),
+        "{:?}",
+        report.diagnostics
+    );
+    let span = ordered[0].span.expect("spanned");
     assert_eq!(&source[span.start..span.end], "a[i]");
-    // The other two pairs reach dead guarded statements (PV502), so no pair
-    // is left for the horizon.
-    assert_eq!(report.with_code(Code::InvariantDischarge).len(), 2);
     assert!(report.with_code(Code::SeparationHorizon).is_empty());
 
     let checked = analyze::check_protocol(&spec, &ProtocolOptions::default()).expect("checks");
@@ -266,4 +283,21 @@ fn pinned_distance_zero_race_squashes_once() {
             "{scheduler:?}"
         );
     }
+}
+
+/// Corpus kernel `gen_12`: three of its four ambiguous pairs touch the
+/// statement whose guard `i > 5` never fires over `i < 6`. Value invariants
+/// prove them over the iteration hull, so the netlist validates only the
+/// fourth, and every backend still matches the golden model.
+#[test]
+fn pinned_gen_12_validates_only_its_unproved_pair() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fuzz_corpus/gen_12.pvk");
+    let source = std::fs::read_to_string(path).expect("corpus kernel");
+    let spec = prevv::ir::parse::parse_kernel("gen_12", &source).expect("parses");
+    let synth = prevv::ir::synthesize(&spec).expect("synthesizes");
+    assert_eq!(
+        (synth.deps.pairs.len(), synth.interface.pairs.len()),
+        (4, 1)
+    );
+    oracle_must_pass(&spec);
 }
